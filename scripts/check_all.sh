@@ -35,6 +35,9 @@ else
     python -m pytest tests/ -m "not slow"
 fi
 
+echo "== end-to-end benchmark tests (smoke run of every workload) =="
+python -m pytest benchmarks/e2e -q
+
 echo "== obs smoke (traced analysis + report CLI) =="
 OBS_TRACE="$(mktemp /tmp/repro_obs_smoke.XXXXXX.jsonl)"
 trap 'rm -f "${OBS_TRACE}"' EXIT

@@ -17,13 +17,15 @@ in exponential time / polynomial space — the classical AFA bound.
 
 **Compiled hot path.**  The searches run on a compiled engine
 (:class:`_CompiledAFA`): states map to bit positions, valuation vectors are
-int bitsets, every transition formula is compiled once into a
-bitmask-evaluating closure (:func:`repro.logic.pl.compile_mask`), and
-alphabet symbols inducing *identical* transition rows are collapsed to one
-representative per class — for SWS-derived AFAs this shrinks the
-2^|vars| assignment alphabet to its effective quotient.  Public results
-(vectors, witnesses) are unchanged; ``use_compiled(False)`` restores the
-interpreted AST path for cross-validation and before/after benchmarks.
+int bitsets, and alphabet symbols inducing *identical* transition rows are
+collapsed to one representative per class — for SWS-derived AFAs this
+shrinks the 2^|vars| assignment alphabet to its effective quotient.  Code
+is generated only when it is about to run: the witness search and the
+sweep BFS (each with every class row inlined) on their first call, and a
+class's stand-alone row closure (:func:`repro.logic.pl.compile_row`) on
+its first single-step use.  Public results (vectors, witnesses) are
+unchanged; ``use_compiled(False)`` restores the interpreted AST path for
+cross-validation and before/after benchmarks.
 
 **Determinism.**  Symbols are always explored in a canonical order
 (:func:`symbol_sort_key`) that does not depend on ``PYTHONHASHSEED`` —
@@ -147,18 +149,8 @@ def _class_exprs(gen: "pl._MaskCodegen", keys: Sequence[tuple]) -> list[str]:
     across classes evaluate once per BFS iteration.
     """
     for key in keys:
-        for formula in key:
-            if formula is not pl.FALSE:
-                gen.count_refs(formula)
-    exprs = []
-    for key in keys:
-        terms = [
-            f"({gen.expr(formula)} << {i})" if i else gen.expr(formula)
-            for i, formula in enumerate(key)
-            if formula is not pl.FALSE
-        ]
-        exprs.append(" | ".join(terms) if terms else "0")
-    return exprs
+        gen.count_row(enumerate(key))
+    return [gen.row(enumerate(key)) for key in keys]
 
 
 def _compile_fn_source(name: str, source: str):
@@ -175,7 +167,7 @@ def _exec_source(name: str, lines: list[str]) -> Callable:
     return _exec_code(name, _compile_fn_source(name, "\n".join(lines) + "\n"))
 
 
-_SEARCHER_CACHE: dict[tuple, tuple[Callable, Callable]] = {}
+_SEARCHER_CACHE: dict[tuple, Callable] = {}
 _DIFF_SEARCHER_CACHE: dict[tuple, Callable] = {}
 
 #: Marshalled code objects are interpreter-version specific; artifacts
@@ -183,15 +175,23 @@ _DIFF_SEARCHER_CACHE: dict[tuple, Callable] = {}
 _BYTECODE_MAGIC = importlib.util.MAGIC_NUMBER.hex()
 
 #: Bumped when the generated searcher source changes shape (v2: ckpt
-#: calls carry the visited map for progress telemetry).  Artifacts from
-#: an older codegen are regenerated rather than rehydrated.
-_CODEGEN_VERSION = 2
+#: calls carry the visited map for progress telemetry; v3: search and
+#: sweep are generated and stored separately, and literal operands fuse
+#: into mask tests).  Artifacts from an older codegen are regenerated
+#: rather than rehydrated.
+_CODEGEN_VERSION = 3
+
+#: The generated BFS functions and their signatures.
+_SEARCHER_SIGNATURES = {
+    "_search": "start, accepting, initial, ckpt",
+    "_sweep": "start, ckpt",
+}
 
 
-def _load_searchers_artifact(cache_key: tuple) -> tuple[Callable, Callable] | None:
-    """Rehydrate persisted searchers, or ``None`` to compile from scratch.
+def _load_searcher_artifact(name: str, cache_key: tuple) -> Callable | None:
+    """Rehydrate a persisted searcher, or ``None`` to compile from scratch.
 
-    Prefers the marshalled code objects (skips parsing + compiling); a
+    Prefers the marshalled code object (skips parsing + compiling); a
     magic-number mismatch (store written by another Python version)
     recompiles from the stored source, which is still cheaper than
     regenerating it.  Any malformed payload falls through to a rebuild.
@@ -205,55 +205,53 @@ def _load_searchers_artifact(cache_key: tuple) -> tuple[Callable, Callable] | No
         return None
     try:
         if payload.get("magic") == _BYTECODE_MAGIC:
-            search_code = marshal.loads(payload["search_code"])
-            sweep_code = marshal.loads(payload["sweep_code"])
+            code = marshal.loads(payload["code"])
         else:
-            search_code = _compile_fn_source("_search", payload["search_src"])
-            sweep_code = _compile_fn_source("_sweep", payload["sweep_src"])
-        return _exec_code("_search", search_code), _exec_code("_sweep", sweep_code)
+            code = _compile_fn_source(name, payload["source"])
+        return _exec_code(name, code)
     except Exception:  # noqa: BLE001 - corrupt artifact: recompile instead
         return None
 
 
-def _compile_searchers(engine: "_CompiledAFA") -> tuple[Callable, Callable]:
-    """Generate the whole witness-search / sweep BFS as single functions.
+def _compile_searchers(engine: "_CompiledAFA", name: str) -> Callable:
+    """Generate one whole BFS, ``_search`` (witness) or ``_sweep``, as a function.
 
     Inlining every transition row into the loop body removes all per-step
     Python function calls — the search runs as one compiled code object
     over int bitsets.  Parent links store the symbol-*class index*;
     :func:`_reconstruct_classes` maps them back to representative symbols.
+    Each kind is generated only when first asked for: a non-emptiness
+    check never pays for the sweep.
 
     Generated functions depend only on the state order and the interned
     row formulas, so they are cached globally — rebuilding the same AFA
     (e.g. one ``to_afa`` per analysis call) reuses the compiled search.
     When an artifact store is in scope the source and marshalled code
-    objects also persist under a content fingerprint of that same key,
+    object also persist under a content fingerprint of that same key,
     so a *cold process* skips codegen (and, same interpreter version,
     parsing/compilation) for engines any prior run ever compiled.
     """
-    cache_key = (
-        engine.order,
-        tuple(engine.row_keys[rep] for rep in engine.reps),
-    )
+    keys = tuple(engine.row_keys[rep] for rep in engine.reps)
+    cache_key = (name, engine.order, keys)
     cached = _SEARCHER_CACHE.get(cache_key)
     if cached is not None:
         STATS.compile_cache_hits += 1
         return cached
-    restored = _load_searchers_artifact(cache_key)
+    restored = _load_searcher_artifact(name, cache_key)
     if restored is not None:
         STATS.compile_cache_hits += 1
         _SEARCHER_CACHE[cache_key] = restored
         return restored
     STATS.compile_cache_misses += 1
     gen = pl._MaskCodegen(engine.index)
-    exprs = _class_exprs(gen, [engine.row_keys[rep] for rep in engine.reps])
-    temps = ["    " + line for line in gen.lines]
+    exprs = _class_exprs(gen, keys)
+    witness = name == "_search"
 
     # The guard checkpoint is batched: one callback per 256 pops (plus one
     # on entry, so tiny searches still hit a checkpoint) — the masked test
     # is the only per-iteration overhead, preserving the compiled speedup.
-    search = [
-        "def _search(start, accepting, initial, ckpt):",
+    lines = [
+        f"def {name}({_SEARCHER_SIGNATURES[name]}):",
         "    parents = {start: None}",
         "    queue = _deque((start,))",
         "    append = queue.append",
@@ -265,45 +263,24 @@ def _compile_searchers(engine: "_CompiledAFA") -> tuple[Callable, Callable]:
         "        n += 1",
         "        if not n & 255:",
         "            ckpt(n, queue, parents)",
-        *temps,
-    ]
-    sweep = [
-        "def _sweep(start, ckpt):",
-        "    parents = {start: None}",
-        "    queue = _deque((start,))",
-        "    append = queue.append",
-        "    popleft = queue.popleft",
-        "    n = 0",
-        "    ckpt(0, queue, parents)",
-        "    while queue:",
-        "        v = popleft()",
-        "        n += 1",
-        "        if not n & 255:",
-        "            ckpt(n, queue, parents)",
-        *temps,
+        *("    " + line for line in gen.lines),
     ]
     for idx, expr in enumerate(exprs):
-        search += [
+        lines += [
             f"        nxt = {expr}",
             "        if nxt not in parents:",
             f"            parents[nxt] = ({idx}, v)",
-            "            if initial(nxt) == accepting:",
-            "                return parents, nxt, n",
-            "            append(nxt)",
         ]
-        sweep += [
-            f"        nxt = {expr}",
-            "        if nxt not in parents:",
-            f"            parents[nxt] = ({idx}, v)",
-            "            append(nxt)",
-        ]
-    search.append("    return parents, None, n")
-    sweep.append("    return parents, n")
-    search_src = "\n".join(search) + "\n"
-    sweep_src = "\n".join(sweep) + "\n"
-    search_code = _compile_fn_source("_search", search_src)
-    sweep_code = _compile_fn_source("_sweep", sweep_src)
-    built = _exec_code("_search", search_code), _exec_code("_sweep", sweep_code)
+        if witness:
+            lines += [
+                "            if initial(nxt) == accepting:",
+                "                return parents, nxt, n",
+            ]
+        lines.append("            append(nxt)")
+    lines.append("    return parents, None, n" if witness else "    return parents, n")
+    source = "\n".join(lines) + "\n"
+    code = _compile_fn_source(name, source)
+    built = _exec_code(name, code)
     _SEARCHER_CACHE[cache_key] = built
     if artifacts.enabled():
         artifacts.store(
@@ -312,10 +289,8 @@ def _compile_searchers(engine: "_CompiledAFA") -> tuple[Callable, Callable]:
             {
                 "magic": _BYTECODE_MAGIC,
                 "codegen": _CODEGEN_VERSION,
-                "search_src": search_src,
-                "sweep_src": sweep_src,
-                "search_code": marshal.dumps(search_code),
-                "sweep_code": marshal.dumps(sweep_code),
+                "source": source,
+                "code": marshal.dumps(code),
             },
             meta={"states": len(engine.order), "classes": len(engine.reps)},
         )
@@ -450,12 +425,39 @@ def _compile_diff_search(
     return fn, tuple(reps)
 
 
+class _LazyRows(dict):
+    """Per-class row closures, each compiled on its first lookup.
+
+    The generated searchers inline every row, so only single-step users
+    (``pre_step``, :func:`patch_engine`, the delta re-check) read these —
+    and a witness replay reads just the classes its word visits.
+    """
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make: Callable[[Symbol], Callable[[int], int]]) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, rep: Symbol) -> Callable[[int], int]:
+        row = self[rep] = self._make(rep)
+        return row
+
+
+def _compile_key_row(key: tuple, index: Mapping[State, int]) -> Callable[[int], int]:
+    """The ``mask -> mask`` closure of one row key (one formula per bit)."""
+    return pl.compile_row(
+        ((1 << i, formula) for i, formula in enumerate(key) if formula is not pl.FALSE),
+        index,
+    )
+
+
 class _CompiledAFA:
     """The compiled evaluation engine behind an :class:`AFA`.
 
     Built once per automaton and cached; holds the state→bit mapping, the
-    per-symbol compiled transition rows, and the symbol quotient (one
-    representative per class of symbols with identical rows).
+    symbol quotient (one representative per class of symbols with
+    identical rows), and the per-class transition rows, compiled lazily.
     """
 
     __slots__ = (
@@ -468,7 +470,6 @@ class _CompiledAFA:
         "rep_of",
         "reps",
         "rows",
-        "rep_rows",
         "_search_fn",
         "_sweep_fn",
         "_diff_cache",
@@ -494,7 +495,6 @@ class _CompiledAFA:
         # row tuple per *class* (instead of per symbol) must be built.
         self.row_keys: dict[Symbol, tuple] = {}
         self.rep_of: dict[Symbol, Symbol] = {}
-        self.rows: dict[Symbol, Callable[[int], int]] = {}
         slot = artifacts.slot("afa.quotient")
         quotient = self._valid_quotient(
             artifacts.load("afa.quotient", slot) if slot is not None else None
@@ -502,28 +502,30 @@ class _CompiledAFA:
         if quotient is not None:
             self.rep_of = dict(quotient["rep_of"])
             self.reps: tuple[Symbol, ...] = tuple(quotient["reps"])
+            get = afa.transitions.get
             rows_by_rep = {
-                rep: tuple(
-                    afa.transitions.get((state, rep), pl.FALSE)
-                    for state in self.order
-                )
+                rep: tuple([get((state, rep), pl.FALSE) for state in self.order])
                 for rep in self.reps
             }
             for symbol in self.symbols:
                 self.row_keys[symbol] = rows_by_rep[self.rep_of[symbol]]
-            class_items = [(rows_by_rep[rep], rep) for rep in self.reps]
         else:
+            # One pass over the (sparse) transitions fills every row.
+            rows = {symbol: [pl.FALSE] * len(self.order) for symbol in self.symbols}
+            for (state, symbol), formula in afa.transitions.items():
+                rows[symbol][self.index[state]] = formula
+            # Interning makes equal rows exactly the rows of identical
+            # objects, so group by ids: int tuples hash at C speed, a
+            # tuple of formulas calls ``Formula.__hash__`` per entry.
             classes: dict[tuple, Symbol] = {}
             for symbol in self.symbols:
-                key = tuple(
-                    afa.transitions.get((state, symbol), pl.FALSE)
-                    for state in self.order
-                )
-                self.row_keys[symbol] = key
-                rep = classes.setdefault(key, symbol)
+                row = rows[symbol]
+                rep = classes.setdefault(tuple(map(id, row)), symbol)
                 self.rep_of[symbol] = rep
+                self.row_keys[symbol] = (
+                    tuple(row) if rep is symbol else self.row_keys[rep]
+                )
             self.reps = tuple(classes.values())
-            class_items = list(classes.items())
             if slot is not None:
                 artifacts.store(
                     "afa.quotient",
@@ -536,18 +538,9 @@ class _CompiledAFA:
                     },
                     meta={"classes": len(self.reps)},
                 )
-        for key, rep in class_items:
-            self.rows[rep] = pl.compile_row(
-                (
-                    (1 << i, formula)
-                    for i, formula in enumerate(key)
-                    if formula is not pl.FALSE
-                ),
-                self.index,
-            )
-        self.rep_rows: tuple[tuple[Symbol, Callable[[int], int]], ...] = tuple(
-            (rep, self.rows[rep]) for rep in self.reps
-        )
+        # Closes over the dicts, not ``self``: no engine reference cycle.
+        row_keys, index = self.row_keys, self.index
+        self.rows = _LazyRows(lambda rep: _compile_key_row(row_keys[rep], index))
         self._search_fn: Callable | None = None
         self._sweep_fn: Callable | None = None
         self._diff_cache: dict["_CompiledAFA", tuple[Callable, tuple]] = {}
@@ -584,13 +577,13 @@ class _CompiledAFA:
     def searcher(self) -> Callable:
         """The generated witness-search BFS (built on first use)."""
         if self._search_fn is None:
-            self._search_fn, self._sweep_fn = _compile_searchers(self)
+            self._search_fn = _compile_searchers(self, "_search")
         return self._search_fn
 
     def sweeper(self) -> Callable:
         """The generated full-sweep BFS (built on first use)."""
         if self._sweep_fn is None:
-            self._search_fn, self._sweep_fn = _compile_searchers(self)
+            self._sweep_fn = _compile_searchers(self, "_sweep")
         return self._sweep_fn
 
     def diff_searcher(
@@ -657,7 +650,6 @@ def patch_engine(
     engine.symbols = symbols
     engine.row_keys = {}
     engine.rep_of = {}
-    engine.rows = {}
     # Two-level quotient: symbols with the same base class and the same
     # dirty-state patch provably share a row, so the (long) full row key
     # is built and hashed once per *group*, not once per symbol.  Groups
@@ -687,8 +679,9 @@ def patch_engine(
         engine.rep_of[symbol] = rep
         engine.row_keys[symbol] = key_of_rep[rep]
     engine.reps = tuple(classes.values())
-    for rep in engine.reps:
-        base_row = base.rows[base.rep_of[rep]]
+    base_rows, base_rep_of = base.rows, base.rep_of
+
+    def make_row(rep: Symbol) -> Callable[[int], int]:
         patch_row = pl.compile_row(
             (
                 (1 << i, formula)
@@ -697,8 +690,11 @@ def patch_engine(
             ),
             index,
         )
-        engine.rows[rep] = _patched_row(base_row, clean, patch_row)
-    engine.rep_rows = tuple((rep, engine.rows[rep]) for rep in engine.reps)
+        return _patched_row(base_rows[base_rep_of[rep]], clean, patch_row)
+
+    # Lazy like the base's rows: a replay compiles only the classes its
+    # witness visits, in both this engine and the base.
+    engine.rows = _LazyRows(make_row)
     engine._search_fn = None
     engine._sweep_fn = None
     engine._diff_cache = {}
@@ -742,11 +738,15 @@ class AFA:
         self._engine_cache: _CompiledAFA | None = None
         if not self.finals <= self.states:
             raise ReproError("final states must be states")
-        for (state, symbol), formula in self.transitions.items():
-            if state not in self.states:
-                raise ReproError(f"transition from unknown state {state!r}")
-            if symbol not in self.alphabet:
-                raise ReproError(f"transition on unknown symbol {symbol!r}")
+        # Check each distinct state, symbol and (interned) formula once:
+        # derived automata share one formula across many symbols.
+        unknown = {state for state, _ in self.transitions} - self.states
+        if unknown:
+            raise ReproError(f"transition from unknown state {unknown.pop()!r}")
+        unknown = {symbol for _, symbol in self.transitions} - self.alphabet
+        if unknown:
+            raise ReproError(f"transition on unknown symbol {unknown.pop()!r}")
+        for formula in set(self.transitions.values()):
             stray = formula.variables() - self.states
             if stray:
                 raise ReproError(

@@ -87,8 +87,9 @@ def to_afa(sws: SWS, variables: Iterable[str] | None = None) -> AFA:
     ]
     transitions: dict[tuple[str, Assignment], pl.Formula] = {}
     finals: set[str] = set()
+    truths = _Truths(symbols)
     for state in sws.states:
-        state_finals, state_transitions = _pair_rows(sws, state, symbols)
+        state_finals, state_transitions = _pair_rows(sws, state, symbols, truths)
         finals |= state_finals
         transitions.update(state_transitions)
     return AFA(
@@ -100,8 +101,29 @@ def to_afa(sws: SWS, variables: Iterable[str] | None = None) -> AFA:
     )
 
 
+class _Truths:
+    """Truth values of formulas on every symbol, each formula evaluated once.
+
+    Guards and final syntheses recur across states (a menu's word chains
+    share a handful of letter guards), and formulas are interned, so one
+    table per construction serves every state that mentions a formula.
+    """
+
+    def __init__(self, symbols: Sequence[Assignment]) -> None:
+        self._envs = {True: [a | {MSG} for a in symbols], False: symbols}
+        self._memo: dict[tuple[pl.Formula, bool], tuple[bool, ...]] = {}
+
+    def __call__(self, formula: pl.Formula, msg: bool) -> tuple[bool, ...]:
+        """``formula`` on each symbol (plus ``MSG`` when ``msg``), in order."""
+        values = self._memo.get((formula, msg))
+        if values is None:
+            values = tuple([formula.evaluate(env) for env in self._envs[msg]])
+            self._memo[(formula, msg)] = values
+        return values
+
+
 def _pair_rows(
-    sws: SWS, state: str, symbols: Sequence[Assignment]
+    sws: SWS, state: str, symbols: Sequence[Assignment], truths: _Truths
 ) -> tuple[set[str], dict[tuple[str, Assignment], pl.Formula]]:
     """The finals and transition entries contributed by one state's pairs.
 
@@ -110,13 +132,24 @@ def _pair_rows(
     formulas, not as rules), which is what makes the construction
     incremental: :func:`to_afa_incremental` re-runs this for edited
     states only.
+
+    A transition formula depends on the symbol and register only through
+    the truth values of the distinct guards ``φi``, so it is built once per
+    distinct tuple of those values (a word-chain state has two) and shared
+    by every symbol and both pairs producing that tuple.
     """
     rule = sws.transitions[state]
     sigma = sws.synthesis[state].query
     assert isinstance(sigma, pl.Formula)
-    aliases = sws.successor_register_aliases(state) if not rule.is_final else {}
     transitions: dict[tuple[str, Assignment], pl.Formula] = {}
     finals: set[str] = set()
+    if not rule.is_final:
+        aliases = sws.successor_register_aliases(state)
+        # Guards are interned, so equal guards are one object.
+        guards = list(dict.fromkeys(phi for _, phi in rule.targets))
+        slot = {phi: j for j, phi in enumerate(guards)}
+        children = [(target, slot[phi]) for target, phi in rule.targets]
+        rows: dict[tuple[bool, ...], pl.Formula] = {}
     for msg in (True, False):
         pair = _state_var(state, msg)
         if rule.is_final:
@@ -124,22 +157,22 @@ def _pair_rows(
             env_eps = frozenset({MSG}) if msg else frozenset()
             if sigma.evaluate(env_eps):
                 finals.add(pair)
-            for a in symbols:
-                env = a | ({MSG} if msg else frozenset())
-                transitions[(pair, a)] = pl.TRUE if sigma.evaluate(env) else pl.FALSE
+            for a, value in zip(symbols, truths(sigma, msg)):
+                transitions[(pair, a)] = pl.TRUE if value else pl.FALSE
             continue
         if not msg and state != sws.start:
             continue  # dead pair: all transitions false, not final
-        for a in symbols:
-            env = a | ({MSG} if msg else frozenset())
-            substitution: dict[str, pl.Formula] = {}
-            child_pairs: list[str] = []
-            for target, phi in rule.targets:
-                assert isinstance(phi, pl.Formula)
-                child_pairs.append(_state_var(target, phi.evaluate(env)))
-            for name, position in aliases.items():
-                substitution[name] = pl.Var(child_pairs[position])
-            transitions[(pair, a)] = sigma.substitute(substitution).simplify()
+        columns = [truths(phi, msg) for phi in guards]
+        for a, truth in zip(symbols, zip(*columns)):
+            formula = rows.get(truth)
+            if formula is None:
+                child_pairs = [_state_var(target, truth[j]) for target, j in children]
+                substitution = {
+                    name: pl.Var(child_pairs[position])
+                    for name, position in aliases.items()
+                }
+                formula = rows[truth] = sigma.substitute(substitution).simplify()
+            transitions[(pair, a)] = formula
     return finals, transitions
 
 
@@ -184,8 +217,9 @@ def to_afa_incremental(
         for a in symbols:
             transitions.pop((pair, a), None)
     finals = set(base_afa.finals) - dead_pairs
+    truths = _Truths(symbols)
     for state in changed:
-        state_finals, state_transitions = _pair_rows(sws, state, symbols)
+        state_finals, state_transitions = _pair_rows(sws, state, symbols, truths)
         finals |= state_finals
         transitions.update(state_transitions)
     # The spliced parts are the already-validated base plus rows from the

@@ -443,23 +443,44 @@ def iff(left: Formula, right: Formula) -> Formula:
 # valuation vectors.  compile_mask() turns a formula into a closure over an
 # *int bitset* (bit i = variable index[i] is true), and compile_row() fuses
 # a whole transition row — one formula per target bit — into a single
-# mask → mask function.  Every distinct subformula is hoisted into a local,
-# so shared nodes (ubiquitous under hash-consing) evaluate exactly once per
-# call, and the generated code runs on plain int shifts instead of AST
+# mask → mask function.  Shared subformulas are hoisted into locals, so
+# shared nodes (ubiquitous under hash-consing) evaluate exactly once per
+# call, and the generated code runs on int masks and shifts instead of AST
 # recursion over frozensets.
 
+#: Compiled evaluators keyed by the interned formula(s) plus the bit
+#: positions of their own variables — the generated code reads nothing
+#: else of the index, so engines with different state sets share entries.
 _COMPILE_CACHE: dict[tuple, Callable] = {}
+
+
+def _positions(formula: Formula, index: Mapping[str, int]) -> tuple[int, ...]:
+    # ``variables()`` is cached per interned node, so its iteration order
+    # is fixed for a given formula and the tuple is a canonical key part.
+    return tuple(index[name] for name in formula.variables())
+
+
+def _is_literal(node: Formula) -> bool:
+    return isinstance(node, Var) or (
+        isinstance(node, Not) and isinstance(node.operand, Var)
+    )
 
 
 class _MaskCodegen:
     """Shared-subexpression codegen over an int bitset argument ``v``.
 
-    Every subformula evaluates to a 0/1 int (``Var`` extracts a bit;
+    Every subformula evaluates to a 0/1 value (``Var`` extracts a bit;
     ``and``/``or`` on 0/1 operands return 0/1 and short-circuit, which
-    matters on conjunction-heavy rows).  Only subformulas referenced more
-    than once across the compilation unit are hoisted into locals —
-    singly-referenced nodes inline into one big expression, which CPython
-    evaluates far faster than a store/load per node.
+    matters on conjunction-heavy rows).  The literal operands of an
+    ``And``/``Or`` fuse into one mask test: with ``P`` the bits of the
+    positive literals, ``N`` those of the negated ones and ``M = P | N``,
+    a conjunction tests ``(v & M) == P`` and a disjunction
+    ``(v & M) != N`` — one test instead of a bit extraction per literal.
+    A variable occurring both ways makes the conjunction ``0`` and the
+    disjunction ``1``.  Only subformulas referenced more than once across
+    the compilation unit are hoisted into locals — singly-referenced nodes
+    inline into one big expression, which CPython evaluates far faster
+    than a store/load per node.
     """
 
     def __init__(
@@ -473,7 +494,11 @@ class _MaskCodegen:
         self.lines: list[str] = []
 
     def count_refs(self, node: Formula) -> None:
-        """First pass: count DAG parent edges per internal node."""
+        """First pass: count DAG parent edges per internal node.
+
+        Literal operands of ``And``/``Or`` are skipped: they fuse into
+        their parent's mask test and are never emitted on their own.
+        """
         seen = self._refs.get(node, 0)
         self._refs[node] = seen + 1
         if seen:
@@ -482,7 +507,30 @@ class _MaskCodegen:
             self.count_refs(node.operand)
         elif isinstance(node, (And, Or)):
             for op in node.operands:
-                self.count_refs(op)
+                if not _is_literal(op):
+                    self.count_refs(op)
+
+    def _junction(self, node: Formula) -> str:
+        conjunction = isinstance(node, And)
+        positive = negative = 0
+        rest: list[Formula] = []
+        for op in node.operands:
+            if isinstance(op, Var):
+                positive |= 1 << self._index[op.name]
+            elif _is_literal(op):
+                negative |= 1 << self._index[op.operand.name]
+            else:
+                rest.append(op)
+        if positive & negative:
+            return "0" if conjunction else "1"
+        parts = []
+        if positive | negative:
+            test = f"== {positive}" if conjunction else f"!= {negative}"
+            parts.append(f"({self._arg} & {positive | negative}) {test}")
+        parts += [self.expr(op) for op in rest]
+        if not parts:
+            return "1" if conjunction else "0"
+        return "(" + (" and " if conjunction else " or ").join(parts) + ")"
 
     def expr(self, node: Formula) -> str:
         known = self._names.get(node)
@@ -494,18 +542,8 @@ class _MaskCodegen:
             e = "1" if node.value else "0"
         elif isinstance(node, Not):
             e = f"(not {self.expr(node.operand)})"
-        elif isinstance(node, And):
-            e = (
-                "(" + " and ".join(self.expr(op) for op in node.operands) + ")"
-                if node.operands
-                else "1"
-            )
-        elif isinstance(node, Or):
-            e = (
-                "(" + " or ".join(self.expr(op) for op in node.operands) + ")"
-                if node.operands
-                else "0"
-            )
+        elif isinstance(node, (And, Or)):
+            e = self._junction(node)
         else:  # pragma: no cover - closed AST
             raise QueryError(f"cannot compile {type(node).__name__}")
         if isinstance(node, (Not, And, Or)) and self._refs.get(node, 0) > 1:
@@ -515,6 +553,45 @@ class _MaskCodegen:
             return temp
         self._names[node] = e
         return e
+
+    def count_row(self, bits: Iterable[tuple[int, Formula]]) -> None:
+        """First pass over a row of ``(output position, formula)`` pairs."""
+        for _, formula in bits:
+            if formula is not FALSE and not _is_literal(formula):
+                self.count_refs(formula)
+
+    def row(self, bits: Iterable[tuple[int, Formula]]) -> str:
+        """One expression setting each output position its formula holds at.
+
+        A position whose formula is a literal copies (or complements) one
+        input bit; such copies with the same shift distance merge into one
+        ``(v >> d) & M`` term, so a run of bit moves costs a single shift.
+        Constant-true positions fold into one literal mask.
+        """
+        moves: dict[tuple[bool, int], int] = {}
+        terms: list[str] = []
+        constant = 0
+        for i, formula in bits:
+            if formula is FALSE:
+                continue
+            if formula is TRUE:
+                constant |= 1 << i
+            elif _is_literal(formula):
+                negated = isinstance(formula, Not)
+                var = formula.operand if negated else formula
+                move = (negated, self._index[var.name] - i)
+                moves[move] = moves.get(move, 0) | 1 << i
+            else:
+                e = self.expr(formula)
+                terms.append(f"({e} << {i})" if i else e)
+        for (negated, shift), mask in moves.items():
+            source = f"~{self._arg}" if negated else self._arg
+            if shift:
+                source = f"({source} >> {shift})" if shift > 0 else f"({source} << {-shift})"
+            terms.append(f"({source} & {mask})")
+        if constant:
+            terms.append(str(constant))
+        return " | ".join(terms) if terms else "0"
 
 
 def _assemble(name: str, header: str, lines: list[str], footer: str) -> Callable:
@@ -530,9 +607,9 @@ def compile_mask(
     """Compile ``formula`` into ``fn(mask) -> bool`` over an int bitset.
 
     ``index`` maps each variable to its bit position.  Compiled functions
-    are cached per (interned formula, index signature).
+    are cached per (interned formula, bit positions of its variables).
     """
-    key = ("mask", formula, frozenset(index.items()))
+    key = ("mask", formula, _positions(formula, index))
     cached = _COMPILE_CACHE.get(key)
     if cached is not None:
         STATS.compile_cache_hits += 1
@@ -557,21 +634,16 @@ def compile_row(
     in a single call.  Shared subformulas across the row evaluate once.
     """
     entries = tuple(entries)
-    key = ("row", entries, frozenset(index.items()))
+    key = ("row", entries, tuple(_positions(f, index) for _, f in entries))
     cached = _COMPILE_CACHE.get(key)
     if cached is not None:
         STATS.compile_cache_hits += 1
         return cached
     STATS.compile_cache_misses += 1
     gen = _MaskCodegen(index)
-    for _, formula in entries:
-        gen.count_refs(formula)
-    terms: list[str] = []
-    for bit, formula in entries:
-        e = gen.expr(formula)
-        shift = bit.bit_length() - 1
-        terms.append(f"({e} << {shift})" if shift else e)
-    result = " | ".join(terms) if terms else "0"
+    bits = [(bit.bit_length() - 1, formula) for bit, formula in entries]
+    gen.count_row(bits)
+    result = gen.row(bits)
     fn = _assemble("_row", "", gen.lines, f"    return {result}")
     _COMPILE_CACHE[key] = fn
     return fn

@@ -78,3 +78,51 @@ def test_provider_errors_never_propagate():
     with artifacts.scope(ExplodingProvider(), "job"):
         assert artifacts.load("kind", "key") is None
         assert not artifacts.store("kind", "key", "value")
+
+
+# -- persisted AFA searchers ----------------------------------------------------------
+
+
+def _searcher_payloads(provider):
+    return {
+        key: value for (kind, key), value in provider.data.items() if kind == "afa.searchers"
+    }
+
+
+def test_searcher_from_older_codegen_is_regenerated(monkeypatch):
+    from repro._stats import STATS
+    from repro.automata import afa as afa_mod
+    from repro.core.pl_semantics import to_afa
+    from repro.workloads.scaling import pl_counter_sws
+
+    monkeypatch.setattr(afa_mod, "_SEARCHER_CACHE", {})
+    provider = RecordingProvider()
+    sws = pl_counter_sws(5)
+    with artifacts.scope(provider, "job"):
+        expected = to_afa(sws).accepting_witness()
+    [(key, payload)] = _searcher_payloads(provider).items()
+    assert payload["codegen"] == afa_mod._CODEGEN_VERSION
+    assert key[0] == "_search"  # the sweep was never generated
+
+    # Replace it by a payload in the previous codegen's layout, whose code
+    # would fail loudly if it were ever run.
+    poisoned = "def _search(start, accepting, initial, ckpt):\n    raise AssertionError\n"
+    provider.data[("afa.searchers", key)] = {
+        "magic": payload["magic"],
+        "codegen": afa_mod._CODEGEN_VERSION - 1,
+        "search_src": poisoned,
+        "sweep_src": poisoned.replace("_search", "_sweep"),
+    }
+    monkeypatch.setattr(afa_mod, "_SEARCHER_CACHE", {})
+    misses = STATS.compile_cache_misses
+    with artifacts.scope(provider, "job"):
+        assert to_afa(sws).accepting_witness() == expected
+    assert STATS.compile_cache_misses == misses + 1
+    assert _searcher_payloads(provider)[key]["codegen"] == afa_mod._CODEGEN_VERSION
+
+    # The regenerated payload is current: a cold cache now rehydrates it.
+    monkeypatch.setattr(afa_mod, "_SEARCHER_CACHE", {})
+    misses = STATS.compile_cache_misses
+    with artifacts.scope(provider, "job"):
+        assert to_afa(sws).accepting_witness() == expected
+    assert STATS.compile_cache_misses == misses
