@@ -32,7 +32,7 @@ if [[ "${RUN_ALL}" -eq 1 ]]; then
     done
 else
     echo "== tests (fast tier; use --all for the full sweep) =="
-    python -m pytest tests/ -m "not slow"
+    python -m pytest tests/ -m "not slow" --durations=15
 fi
 
 echo "== end-to-end benchmark tests (smoke run of every workload) =="

@@ -3,11 +3,11 @@
 The diff is layered on the serve-tier fingerprints: each version gets a
 per-state Merkle tree (:func:`repro.serve.fingerprint.sub_fingerprints`)
 whose leaves hash one state's transition + synthesis rules and whose
-root matches :func:`repro.serve.fingerprint.fingerprint` equality.
-Because edited copies of a service share rule *objects* for untouched
-states, the leaf digests of unchanged regions hash-match out of a memo
-without re-canonicalizing anything — a diff costs time proportional to
-the edit, not to the service.
+root is the service's job key.  Because edited copies of a service
+share the rules of untouched states, the leaf digests of unchanged
+regions come out of a memo keyed on rule values without
+re-canonicalizing anything — a diff costs time proportional to the
+edit, not to the service.
 
 The delta classifies an edit for :mod:`repro.delta.engine`:
 

@@ -202,7 +202,7 @@ def solve_fresh(
     """
     if tree is None:
         tree = sub_fingerprints(sws)
-    fp = job_fingerprint(procedure, (sws,), kwargs)
+    fp = job_fingerprint(procedure, (tree,), kwargs)
     capture = _Capture()
     with capture_search_state(capture):
         answer = procedure_fn(sws, guard=budget, **kwargs)
@@ -300,7 +300,7 @@ def recheck(
         new_tree = sub_fingerprints(new)
     delta = compute_delta(base, new, base_tree, new_tree)
     surviving = base_state.surviving_components(delta)
-    fp = job_fingerprint(procedure, (new,), kwargs)
+    fp = job_fingerprint(procedure, (new_tree,), kwargs)
     accepting = _accepting_for(procedure, kwargs)
 
     mode: str

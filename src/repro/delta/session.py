@@ -70,7 +70,7 @@ class Session:
         self.budget = budget
         self.current = sws
         self.tree = sub_fingerprints(sws)
-        self.fingerprint = job_fingerprint(procedure, (sws,), kwargs)
+        self.fingerprint = job_fingerprint(procedure, (self.tree,), kwargs)
         self.state: SearchState | None = None
         self.afa = None
         self.pending: SWS | None = None

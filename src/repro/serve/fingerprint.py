@@ -7,8 +7,8 @@ of its instance.  Python's builtin ``hash`` (and anything derived from
 construction order, so fingerprints are computed over an explicit
 canonical form instead:
 
-* unordered containers (sets, dicts, ``DatabaseSchema``, SWS/mediator
-  rule maps) are serialized in sorted order;
+* unordered containers (sets, dicts, ``DatabaseSchema``, mediator rule
+  maps) are serialized in sorted order;
 * ordered containers (tuples of transition targets, CQ atom lists,
   query heads) keep their order — position is semantics there (``A1``
   refers to the first successor);
@@ -19,9 +19,24 @@ canonical form instead:
 * ``name`` attributes are **excluded** — they are labels, not structure,
   so renaming a service does not lose its cache entries.
 
-The fingerprint is the SHA-256 of the canonical form, making collisions
-between distinct instances negligible; equal fingerprints are treated as
-"the same question" by the cache and scheduler.
+Two kinds of value are hashed bottom-up as Merkle trees, so a repeat
+costs memo lookups instead of a walk over the whole structure:
+
+* **PL formulas.**  A variable or constant keeps its short inline form;
+  every other node's canonical form is ``("pl", digest)``, where the
+  digest is the SHA-256 of its tag and its children's canonical forms.
+  Formulas are hash-consed, so the digest is memoized once per interned
+  node and process.
+* **SWS instances.**  The canonical form of a service is
+  ``("sws", root)`` with ``root`` the root of its per-state tree
+  (:func:`sub_fingerprints`): one leaf digest per state's rules, one
+  digest of the global fields.  That tree is also what
+  :mod:`repro.delta` diffs, so an edit re-hashes only the edited states.
+  Mediators embed their component services and inherit the scheme.
+
+:func:`fingerprint` is the SHA-256 of ``repr`` of the canonical form, so
+collisions between distinct instances are negligible; equal fingerprints
+are treated as "the same question" by the cache and scheduler.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ from typing import Any, Iterable, Mapping
 from repro.automata.afa import AFA
 from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA
-from repro.core.sws import SWS, SynthesisRule, TransitionRule
+from repro.core.sws import SWS, SWSKind, SynthesisRule, TransitionRule
 from repro.data.database import Database
 from repro.data.input_sequence import InputSequence
 from repro.data.relation import Relation
@@ -43,7 +58,7 @@ from repro.logic import fo, pl
 from repro.logic.cq import Atom, Comparison, ConjunctiveQuery, LabeledNull
 from repro.logic.terms import Constant, Variable
 from repro.logic.ucq import UnionQuery
-from repro.mediator.mediator import Mediator, MediatorTransitionRule
+from repro.mediator.mediator import Mediator
 
 __all__ = [
     "FingerprintError",
@@ -57,6 +72,10 @@ __all__ = [
 
 class FingerprintError(ReproError):
     """Raised for values no canonical form is defined for."""
+
+
+def _digest(payload: Any) -> str:
+    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
 def _seq(items: Iterable[Any]) -> tuple:
@@ -80,10 +99,10 @@ def _sorted_map(mapping: Mapping[Any, Any]) -> tuple:
 
 
 #: Canonical forms of PL nodes, memoized.  Hash-consing makes formulas
-#: DAGs with heavy sharing; a plain tree recursion re-expands every
-#: shared subformula (exponentially, in the worst case), while the memo
-#: keeps the walk linear in DAG size.  Interning also keeps the nodes
-#: alive process-wide, so a bounded plain dict is the right cache shape.
+#: DAGs with heavy sharing; the memo keeps the walk linear in DAG size,
+#: and each node's digest is computed once per process.  Interning also
+#: keeps the nodes alive process-wide, so a bounded plain dict is the
+#: right cache shape.
 _PL_CANON_MEMO: dict[pl.Formula, tuple] = {}
 _PL_CANON_MEMO_LIMIT = 200_000
 
@@ -96,14 +115,16 @@ def _pl_formula(formula: pl.Formula) -> tuple:
         result = ("pl.var", formula.name)
     elif isinstance(formula, pl.Const):
         result = ("pl.const", formula.value)
-    elif isinstance(formula, pl.Not):
-        result = ("pl.not", _pl_formula(formula.operand))
-    elif isinstance(formula, pl.And):
-        result = ("pl.and", tuple(_pl_formula(op) for op in formula.operands))
-    elif isinstance(formula, pl.Or):
-        result = ("pl.or", tuple(_pl_formula(op) for op in formula.operands))
     else:
-        raise FingerprintError(f"unknown PL node {type(formula).__name__}")
+        if isinstance(formula, pl.Not):
+            tag, children = "pl.not", (formula.operand,)
+        elif isinstance(formula, pl.And):
+            tag, children = "pl.and", formula.operands
+        elif isinstance(formula, pl.Or):
+            tag, children = "pl.or", formula.operands
+        else:
+            raise FingerprintError(f"unknown PL node {type(formula).__name__}")
+        result = ("pl", _digest((tag, tuple(_pl_formula(op) for op in children))))
     if len(_PL_CANON_MEMO) >= _PL_CANON_MEMO_LIMIT:
         _PL_CANON_MEMO.clear()
     _PL_CANON_MEMO[formula] = result
@@ -125,35 +146,6 @@ def _fo_formula(formula: fo.FOFormula) -> tuple:
         tag = "fo.exists" if isinstance(formula, fo.Exists) else "fo.forall"
         return (tag, _seq(formula.variables), _fo_formula(formula.body))
     raise FingerprintError(f"unknown FO node {type(formula).__name__}")
-
-
-def _transition_rule(rule: TransitionRule) -> tuple:
-    # Target order is positional semantics (A1, A2, ... registers).
-    return tuple((target, canonical(query)) for target, query in rule.targets)
-
-
-def _sws(sws: SWS) -> tuple:
-    return (
-        "sws",
-        sws.kind.value,
-        _sorted_set(sws.states),
-        sws.start,
-        tuple(
-            sorted(
-                (state, _transition_rule(rule))
-                for state, rule in sws.transitions.items()
-            )
-        ),
-        tuple(
-            sorted(
-                (state, canonical(rule.query))
-                for state, rule in sws.synthesis.items()
-            )
-        ),
-        canonical(sws.db_schema),
-        canonical(sws.input_schema),
-        sws.output_arity,
-    )
 
 
 def _mediator(mediator: Mediator) -> tuple:
@@ -252,7 +244,9 @@ def canonical(value: Any) -> Any:
 
     Returns a tree of primitives and tuples whose ``repr`` is
     deterministic; :func:`fingerprint` hashes that representation.
-    Raises :class:`FingerprintError` for values with no defined form.
+    Compound PL formulas and SWS instances appear as tagged digests (see
+    the module docstring).  Raises :class:`FingerprintError` for values
+    with no defined form.
     """
     if value is None or isinstance(value, (bool, int, float, str, bytes)):
         return value
@@ -265,7 +259,9 @@ def canonical(value: Any) -> Any:
     if isinstance(value, pl.Formula):
         return _pl_formula(value)
     if isinstance(value, SWS):
-        return _sws(value)
+        return sub_fingerprints(value).canonical
+    if isinstance(value, SubFingerprints):
+        return value.canonical
     if isinstance(value, Mediator):
         return _mediator(value)
     if isinstance(value, AFA):
@@ -326,33 +322,55 @@ def canonical(value: Any) -> Any:
 
 
 def fingerprint(value: Any) -> str:
-    """SHA-256 hex digest of ``value``'s canonical form."""
-    return hashlib.sha256(repr(canonical(value)).encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of ``repr`` of ``value``'s canonical form."""
+    return _digest(canonical(value))
 
 
-#: Per-state digest memo.  ``TransitionRule``/``SynthesisRule`` are frozen
-#: dataclasses over hash-consed formulas, so edited copies of a service
-#: share rule *objects* for untouched states and their digests hash-match
-#: here without re-canonicalizing the rules.
-_STATE_DIGEST_MEMO: dict[tuple[TransitionRule, SynthesisRule], str] = {}
+#: Per-state leaf digests of PL services, keyed on the rules' *values*
+#: ``(transition targets, synthesis formula)``.  A PL service's rules hold
+#: only state names and interned formulas (``SWS`` validation checks the
+#: formulas), so equal keys have identical canonical forms and a service
+#: gets the same leaves whatever the process hashed before.  Relational
+#: services skip the memo: CQ and UCQ equality compares atoms as sets,
+#: while their canonical forms keep atom order.
+_STATE_DIGEST_MEMO: dict[tuple[tuple, pl.Formula], str] = {}
 _STATE_DIGEST_MEMO_LIMIT = 100_000
 
 
-def _digest(payload: Any) -> str:
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+def _state_digest(rule: TransitionRule, synth: SynthesisRule) -> str:
+    # Target order is positional semantics (A1, A2, ... registers).
+    return _digest(
+        (
+            "sws.state",
+            tuple((target, canonical(query)) for target, query in rule.targets),
+            canonical(synth.query),
+        )
+    )
+
+
+def _pl_state_digest(rule: TransitionRule, synth: SynthesisRule) -> str:
+    key = (rule.targets, synth.query)
+    digest = _STATE_DIGEST_MEMO.get(key)
+    if digest is None:
+        digest = _state_digest(rule, synth)
+        if len(_STATE_DIGEST_MEMO) >= _STATE_DIGEST_MEMO_LIMIT:
+            _STATE_DIGEST_MEMO.clear()
+        _STATE_DIGEST_MEMO[key] = digest
+    return digest
 
 
 class SubFingerprints:
-    """Merkle decomposition of an SWS fingerprint.
+    """Merkle tree of an SWS: the service's fingerprint, state by state.
 
     ``states`` maps each state to the digest of its local rules
     (transition rule + synthesis rule); ``globals_digest`` covers
     everything that is not local to one state (kind, state set, start
     state, schemas, output arity).  ``root`` hashes the two layers
-    together, so two instances have equal roots exactly when they have
-    equal :func:`fingerprint`\\ s (up to SHA-256 collisions) — and a diff
-    of two trees localizes *which* states changed without comparing
-    canonical forms rule by rule.
+    together and *is* the service's identity: ``canonical`` is the
+    service's canonical form ``("sws", root)``, so a job over the tree
+    has the same fingerprint as a job over the service.  A diff of two
+    trees localizes *which* states changed without comparing canonical
+    forms rule by rule.
     """
 
     __slots__ = ("root", "globals_digest", "states")
@@ -361,6 +379,11 @@ class SubFingerprints:
         self.root = root
         self.globals_digest = globals_digest
         self.states = dict(states)
+
+    @property
+    def canonical(self) -> tuple[str, str]:
+        """The canonical form of the service this tree was built from."""
+        return ("sws", self.root)
 
     def changed_states(self, other: "SubFingerprints") -> frozenset[str]:
         """States whose local digest differs (or exists on one side only)."""
@@ -374,39 +397,35 @@ class SubFingerprints:
 
 
 def sub_fingerprints(sws: SWS) -> SubFingerprints:
-    """Per-state Merkle tree over ``sws``'s canonical form."""
+    """Per-state Merkle tree of ``sws``; its root keys every job on it."""
     if not isinstance(sws, SWS):
         raise FingerprintError(
             f"sub_fingerprints is defined for SWS instances, not {type(sws).__name__}"
         )
-    states: dict[str, str] = {}
-    for state in sws.states:
-        rule = sws.transitions[state]
-        synth = sws.synthesis[state]
-        key = (rule, synth)
-        cached = _STATE_DIGEST_MEMO.get(key)
-        if cached is None:
-            cached = _digest(
-                ("sws.state", _transition_rule(rule), canonical(synth.query))
+    transitions, synthesis = sws.transitions, sws.synthesis
+    leaf = _pl_state_digest if sws.kind is SWSKind.PL else _state_digest
+    names = sorted(sws.states)
+    states = {state: leaf(transitions[state], synthesis[state]) for state in names}
+    # The fields past the two fixed tags are reprs, which escape NUL, so
+    # the join is injective.
+    globals_digest = hashlib.sha256(
+        "\0".join(
+            (
+                "sws.globals",
+                sws.kind.value,
+                repr(names),
+                repr(sws.start),
+                repr(canonical(sws.db_schema)),
+                repr(canonical(sws.input_schema)),
+                repr(sws.output_arity),
             )
-            if len(_STATE_DIGEST_MEMO) >= _STATE_DIGEST_MEMO_LIMIT:
-                _STATE_DIGEST_MEMO.clear()
-            _STATE_DIGEST_MEMO[key] = cached
-        states[state] = cached
-    globals_digest = _digest(
-        (
-            "sws.globals",
-            sws.kind.value,
-            _sorted_set(sws.states),
-            sws.start,
-            canonical(sws.db_schema),
-            canonical(sws.input_schema),
-            sws.output_arity,
-        )
-    )
-    root = _digest(
-        ("sws.root", globals_digest, tuple(sorted(states.items())))
-    )
+        ).encode("utf-8")
+    ).hexdigest()
+    # The globals fix the sorted state list, and every leaf digest has
+    # the same length, so the concatenation pins each state's leaf.
+    root = hashlib.sha256(
+        (globals_digest + "".join(states.values())).encode("ascii")
+    ).hexdigest()
     return SubFingerprints(root, globals_digest, states)
 
 
@@ -415,6 +434,9 @@ def job_fingerprint(
 ) -> str:
     """Fingerprint of a whole job: procedure name + instance arguments.
 
+    An SWS argument may be passed as its :class:`SubFingerprints` tree
+    (the delta sessions hold one), which skips a second walk over it.
+
     Resource budgets are deliberately *not* part of the key: the
     procedures are sound, so any decided (YES/NO) answer is
     budget-independent, and guard-tripped UNKNOWN answers are never
@@ -422,10 +444,11 @@ def job_fingerprint(
     *question* (``max_session_length``, ``invocation_bound``, ...)
     arrive through ``args``/``kwargs`` and are included.
     """
-    payload = (
-        "job",
-        procedure,
-        _seq(args),
-        tuple(sorted((k, canonical(v)) for k, v in (kwargs or {}).items())),
+    return _digest(
+        (
+            "job",
+            procedure,
+            _seq(args),
+            tuple(sorted((k, canonical(v)) for k, v in (kwargs or {}).items())),
+        )
     )
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
