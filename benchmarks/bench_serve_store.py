@@ -1,19 +1,16 @@
-"""Experiment SRV.2 — the SQLite answer + artifact store across processes.
+"""Experiment SRV.2 — the SQLite answer store across processes.
 
 Two claims the store makes beyond the in-memory cache:
 
 * **Cold-process warm start.**  A fresh interpreter pointed at a
-  populated cache directory reuses decided answers *and* derived
-  artifacts (compiled AFA searchers, symbol-class quotients) from prior
-  runs.  Measured with real subprocesses — three of them, each running
-  the same non-emptiness batch over the succinct-counter family:
+  populated cache directory reuses the answers prior runs decided.
+  Measured with real subprocesses — two of them, each running the same
+  non-emptiness batch over the succinct-counter family:
 
   - ``from_scratch`` — empty cache directory, everything derived;
   - ``warm_start`` — same directory, but the most expensive job's
     *answer* is deleted first, so the run reuses the remaining answers
-    and re-executes one job on top of its stored artifacts;
-  - ``artifacts_only`` — all answers deleted: every job re-executes,
-    isolating what the artifact tier alone saves.
+    and re-executes that one job.
 
 * **Concurrent writers.**  N writer processes hammer one store; the
   bench records wall-clock and throughput per N and verifies that not
@@ -72,7 +69,6 @@ def _run_child(mode: str, *args: object) -> dict:
 
 
 def _child_solve(cache_dir: str) -> None:
-    from repro._stats import STATS
     from repro.serve import JobSpec, SolverService
     from repro.workloads.scaling import pl_counter_sws
 
@@ -86,9 +82,6 @@ def _child_solve(cache_dir: str) -> None:
             "elapsed_s": round(elapsed, 6),
             "answer_hits": service.cache.stats.hits,
             "jobs_executed": service.jobs_executed,
-            "artifact_hits": STATS.artifact_hits,
-            "artifact_stores": STATS.artifact_stores,
-            "artifacts_in_store": service.cache.store.artifact_counts(),
         }
     print(json.dumps(out))
 
@@ -113,8 +106,7 @@ def bench_warm_start(workdir: str) -> dict:
     from_scratch = _run_child("_solve", cache_dir)
     store_path = os.path.join(cache_dir, "answers.sqlite3")
 
-    # Warm start: answers reused for all but the most expensive job,
-    # whose re-execution rides on the stored artifacts.
+    # Warm start: answers reused for all but the most expensive job.
     with sqlite3.connect(store_path) as conn:
         cursor = conn.execute(
             "DELETE FROM answers WHERE fingerprint = "
@@ -123,14 +115,8 @@ def bench_warm_start(workdir: str) -> dict:
         assert cursor.rowcount == 1
     warm = _run_child("_solve", cache_dir)
 
-    # Artifacts only: every answer gone, every job re-executes.
-    with sqlite3.connect(store_path) as conn:
-        conn.execute("DELETE FROM answers")
-    artifacts_only = _run_child("_solve", cache_dir)
-
     assert warm["answer_hits"] == len(BITS) - 1
-    assert warm["artifact_hits"] >= 1, "warm start must reuse stored artifacts"
-    assert artifacts_only["artifact_hits"] >= 1
+    assert warm["jobs_executed"] == 1
     speedup = from_scratch["elapsed_s"] / warm["elapsed_s"]
     assert speedup > 1.0, (
         f"warm start ({warm['elapsed_s']}s) not faster than from scratch "
@@ -140,16 +126,11 @@ def bench_warm_start(workdir: str) -> dict:
         "bits": list(BITS),
         "from_scratch": from_scratch,
         "warm_start": warm,
-        "artifacts_only": artifacts_only,
         "warm_speedup_vs_scratch": round(speedup, 2),
-        "artifacts_only_speedup_vs_scratch": round(
-            from_scratch["elapsed_s"] / artifacts_only["elapsed_s"], 2
-        ),
         "notes": (
             "each row is one fresh python process; warm_start deletes the "
-            "largest answer so the run reuses the other answers and rebuilds "
-            "one job over stored searcher/quotient artifacts; artifacts_only "
-            "deletes all answers"
+            "largest answer so the run reuses the other answers and "
+            "re-executes one job"
         ),
     }
 
@@ -224,8 +205,7 @@ def main() -> None:
     print(
         f"from scratch {warm['from_scratch']['elapsed_s']:.3f}s | "
         f"warm start {warm['warm_start']['elapsed_s']:.3f}s "
-        f"({warm['warm_speedup_vs_scratch']:.1f}x) | "
-        f"artifacts only {warm['artifacts_only']['elapsed_s']:.3f}s"
+        f"({warm['warm_speedup_vs_scratch']:.1f}x)"
     )
     for row in writers["rows"]:
         print(

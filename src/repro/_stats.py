@@ -63,11 +63,6 @@ class Stats:
     serve_jobs_executed: int = 0
     serve_jobs_deduped: int = 0
 
-    # Persistent artifact store (repro.artifacts / repro.serve.store).
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    artifact_stores: int = 0
-
     def reset(self) -> "Stats":
         """Zero every counter; returns self for chaining."""
         for field in fields(self):

@@ -23,9 +23,11 @@ shrinks the 2^|vars| assignment alphabet to its effective quotient.  Code
 is generated only when it is about to run: the witness search and the
 sweep BFS (each with every class row inlined) on their first call, and a
 class's stand-alone row closure (:func:`repro.logic.pl.compile_row`) on
-its first single-step use.  Public results (vectors, witnesses) are
-unchanged; ``use_compiled(False)`` restores the interpreted AST path for
-cross-validation and before/after benchmarks.
+its first single-step use.  Generated searchers are memoized per process
+on their state order and row formulas; nothing compiled is persisted, so
+a new process regenerates the code it runs.  Public results (vectors,
+witnesses) are unchanged; ``use_compiled(False)`` restores the
+interpreted AST path for cross-validation and before/after benchmarks.
 
 **Determinism.**  Symbols are always explored in a canonical order
 (:func:`symbol_sort_key`) that does not depend on ``PYTHONHASHSEED`` —
@@ -35,13 +37,10 @@ made witness words differ across interpreter runs.
 
 from __future__ import annotations
 
-import importlib.util
-import marshal
 from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from repro import artifacts
 from repro._stats import STATS
 from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA
@@ -153,64 +152,20 @@ def _class_exprs(gen: "pl._MaskCodegen", keys: Sequence[tuple]) -> list[str]:
     return [gen.row(enumerate(key)) for key in keys]
 
 
-def _compile_fn_source(name: str, source: str):
-    return compile(source, f"<afa.{name}>", "exec")
-
-
-def _exec_code(name: str, code) -> Callable:
-    namespace: dict = {"_deque": deque}
-    exec(code, namespace)
-    return namespace[name]
-
-
 def _exec_source(name: str, lines: list[str]) -> Callable:
-    return _exec_code(name, _compile_fn_source(name, "\n".join(lines) + "\n"))
+    namespace: dict = {"_deque": deque}
+    exec(compile("\n".join(lines) + "\n", f"<afa.{name}>", "exec"), namespace)
+    return namespace[name]
 
 
 _SEARCHER_CACHE: dict[tuple, Callable] = {}
 _DIFF_SEARCHER_CACHE: dict[tuple, Callable] = {}
-
-#: Marshalled code objects are interpreter-version specific; artifacts
-#: tagged with a different magic fall back to recompiling stored source.
-_BYTECODE_MAGIC = importlib.util.MAGIC_NUMBER.hex()
-
-#: Bumped when the generated searcher source changes shape (v2: ckpt
-#: calls carry the visited map for progress telemetry; v3: search and
-#: sweep are generated and stored separately, and literal operands fuse
-#: into mask tests).  Artifacts from an older codegen are regenerated
-#: rather than rehydrated.
-_CODEGEN_VERSION = 3
 
 #: The generated BFS functions and their signatures.
 _SEARCHER_SIGNATURES = {
     "_search": "start, accepting, initial, ckpt",
     "_sweep": "start, ckpt",
 }
-
-
-def _load_searcher_artifact(name: str, cache_key: tuple) -> Callable | None:
-    """Rehydrate a persisted searcher, or ``None`` to compile from scratch.
-
-    Prefers the marshalled code object (skips parsing + compiling); a
-    magic-number mismatch (store written by another Python version)
-    recompiles from the stored source, which is still cheaper than
-    regenerating it.  Any malformed payload falls through to a rebuild.
-    """
-    if not artifacts.enabled():
-        return None
-    payload = artifacts.load("afa.searchers", cache_key)
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("codegen") != _CODEGEN_VERSION:
-        return None
-    try:
-        if payload.get("magic") == _BYTECODE_MAGIC:
-            code = marshal.loads(payload["code"])
-        else:
-            code = _compile_fn_source(name, payload["source"])
-        return _exec_code(name, code)
-    except Exception:  # noqa: BLE001 - corrupt artifact: recompile instead
-        return None
 
 
 def _compile_searchers(engine: "_CompiledAFA", name: str) -> Callable:
@@ -226,10 +181,6 @@ def _compile_searchers(engine: "_CompiledAFA", name: str) -> Callable:
     Generated functions depend only on the state order and the interned
     row formulas, so they are cached globally — rebuilding the same AFA
     (e.g. one ``to_afa`` per analysis call) reuses the compiled search.
-    When an artifact store is in scope the source and marshalled code
-    object also persist under a content fingerprint of that same key,
-    so a *cold process* skips codegen (and, same interpreter version,
-    parsing/compilation) for engines any prior run ever compiled.
     """
     keys = tuple(engine.row_keys[rep] for rep in engine.reps)
     cache_key = (name, engine.order, keys)
@@ -237,11 +188,6 @@ def _compile_searchers(engine: "_CompiledAFA", name: str) -> Callable:
     if cached is not None:
         STATS.compile_cache_hits += 1
         return cached
-    restored = _load_searcher_artifact(name, cache_key)
-    if restored is not None:
-        STATS.compile_cache_hits += 1
-        _SEARCHER_CACHE[cache_key] = restored
-        return restored
     STATS.compile_cache_misses += 1
     gen = pl._MaskCodegen(engine.index)
     exprs = _class_exprs(gen, keys)
@@ -278,22 +224,8 @@ def _compile_searchers(engine: "_CompiledAFA", name: str) -> Callable:
             ]
         lines.append("            append(nxt)")
     lines.append("    return parents, None, n" if witness else "    return parents, n")
-    source = "\n".join(lines) + "\n"
-    code = _compile_fn_source(name, source)
-    built = _exec_code(name, code)
+    built = _exec_source(name, lines)
     _SEARCHER_CACHE[cache_key] = built
-    if artifacts.enabled():
-        artifacts.store(
-            "afa.searchers",
-            cache_key,
-            {
-                "magic": _BYTECODE_MAGIC,
-                "codegen": _CODEGEN_VERSION,
-                "source": source,
-                "code": marshal.dumps(code),
-            },
-            meta={"states": len(engine.order), "classes": len(engine.reps)},
-        )
     return built
 
 
@@ -303,7 +235,6 @@ def generic_search(
     accepting: bool | None,
     initial: Callable[[int], bool],
     ckpt: Callable[..., None],
-    seed: tuple[dict, Iterable[int]] | None = None,
 ) -> tuple[dict, int | None, int]:
     """Interpreted BFS over parameterized transition rows.
 
@@ -313,24 +244,10 @@ def generic_search(
     sweep) but taking the per-class row callables as data instead of
     code-generating the loop body.  :mod:`repro.delta` uses it to re-check
     an edited automaton over *patched* rows without paying searcher
-    codegen, and to resume a budget-tripped search: ``seed`` supplies a
-    previously captured ``(parents, frontier)`` so exploration continues
-    from the surviving frontier instead of the start vector.  Seeded nodes
-    were already tested at their original insertion, so only newly
-    discovered vectors are tested here — identical to what the generated
-    search would have done had it not tripped.
+    codegen.
     """
-    if seed is None:
-        parents: dict = {start: None}
-        queue = deque((start,))
-    else:
-        parents, frontier = seed
-        # A deque seed is adopted in place (not copied) so the caller's
-        # reference tracks the live frontier across a guard trip.
-        queue = frontier if isinstance(frontier, deque) else deque(frontier)
-        if not parents:
-            parents[start] = None
-            queue.append(start)
+    parents: dict = {start: None}
+    queue = deque((start,))
     n = 0
     append = queue.append
     popleft = queue.popleft
@@ -339,14 +256,7 @@ def generic_search(
         v = popleft()
         n += 1
         if not n & 255:
-            try:
-                ckpt(n, queue, parents)
-            except BaseException:
-                # A guard trip between pop and expansion would silently
-                # lose v's expansions; requeue it so a seeded resume
-                # from (parents, queue) is complete.
-                queue.appendleft(v)
-                raise
+            ckpt(n, queue, parents)
         for idx, row in rows:
             nxt = row(v)
             if nxt not in parents:
@@ -487,57 +397,23 @@ class _CompiledAFA:
         )
         # Group symbols by transition row (tuple of interned formulas, one
         # per state): identical rows induce identical pre_step functions,
-        # so only one representative per class needs exploring.  The
-        # quotient (rep_of / reps) persists as a job-scoped artifact:
-        # slot keys rely on the procedures deriving their automata
-        # deterministically, so a stored quotient with matching state
-        # order and alphabet describes this same automaton, and only one
-        # row tuple per *class* (instead of per symbol) must be built.
+        # so only one representative per class needs exploring.  One pass
+        # over the (sparse) transitions fills every row.
+        rows = {symbol: [pl.FALSE] * len(self.order) for symbol in self.symbols}
+        for (state, symbol), formula in afa.transitions.items():
+            rows[symbol][self.index[state]] = formula
+        # Interning makes equal rows exactly the rows of identical
+        # objects, so group by ids: int tuples hash at C speed, a tuple
+        # of formulas calls ``Formula.__hash__`` per entry.
         self.row_keys: dict[Symbol, tuple] = {}
         self.rep_of: dict[Symbol, Symbol] = {}
-        slot = artifacts.slot("afa.quotient")
-        quotient = self._valid_quotient(
-            artifacts.load("afa.quotient", slot) if slot is not None else None
-        )
-        if quotient is not None:
-            self.rep_of = dict(quotient["rep_of"])
-            self.reps: tuple[Symbol, ...] = tuple(quotient["reps"])
-            get = afa.transitions.get
-            rows_by_rep = {
-                rep: tuple([get((state, rep), pl.FALSE) for state in self.order])
-                for rep in self.reps
-            }
-            for symbol in self.symbols:
-                self.row_keys[symbol] = rows_by_rep[self.rep_of[symbol]]
-        else:
-            # One pass over the (sparse) transitions fills every row.
-            rows = {symbol: [pl.FALSE] * len(self.order) for symbol in self.symbols}
-            for (state, symbol), formula in afa.transitions.items():
-                rows[symbol][self.index[state]] = formula
-            # Interning makes equal rows exactly the rows of identical
-            # objects, so group by ids: int tuples hash at C speed, a
-            # tuple of formulas calls ``Formula.__hash__`` per entry.
-            classes: dict[tuple, Symbol] = {}
-            for symbol in self.symbols:
-                row = rows[symbol]
-                rep = classes.setdefault(tuple(map(id, row)), symbol)
-                self.rep_of[symbol] = rep
-                self.row_keys[symbol] = (
-                    tuple(row) if rep is symbol else self.row_keys[rep]
-                )
-            self.reps = tuple(classes.values())
-            if slot is not None:
-                artifacts.store(
-                    "afa.quotient",
-                    slot,
-                    {
-                        "order": self.order,
-                        "symbols": self.symbols,
-                        "rep_of": self.rep_of,
-                        "reps": self.reps,
-                    },
-                    meta={"classes": len(self.reps)},
-                )
+        classes: dict[tuple, Symbol] = {}
+        for symbol in self.symbols:
+            row = rows[symbol]
+            rep = classes.setdefault(tuple(map(id, row)), symbol)
+            self.rep_of[symbol] = rep
+            self.row_keys[symbol] = tuple(row) if rep is symbol else self.row_keys[rep]
+        self.reps: tuple[Symbol, ...] = tuple(classes.values())
         # Closes over the dicts, not ``self``: no engine reference cycle.
         row_keys, index = self.row_keys, self.index
         self.rows = _LazyRows(lambda rep: _compile_key_row(row_keys[rep], index))
@@ -547,32 +423,6 @@ class _CompiledAFA:
         STATS.afa_compilations += 1
         STATS.alphabet_symbols += len(self.symbols)
         STATS.symbol_classes += len(self.reps)
-
-    def _valid_quotient(self, payload) -> dict | None:
-        """``payload`` if it is a quotient applicable here, else ``None``.
-
-        The state order and alphabet must match exactly, every symbol
-        must be classified, and every class representative must name an
-        actual symbol — anything else (staleness, corruption, a slot
-        collision) silently recomputes the quotient from scratch.
-        """
-        if not isinstance(payload, dict):
-            return None
-        try:
-            if payload["order"] != self.order:
-                return None
-            if payload["symbols"] != self.symbols:
-                return None
-            rep_of = payload["rep_of"]
-            reps = payload["reps"]
-            universe = set(self.symbols)
-            if set(rep_of) != universe or not universe.issuperset(reps):
-                return None
-            if set(rep_of.values()) != set(reps):
-                return None
-        except (KeyError, TypeError, AttributeError):
-            return None
-        return payload
 
     def searcher(self) -> Callable:
         """The generated witness-search BFS (built on first use)."""
@@ -630,9 +480,11 @@ def patch_engine(
     order = tuple(sorted(afa.states))
     if order != base.order:
         return None
-    symbols = tuple(sorted(afa.alphabet, key=symbol_sort_key))
-    if symbols != base.symbols:
+    # Equal alphabets sort to the base's symbol order; comparing sets
+    # skips the canonical sort, a third of a small re-check's time.
+    if afa.alphabet != frozenset(base.symbols):
         return None
+    symbols = base.symbols
     index = base.index
     dirty = [s for s in order if s in set(dirty_states)]
     dirty_idx = [index[s] for s in dirty]

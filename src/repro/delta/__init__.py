@@ -7,32 +7,26 @@ what the *service* costs:
 
 * :mod:`repro.delta.diff` — structural deltas from per-state
   sub-fingerprint Merkle trees (:func:`repro.serve.fingerprint.sub_fingerprints`).
-* :mod:`repro.delta.snapshot` — :class:`SearchState`: the reusable
-  remains of a solve, each component tagged with its supporting states.
-* :mod:`repro.delta.engine` — the re-check itself: cached / resume /
-  replay / warm / full, cheapest sound mode first.
+* :mod:`repro.delta.engine` — the re-check itself: cached / replay /
+  warm / full, cheapest sound mode first.
 * :mod:`repro.delta.session` — :class:`Session`: ``open → edit →
-  recheck``, wired into the serve cache and the store's
-  ``search_states`` table.
+  recheck``, keeping the current answer and wired into the serve
+  answer cache.
 * ``python -m repro.delta`` — diff two versions, or replay an edit
   script from :mod:`repro.workloads.editing` and report per-step modes.
 
 See ``docs/INCREMENTAL.md`` for the soundness argument per mode.
 """
 
-from repro.delta.diff import InstanceDelta, affected_cone, compute_delta
+from repro.delta.diff import InstanceDelta, compute_delta
 from repro.delta.engine import DeltaError, RecheckResult, SUPPORTED_PROCEDURES
 from repro.delta.session import Session
-from repro.delta.snapshot import SNAPSHOT_COMPONENTS, SearchState
 
 __all__ = [
     "DeltaError",
     "InstanceDelta",
     "RecheckResult",
-    "SNAPSHOT_COMPONENTS",
     "SUPPORTED_PROCEDURES",
-    "SearchState",
     "Session",
-    "affected_cone",
     "compute_delta",
 ]

@@ -5,8 +5,8 @@ Subcommands:
 * ``diff --trace module:function [--json]`` — build an edit-script
   trace (a factory returning a list of SWS versions, restricted to
   ``repro.workloads`` modules) and print the structural delta between
-  consecutive versions: changed/added/removed states, whether the
-  globals or alphabet moved, and what a snapshot would keep.
+  consecutive versions: changed/added/removed states and whether the
+  globals or alphabet moved.
 * ``replay --trace module:function [--procedure P] [--compare]
   [--require-warm N] [--cache-dir D] [--budget STEPS] [--json]`` —
   replay the trace through one :class:`repro.delta.Session`:
@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     replay.add_argument(
         "--cache-dir",
         default=None,
-        help="answer cache directory (persists snapshots in its store)",
+        help="answer cache directory (re-checked answers persist in its store)",
     )
     replay.add_argument(
         "--budget",

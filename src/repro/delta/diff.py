@@ -14,11 +14,11 @@ The delta classifies an edit for :mod:`repro.delta.engine`:
 * ``is_empty`` — semantically identical (rename-only edits land here:
   ``name`` is a label, not structure); nothing to invalidate.
 * ``is_local`` — same state set, start, and input variables; only the
-  rules of ``changed_states`` differ.  The AFA layout is stable, so
-  derived state whose support avoids the changed states survives.
+  rules of ``changed_states`` differ.  The AFA layout is stable, so the
+  engine reuses the compiled rows of every other state.
 * otherwise *global* — states were added/removed, the start moved, the
-  input alphabet grew, or schema-level fields changed; every derived
-  row is invalidated and the engine falls back to a full re-solve.
+  input alphabet grew, or schema-level fields changed; the engine falls
+  back to a full re-solve.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.core.sws import SWS, SWSKind
 from repro.serve.fingerprint import SubFingerprints, sub_fingerprints
 
-__all__ = ["InstanceDelta", "compute_delta", "affected_cone"]
+__all__ = ["InstanceDelta", "compute_delta"]
 
 
 @dataclass(frozen=True)
@@ -58,23 +58,6 @@ class InstanceDelta:
             and not self.added_states
             and not self.removed_states
         )
-
-    def invalidates(self, support: frozenset[str] | None) -> bool:
-        """Whether derived state tagged with ``support`` must be dropped.
-
-        ``support`` is the set of SWS states a piece of derived state
-        depends on; ``None`` means "all of them" (global support).  An
-        empty delta invalidates nothing; a non-local delta invalidates
-        everything; a local delta invalidates exactly the state whose
-        support intersects the changed states.
-        """
-        if self.is_empty:
-            return False
-        if not self.is_local:
-            return True
-        if support is None:
-            return True
-        return bool(support & self.changed_states)
 
     def as_dict(self) -> dict:
         return {
@@ -125,28 +108,3 @@ def compute_delta(
         globals_changed=base_tree.globals_digest != new_tree.globals_digest,
         alphabet_changed=alphabet_changed,
     )
-
-
-def affected_cone(sws: SWS, changed_states: frozenset[str]) -> frozenset[str]:
-    """States whose language values can differ after the edit.
-
-    The backward valuation of a pair ``(q, m)`` depends only on ``q``'s
-    own rules and (recursively) its successors' valuations, so only
-    states that *reach* a changed state in the dependency graph can
-    observe the edit — everything outside the cone evolves identically
-    on every word.  Diagnostic surface for the CLI and tests; the
-    engine's row patching uses ``changed_states`` directly (one row bit
-    depends on exactly one state's formulas).
-    """
-    reverse: dict[str, set[str]] = {state: set() for state in sws.states}
-    for source, target in sws.dependency_edges():
-        reverse.setdefault(target, set()).add(source)
-    cone = set(changed_states)
-    frontier = list(changed_states)
-    while frontier:
-        state = frontier.pop()
-        for predecessor in reverse.get(state, ()):
-            if predecessor not in cone:
-                cone.add(predecessor)
-                frontier.append(predecessor)
-    return frozenset(cone)

@@ -26,7 +26,6 @@ from repro.guard._governor import (
     GuardedSpan,
     GuardTrip,
     Trip,
-    capture_search_state,
     checkpoint,
     checkpoint_callable,
     current_guard,
@@ -34,7 +33,6 @@ from repro.guard._governor import (
     guarded,
     iter_guarded_spans,
     register_span,
-    snapshot_sink,
 )
 from repro.guard.batch import BatchItem, BatchReport, batch_run
 
@@ -50,7 +48,6 @@ __all__ = [
     "BatchItem",
     "BatchReport",
     "batch_run",
-    "capture_search_state",
     "checkpoint",
     "checkpoint_callable",
     "current_guard",
@@ -58,5 +55,4 @@ __all__ = [
     "guarded",
     "iter_guarded_spans",
     "register_span",
-    "snapshot_sink",
 ]

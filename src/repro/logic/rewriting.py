@@ -29,7 +29,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro import artifacts
 from repro.data.relation import Relation, Row
 from repro.data.schema import RelationSchema
 from repro.errors import QueryError
@@ -87,33 +86,8 @@ class View:
 
 
 def expansion(rewriting: UnionQuery, views: Sequence[View]) -> UnionQuery:
-    """Expand view atoms of a rewriting by their definitions.
-
-    Expansion is pure in the rewriting and the view definitions, and the
-    equivalence tests expand the same candidates over and over across
-    minimization rounds, so when an artifact store is in scope the
-    result persists under a content key — a cold process re-checking a
-    mediator skips straight to the expanded unions.
-    """
-    definitions = {view.name: view.definition for view in views}
-    if not artifacts.enabled():
-        return compose_union(rewriting, definitions)
-    key = (
-        "ucq.expansion",
-        rewriting,
-        tuple(sorted(definitions.items(), key=lambda item: item[0])),
-    )
-    cached = artifacts.load("ucq.expansion", key)
-    if isinstance(cached, UnionQuery):
-        return cached
-    expanded = compose_union(rewriting, definitions)
-    artifacts.store(
-        "ucq.expansion",
-        key,
-        expanded,
-        meta={"disjuncts": len(expanded.disjuncts)},
-    )
-    return expanded
+    """Expand view atoms of a rewriting by their definitions."""
+    return compose_union(rewriting, {view.name: view.definition for view in views})
 
 
 def _view_facts(

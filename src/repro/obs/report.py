@@ -13,9 +13,9 @@ For every span name the report shows how often it ran, total/mean/max
 wall-clock, error count, the dominant counters (largest summed deltas),
 and the slowest single span with its attributes — enough to see where an
 exponential blowup actually landed without opening the raw trace.
-Root-span serving/artifact counter deltas additionally roll up into a
-``serve:`` section (cache hits/misses, jobs executed/deduped, artifact
-traffic), and guard trips get their own breakdown.
+Root-span serving counter deltas additionally roll up into a
+``serve:`` section (cache hits/misses, jobs executed/deduped), and guard
+trips get their own breakdown.
 
 The sibling subcommands live in their own modules: ``check``
 (:mod:`repro.obs.check`, the CI perf tripwire) and ``critical-path``
@@ -36,7 +36,7 @@ from repro.obs._tracer import iter_events
 DOMINANT_COUNTERS = 3
 
 #: STATS counters rolled up into the report's ``serve:`` section.
-SERVE_COUNTER_PREFIXES = ("serve_cache_", "serve_jobs_", "artifact_")
+SERVE_COUNTER_PREFIXES = ("serve_cache_", "serve_jobs_")
 
 
 @dataclass

@@ -29,8 +29,8 @@ Components:
 
 * :mod:`repro.serve.fingerprint` — hash-seed- and construction-order-
   independent structural fingerprints of problem instances.
-* :mod:`repro.serve.store` — the WAL-mode SQLite answer + artifact
-  store; safe for many concurrent reader/writer processes.
+* :mod:`repro.serve.store` — the WAL-mode SQLite store of answers and
+  dead letters; safe for many concurrent reader/writer processes.
 * :mod:`repro.serve.cache` — in-memory LRU over the optional store
   disk tier (``REPRO_CACHE_DIR``); never caches UNKNOWN.
 * :mod:`repro.serve.scheduler` — :class:`SolverService`,
@@ -47,7 +47,7 @@ See ``docs/SERVING.md`` for the full design.
 """
 
 from repro.serve.cache import AnswerCache, CacheStats, cacheable
-from repro.serve.store import Store, StoreArtifactProvider, StoreError
+from repro.serve.store import Store, StoreError
 from repro.serve.fingerprint import (
     FingerprintError,
     canonical,
@@ -96,7 +96,6 @@ __all__ = [
     "RetryPolicy",
     "SolverService",
     "Store",
-    "StoreArtifactProvider",
     "StoreError",
     "UnknownProcedureError",
     "WORKER_LOST_DETAIL",

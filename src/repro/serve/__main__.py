@@ -19,7 +19,7 @@ Subcommands:
 * ``fingerprint JOBS.jsonl`` — print each job's fingerprint without
   running anything (what the cache would key on).
 * ``store stats|vacuum|import`` — inspect and maintain the SQLite
-  answer + artifact store behind a cache directory (``stats`` prints a
+  answer store behind a cache directory (``stats`` prints a
   JSON summary; ``vacuum`` compacts the file; ``import`` folds a legacy
   JSONL answer file in, ``--replace`` letting its records win).
 * ``top [METRICS.jsonl]`` — live dashboard over the snapshot file a
@@ -644,7 +644,7 @@ def main(argv: list[str] | None = None) -> int:
     fp.add_argument("jobs", help="JSONL job file")
     fp.set_defaults(func=_cmd_fingerprint)
 
-    store = sub.add_parser("store", help="inspect/maintain the answer+artifact store")
+    store = sub.add_parser("store", help="inspect/maintain the answer store")
     store_sub = store.add_subparsers(dest="store_command", required=True)
 
     def _store_common(p: argparse.ArgumentParser) -> None:

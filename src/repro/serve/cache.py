@@ -18,8 +18,8 @@ Semantics:
   WAL-mode SQLite database under a cache directory (``REPRO_CACHE_DIR``
   enables it for the default service).  Unlike the JSONL file it
   replaces, the store is safe for many concurrent reader/writer
-  processes and also holds derived artifacts (compiled AFA searchers,
-  symbol-class quotients, UCQ expansions) for cold-process warm starts.
+  processes, so a cold process warm-starts from every answer an earlier
+  run decided.
   A legacy ``<namespace>.jsonl`` file in the directory is imported into
   the store on open (once per file version; store rows win).
 * Hit/miss/store counters feed both a local :class:`CacheStats` and the

@@ -101,39 +101,11 @@ def _worker_init(
     )
 
 
-#: Worker-side cache of open stores, keyed by (path, pid) — a forked
-#: worker must not reuse a store object created before the fork.
-_WORKER_STORES: dict[tuple[str, int], Any] = {}
-
-
-def _worker_artifact_provider(store_path: str | None):
-    """The worker's artifact provider for ``store_path`` (or ``None``).
-
-    Each worker process opens its own connection to the shared SQLite
-    store — that is the multi-process contract the store is built for.
-    A store that fails to open degrades to no artifact cache.
-    """
-    if store_path is None:
-        return None
-    from repro.serve.store import Store, StoreArtifactProvider
-
-    key = (store_path, os.getpid())
-    store = _WORKER_STORES.get(key)
-    if store is None:
-        try:
-            store = Store(store_path)
-        except Exception:  # noqa: BLE001 - degrade, don't fail the job
-            return None
-        _WORKER_STORES[key] = store
-    return StoreArtifactProvider(store)
-
-
 def _run_job(
     name: str,
     args: tuple,
     kwargs: Mapping[str, Any],
     budget_spec: Mapping[str, Any] | None,
-    store_path: str | None = None,
     job_key: str | None = None,
     attempt: int = 0,
 ) -> Any:
@@ -143,7 +115,6 @@ def _run_job(
     and post-crash re-dispatches increment it); it only feeds the chaos
     harness's per-dispatch fault decisions.
     """
-    from repro import artifacts
     from repro.serve.registry import get_procedure
 
     procedure = get_procedure(name)
@@ -157,10 +128,9 @@ def _run_job(
     metrics.gauge("serve.worker.busy").set(1)
     t0 = time.perf_counter()
     try:
-        with artifacts.scope(_worker_artifact_provider(store_path), job_key):
-            if guard is not None:
-                return procedure(*args, guard=guard, **dict(kwargs))
-            return procedure(*args, **dict(kwargs))
+        if guard is not None:
+            return procedure(*args, guard=guard, **dict(kwargs))
+        return procedure(*args, **dict(kwargs))
     finally:
         _inject.clear_job_chaos()
         elapsed = time.perf_counter() - t0
@@ -235,13 +205,12 @@ class WorkerPool:
         args: tuple,
         kwargs: Mapping[str, Any],
         budget: Budget | None,
-        store_path: str | None = None,
         job_key: str | None = None,
         attempt: int = 0,
     ) -> Future:
         spec = budget.as_dict() if budget is not None else None
         return self._executor.submit(
-            _run_job, name, args, dict(kwargs), spec, store_path, job_key, attempt
+            _run_job, name, args, dict(kwargs), spec, job_key, attempt
         )
 
     # -- trace spool merging -----------------------------------------------------

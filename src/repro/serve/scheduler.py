@@ -73,7 +73,7 @@ from collections import OrderedDict
 from concurrent import futures as _futures
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro import artifacts, metrics
+from repro import metrics
 from repro._stats import STATS
 from repro.analysis.verdict import Answer
 from repro.guard import Budget, CancelToken, Guard
@@ -89,7 +89,6 @@ from repro.serve.resilience import (
     DLQRecord,
     RetryPolicy,
 )
-from repro.serve.store import StoreArtifactProvider
 
 __all__ = [
     "BATCH_ABORTED_DETAIL",
@@ -477,22 +476,16 @@ class SolverService:
         """An incremental editing session wired into this service.
 
         Returns a :class:`repro.delta.session.Session` sharing this
-        service's answer cache (so decided re-check answers are visible
-        to later ``submit`` calls under the same delta-aware job
-        fingerprints) and its store (so ``SearchState`` snapshots
-        persist in the ``search_states`` table across processes).  The
+        service's answer cache, so decided re-check answers are visible
+        to later ``submit`` calls under the same job fingerprints, and a
+        session reopened in a new process finds its answer there.  The
         session solves inline on the caller's thread — edits are
         latency-sensitive, not throughput work for the pool.
         """
         from repro.delta.session import Session
 
         return Session(
-            instance,
-            procedure,
-            cache=self.cache,
-            store=self.cache.store,
-            budget=budget,
-            **kwargs,
+            instance, procedure, cache=self.cache, budget=budget, **kwargs
         )
 
     def _reject(
@@ -636,11 +629,6 @@ class SolverService:
         metrics.counter("serve.jobs.completed", outcome="skipped").inc()
         entry.resolve(Answer.unknown(detail=CANCELLED_DETAIL))
 
-    def _artifact_provider(self) -> StoreArtifactProvider | None:
-        """The dispatch-time artifact provider (read-through to the store)."""
-        store = self.cache.store
-        return StoreArtifactProvider(store) if store is not None else None
-
     def _run_entry_inline(self, entry: _Entry) -> int:
         if entry.all_cancelled():
             self._skip(entry)
@@ -660,8 +648,7 @@ class SolverService:
         metrics.counter("serve.jobs.executed").inc()
         metrics.gauge("serve.inflight").inc()
         try:
-            with artifacts.scope(self._artifact_provider(), entry.key):
-                result = procedure(*entry.args, guard=guard, **entry.kwargs)
+            result = procedure(*entry.args, guard=guard, **entry.kwargs)
         except Exception as error:  # noqa: BLE001 - resolve waiters, then raise
             metrics.counter("serve.jobs.completed", outcome="error").inc()
             entry.resolve(
@@ -685,8 +672,6 @@ class SolverService:
 
     def _run_batch_pooled(self, batch: list[_Entry]) -> int:
         pool = self._ensure_pool()
-        store = self.cache.store
-        store_path = store.path if store is not None else None
         to_dispatch: list[_Entry] = []
         for entry in batch:
             if entry.all_cancelled():
@@ -722,7 +707,6 @@ class SolverService:
                     entry.args,
                     entry.kwargs,
                     entry.budget,
-                    store_path=store_path,
                     job_key=entry.key,
                     attempt=seq,
                 )

@@ -1,4 +1,4 @@
-"""SQLite-backed answer + artifact store for the serving layer.
+"""SQLite-backed answer store for the serving layer.
 
 The disk tier behind :class:`repro.serve.cache.AnswerCache` used to be
 an append-only JSONL file.  That was fine for one process, but records
@@ -19,13 +19,14 @@ safely:
   with backoff before giving up.
 * **``schema_version`` table** — layout changes are detectable; opening
   a newer-versioned store raises instead of corrupting it.
-* **Indexed fingerprint lookups** — answers key on the structural job
-  fingerprint (primary key = the index); artifacts on ``(kind, key)``.
+* **Indexed fingerprint lookups** — answers and dead letters key on the
+  structural job fingerprint (primary key = the index).
 
-Besides decided answers the store persists *derived artifacts* —
-compiled AFA searcher source, symbol-class quotients, UCQ expansions —
-published through the :mod:`repro.artifacts` hook, so a cold process
-warm-starts from what earlier runs already derived.
+The store keeps decided answers and dead-letter records, nothing else.
+A YES answer carries its witness, which is all :mod:`repro.delta` needs
+to re-check an edited version in a new process.  The engine's
+intermediates (compiled searchers, symbol quotients) live in
+per-process memos and are rebuilt, not loaded, by a new process.
 
 Legacy ``answers.jsonl`` files migrate via :meth:`Store.import_jsonl`
 (the cache calls it automatically on open; re-imports only when the
@@ -51,17 +52,19 @@ from repro.serve.resilience import DLQRecord
 
 __all__ = [
     "Store",
-    "StoreArtifactProvider",
     "StoreError",
     "STORE_SCHEMA_VERSION",
     "retry_backoff_s",
 ]
 
 #: Version of the on-disk schema; bump on incompatible layout changes.
-#: v2 added the ``dlq`` dead-letter table; v3 the ``search_states``
-#: table for :mod:`repro.delta` snapshots (older stores upgrade in
-#: place on open — the new tables are simply created).
-STORE_SCHEMA_VERSION = 3
+#: v2 added the ``dlq`` dead-letter table and v3 a ``search_states``
+#: table of delta snapshots; v4 drops that table and ``artifacts``.
+#: Older stores upgrade in place on open.
+STORE_SCHEMA_VERSION = 4
+
+#: Tables of earlier schema versions that v4 drops on upgrade.
+_RETIRED_TABLES = ("artifacts", "search_states")
 
 #: How long a writer waits on SQLite's lock before erroring (ms).
 BUSY_TIMEOUT_MS = 10_000
@@ -109,16 +112,6 @@ _SCHEMA = (
     """,
     "CREATE INDEX IF NOT EXISTS answers_by_procedure ON answers (procedure)",
     """
-    CREATE TABLE IF NOT EXISTS artifacts (
-        kind        TEXT NOT NULL,
-        fingerprint TEXT NOT NULL,
-        payload     BLOB NOT NULL,
-        meta        TEXT,
-        updated_s   REAL NOT NULL,
-        PRIMARY KEY (kind, fingerprint)
-    )
-    """,
-    """
     CREATE TABLE IF NOT EXISTS dlq (
         fingerprint TEXT PRIMARY KEY,
         procedure   TEXT,
@@ -129,16 +122,6 @@ _SCHEMA = (
         last_budget TEXT,
         payload     BLOB,
         updated_s   REAL NOT NULL
-    )
-    """,
-    """
-    CREATE TABLE IF NOT EXISTS search_states (
-        procedure   TEXT NOT NULL,
-        fingerprint TEXT NOT NULL,
-        payload     BLOB NOT NULL,
-        meta        TEXT,
-        updated_s   REAL NOT NULL,
-        PRIMARY KEY (procedure, fingerprint)
     )
     """,
 )
@@ -155,7 +138,7 @@ def _verdict_name(result: Any) -> str | None:
 
 
 class Store:
-    """One SQLite answer + artifact database, safe across processes.
+    """One SQLite answer database, safe across processes.
 
     Thread-safe within a process (one connection per thread) and
     multi-process-safe across processes (WAL + busy timeout).  Forked
@@ -220,8 +203,12 @@ class Store:
                 )
             elif row[0] < STORE_SCHEMA_VERSION:
                 # Older store: the CREATE IF NOT EXISTS pass above already
-                # added any new tables (all version bumps so far are purely
-                # additive); stamp the new version.
+                # added any new tables; drop the retired ones (a vacuum
+                # then returns their pages) and stamp the new version.
+                for table in _RETIRED_TABLES:
+                    self._retry(
+                        lambda t=table: conn.execute(f"DROP TABLE IF EXISTS {t}")
+                    )
                 self._retry(
                     lambda: conn.execute(
                         "UPDATE schema_version SET version = ?",
@@ -354,63 +341,6 @@ class Store:
         ):
             yield key
 
-    # -- artifacts ---------------------------------------------------------------
-
-    def put_artifact(
-        self, kind: str, key: str, value: Any, meta: dict | None = None
-    ) -> bool:
-        """Persist a derived artifact; False when the value cannot pickle."""
-        try:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:  # noqa: BLE001
-            return False
-        conn = self._connection()
-        self._retry(
-            lambda: conn.execute(
-                "INSERT OR REPLACE INTO artifacts "
-                "(kind, fingerprint, payload, meta, updated_s) VALUES (?, ?, ?, ?, ?)",
-                (
-                    kind,
-                    key,
-                    payload,
-                    json.dumps(meta, sort_keys=True) if meta else None,
-                    time.time(),
-                ),
-            )
-        )
-        return True
-
-    def get_artifact(self, kind: str, key: str) -> Any | None:
-        conn = self._connection()
-        row = self._retry(
-            lambda: conn.execute(
-                "SELECT payload FROM artifacts WHERE kind = ? AND fingerprint = ?",
-                (kind, key),
-            ).fetchone()
-        )
-        if row is None:
-            return None
-        try:
-            return pickle.loads(row[0])
-        except Exception:  # noqa: BLE001
-            self._retry(
-                lambda: conn.execute(
-                    "DELETE FROM artifacts WHERE kind = ? AND fingerprint = ?",
-                    (kind, key),
-                )
-            )
-            return None
-
-    def artifact_counts(self) -> dict[str, int]:
-        """Stored artifacts per kind."""
-        conn = self._connection()
-        rows = self._retry(
-            lambda: conn.execute(
-                "SELECT kind, COUNT(*) FROM artifacts GROUP BY kind ORDER BY kind"
-            ).fetchall()
-        )
-        return dict(rows)
-
     # -- dead-letter queue -------------------------------------------------------
 
     def put_dlq(self, record: DLQRecord) -> None:
@@ -505,79 +435,6 @@ class Store:
             lambda: conn.execute("SELECT COUNT(*) FROM dlq").fetchone()
         )[0]
 
-    # -- search-state snapshots (repro.delta) ------------------------------------
-
-    def put_search_state(
-        self,
-        procedure: str,
-        fingerprint: str,
-        state: Any,
-        meta: dict | None = None,
-    ) -> bool:
-        """Persist a :mod:`repro.delta` snapshot; False when unpicklable."""
-        try:
-            payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:  # noqa: BLE001 - unpicklable snapshots stay memory-only
-            return False
-        conn = self._connection()
-        self._retry(
-            lambda: conn.execute(
-                "INSERT OR REPLACE INTO search_states "
-                "(procedure, fingerprint, payload, meta, updated_s) "
-                "VALUES (?, ?, ?, ?, ?)",
-                (
-                    procedure,
-                    fingerprint,
-                    payload,
-                    json.dumps(meta, sort_keys=True) if meta else None,
-                    time.time(),
-                ),
-            )
-        )
-        return True
-
-    def get_search_state(self, procedure: str, fingerprint: str) -> Any | None:
-        conn = self._connection()
-        row = self._retry(
-            lambda: conn.execute(
-                "SELECT payload FROM search_states "
-                "WHERE procedure = ? AND fingerprint = ?",
-                (procedure, fingerprint),
-            ).fetchone()
-        )
-        if row is None:
-            return None
-        try:
-            return pickle.loads(row[0])
-        except Exception:  # noqa: BLE001 - stale/corrupt snapshot: drop it
-            self._retry(
-                lambda: conn.execute(
-                    "DELETE FROM search_states "
-                    "WHERE procedure = ? AND fingerprint = ?",
-                    (procedure, fingerprint),
-                )
-            )
-            return None
-
-    def delete_search_state(self, procedure: str, fingerprint: str) -> bool:
-        conn = self._connection()
-        cursor = self._retry(
-            lambda: conn.execute(
-                "DELETE FROM search_states "
-                "WHERE procedure = ? AND fingerprint = ?",
-                (procedure, fingerprint),
-            )
-        )
-        return cursor.rowcount > 0
-
-    def search_state_count(self) -> int:
-        conn = self._connection()
-        return self._retry(
-            lambda: conn.execute(
-                "SELECT COUNT(*) FROM search_states"
-            ).fetchone()
-        )[0]
-
     # -- meta / maintenance ------------------------------------------------------
 
     def get_meta(self, key: str) -> str | None:
@@ -662,9 +519,7 @@ class Store:
                 "SELECT version FROM schema_version"
             ).fetchone()[0],
             "answers": self.answer_count(),
-            "artifacts": self.artifact_counts(),
             "dlq": self.dlq_count(),
-            "search_states": self.search_state_count(),
             "file_bytes": size,
             "journal_mode": pragma("journal_mode"),
             "page_size": pragma("page_size"),
@@ -680,45 +535,3 @@ class Store:
 
     def __repr__(self) -> str:
         return f"Store({self.path!r})"
-
-
-class StoreArtifactProvider:
-    """Adapter installing a :class:`Store` behind :mod:`repro.artifacts`.
-
-    Producers hand over key material that is either an explicit string
-    (used verbatim — e.g. the job-scoped slot keys) or a structure to
-    fingerprint with :func:`repro.serve.fingerprint.fingerprint` (which
-    already canonicalizes PL formulas, queries, automata, and plain
-    containers).
-    """
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: Store) -> None:
-        self.store = store
-
-    def _key(self, key: Any) -> str | None:
-        if isinstance(key, str):
-            return key
-        # Imported lazily: fingerprint sits above the automata/logic
-        # modules that call into repro.artifacts.
-        from repro.serve.fingerprint import FingerprintError, fingerprint
-
-        try:
-            return fingerprint(key)
-        except FingerprintError:
-            return None
-
-    def load_artifact(self, kind: str, key: Any) -> Any | None:
-        resolved = self._key(key)
-        if resolved is None:
-            return None
-        return self.store.get_artifact(kind, resolved)
-
-    def store_artifact(
-        self, kind: str, key: Any, value: Any, meta: dict | None = None
-    ) -> bool:
-        resolved = self._key(key)
-        if resolved is None:
-            return False
-        return self.store.put_artifact(kind, resolved, value, meta)

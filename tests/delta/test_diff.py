@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.delta.diff import affected_cone, compute_delta
+from repro.delta.diff import compute_delta
 from repro.serve.fingerprint import fingerprint, sub_fingerprints
 from repro.workloads.editing import (
     flip_trace,
@@ -56,8 +56,6 @@ class TestComputeDelta:
         sws = random_pl_sws(7)
         delta = compute_delta(sws, sws)
         assert delta.is_empty and not delta.is_local
-        assert not delta.invalidates(None)
-        assert not delta.invalidates(frozenset(sws.states))
 
     def test_rename_only_is_empty(self):
         base, renamed = rename_trace(steps=1)[:2]
@@ -68,10 +66,6 @@ class TestComputeDelta:
         delta = compute_delta(base, edited)
         assert delta.is_local and not delta.is_empty
         assert len(delta.changed_states) == 1
-        (state,) = delta.changed_states
-        assert delta.invalidates(frozenset({state}))
-        assert delta.invalidates(None)  # global support
-        assert not delta.invalidates(frozenset(base.states) - {state})
 
     def test_added_and_removed_states_are_global(self):
         short = word_service(["a", HASH], "ab")
@@ -79,7 +73,6 @@ class TestComputeDelta:
         delta = compute_delta(short, long)
         assert not delta.is_local and not delta.is_empty
         assert delta.added_states
-        assert delta.invalidates(frozenset({"w0"}))
         reverse = compute_delta(long, short)
         assert reverse.removed_states == delta.added_states
 
@@ -97,25 +90,15 @@ class TestComputeDelta:
 
 
 class TestAffectedCone:
-    def test_chain_cone_is_the_prefix(self):
-        sws = word_service(["a", "b", "c", HASH], "abc")
-        cone = affected_cone(sws, frozenset({"w1"}))
-        assert "w0" in cone and "w1" in cone
-        assert "w2" not in cone and "w3" not in cone
-
-    def test_cone_of_start_is_start(self):
-        sws = word_service(["a", HASH], "ab")
-        assert affected_cone(sws, frozenset({sws.start})) == {sws.start}
+    """An edit's cone is its changed states: the Merkle tree is exact."""
 
     def test_edit_outside_cone_preserves_leaf_digests(self):
-        # The cone is diagnostic; the Merkle tree is authoritative.  An
-        # edit to one branch leaves every other branch's digest intact.
+        # An edit to one branch leaves every other branch's digest intact.
         trace = menu_editing_trace(branches=4, edits=1)
         tree0, tree1 = (sub_fingerprints(sws) for sws in trace)
         changed = compute_delta(*trace, tree0, tree1).changed_states
-        cone = affected_cone(trace[1], changed)
-        assert changed <= cone
-        for state in set(trace[0].states) - cone:
+        assert changed
+        for state in set(trace[0].states) - changed:
             assert tree0.states[state] == tree1.states[state]
 
 

@@ -33,24 +33,16 @@ class TestPersistence:
         assert edited_key != key
         assert cache.get(edited_key, "nonempty_pl") is not None
 
-    def test_snapshots_persist_in_the_store(self, cache):
-        sws = menu_editing_trace(edits=0)[0]
-        session = Session(sws, cache=cache)
-        session.check()
-        assert cache.store.search_state_count() >= 1
-        hit = cache.store.get_search_state("nonempty_pl", session.fingerprint)
-        assert hit is not None and hit.root == session.tree.root
-
     def test_cold_reopen_rechecks_incrementally(self, cache):
         trace = menu_editing_trace(edits=1)
         Session(trace[0], cache=cache).check()
-        # A new Session (fresh process in real life) restores the
-        # snapshot from the store: no AFA yet, but the edit still avoids
-        # the full path because the snapshot carries the witness.
+        # A new Session (fresh process in real life) finds its answer in
+        # the cache: no AFA yet, but the edit still avoids the full path
+        # because the answer carries the witness.
         reopened = Session(trace[0], cache=cache)
         answer = reopened.check()
         assert answer is not None and answer.is_yes
-        assert reopened.state is not None
+        assert reopened.answer is answer and answer.witness
         reopened.edit(trace[1])
         result = reopened.recheck()
         assert result.mode in ("replay", "warm")
@@ -61,7 +53,7 @@ class TestPersistence:
         first = Session(trace[0], cache=cache)
         first.check()
         # Same procedure, different version: fingerprints differ, so the
-        # store lookup misses and check() solves fresh.
+        # cache lookup misses and check() solves fresh.
         other = Session(trace[1], cache=cache)
         assert other.fingerprint != first.fingerprint
         assert other.check().verdict is nonempty_pl(trace[1]).verdict

@@ -74,6 +74,19 @@ class TestCollapsedIO:
         assert merged == {("a",): 3, ("b",): 3}
 
 
+def _fork_in_place(spool_path):
+    """``reset_after_fork`` without a fork: stop the parent's sampler too.
+
+    A forked child never has the parent's sampler thread; left running
+    here it would sample every later test, and ``sys._current_frames``
+    from a background thread can deadlock CPython 3.11 when a garbage
+    collection finalizes objects at the same time.
+    """
+    parent = profile._sampler
+    profile.reset_after_fork(spool_path)
+    parent.stop()
+
+
 class TestModuleState:
     def test_disabled_by_default(self):
         assert not profile.is_enabled()
@@ -109,14 +122,14 @@ class TestModuleState:
 
     def test_reset_after_fork_disables_without_spool(self, tmp_path):
         profile.configure(path=str(tmp_path / "p.collapsed"), hz=300)
-        profile.reset_after_fork(None)
+        _fork_in_place(None)
         assert not profile.is_enabled()
         assert profile.write_collapsed() is None
 
     def test_reset_after_fork_rehomes_to_spool(self, tmp_path):
         profile.configure(path=str(tmp_path / "parent.collapsed"), hz=300)
         spool = tmp_path / "profile-9.collapsed"
-        profile.reset_after_fork(str(spool))
+        _fork_in_place(str(spool))
         assert profile.is_enabled()
         assert profile._sampler.hz == 300
         assert profile.write_collapsed() == str(spool)

@@ -179,7 +179,6 @@ class TestServeSection:
                 counters={
                     "serve_cache_hits": 3,  # includes the child's delta
                     "serve_cache_misses": 1,
-                    "artifact_hits": 2,
                     "sat_calls": 9,  # not a serve counter
                 },
             ),
@@ -189,7 +188,6 @@ class TestServeSection:
         assert serve_totals == {
             "serve_cache_hits": 3,
             "serve_cache_misses": 1,
-            "artifact_hits": 2,
         }
         text = render(aggs, serve_totals=serve_totals)
         assert "serve:" in text

@@ -194,8 +194,8 @@ def test_formula_digests_tell_connectives_apart_and_keep_leaves_inline():
         pl.And((x,)), pl.Or((x,)), pl.Not(x), pl.Not(pl.Not(x)),
     ]
     assert len({canonical(node) for node in nodes}) == len(nodes)
-    # Leaves keep their short form: artifact keys over transition rows
-    # are mostly FALSE and must not grow.
+    # Leaves keep their short form, so the canonical form of a mostly
+    # FALSE transition row stays small.
     assert canonical(x) == ("pl.var", "x")
     assert canonical(pl.FALSE) == ("pl.const", False)
 

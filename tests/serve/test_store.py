@@ -1,4 +1,4 @@
-"""Store semantics: schema, pragmas, artifacts, and multi-process safety."""
+"""Store semantics: schema, pragmas, migrations, and multi-process safety."""
 
 from __future__ import annotations
 
@@ -11,14 +11,7 @@ import sqlite3
 import pytest
 
 from repro.analysis.verdict import Answer
-from repro.serve import JobSpec, SolverService
-from repro.serve.store import (
-    STORE_SCHEMA_VERSION,
-    Store,
-    StoreArtifactProvider,
-    StoreError,
-)
-from repro.workloads.scaling import pl_counter_sws
+from repro.serve.store import STORE_SCHEMA_VERSION, Store, StoreError
 
 
 def test_answer_roundtrip(tmp_path):
@@ -78,20 +71,6 @@ def test_corrupt_payload_is_dropped_not_fatal(tmp_path):
     store.close()
 
 
-def test_artifact_roundtrip_and_counts(tmp_path):
-    store = Store(str(tmp_path / "s.sqlite3"))
-    assert store.put_artifact("kind.a", "k1", {"v": 1}, meta={"n": 1})
-    assert store.put_artifact("kind.a", "k2", {"v": 2})
-    assert store.put_artifact("kind.b", "k1", [1, 2, 3])
-    assert store.get_artifact("kind.a", "k1") == {"v": 1}
-    assert store.get_artifact("kind.b", "k1") == [1, 2, 3]
-    assert store.get_artifact("kind.a", "absent") is None
-    assert store.artifact_counts() == {"kind.a": 2, "kind.b": 1}
-    # Same fingerprint under different kinds are distinct records.
-    assert not store.put_artifact("kind.a", "k3", lambda: None)  # unpicklable
-    store.close()
-
-
 def test_meta_roundtrip_and_vacuum(tmp_path):
     store = Store(str(tmp_path / "s.sqlite3"))
     assert store.get_meta("marker") is None
@@ -129,23 +108,6 @@ def test_import_jsonl_ignore_vs_replace(tmp_path):
     store.close()
 
 
-def test_artifact_provider_string_and_structural_keys(tmp_path):
-    store = Store(str(tmp_path / "s.sqlite3"))
-    provider = StoreArtifactProvider(store)
-    # String keys are used verbatim (job-scoped slot keys).
-    assert provider.store_artifact("kind", "job/slot/0", "value")
-    assert provider.load_artifact("kind", "job/slot/0") == "value"
-    # Structural keys are fingerprinted; equal structures alias.
-    key_a = ("ucq", ("x", "y"), 3)
-    key_b = ("ucq", ("x", "y"), 3)
-    assert provider.store_artifact("kind", key_a, {"expanded": True})
-    assert provider.load_artifact("kind", key_b) == {"expanded": True}
-    # Unfingerprintable keys degrade to a miss, never an exception.
-    assert provider.load_artifact("kind", object()) is None
-    assert not provider.store_artifact("kind", object(), "value")
-    store.close()
-
-
 # -- multi-process safety ----------------------------------------------------------
 
 _WRITES_PER_WORKER = 25
@@ -158,7 +120,10 @@ def _writer_process(path: str, worker_id: int) -> None:
         assert store.put_answer(
             key, Answer.yes(detail=key), procedure="concurrency-test"
         )
-        assert store.put_artifact("test.kind", key, {"worker": worker_id, "i": i})
+        # A per-key dead letter, written twice: the upsert contends on a
+        # second table.
+        store.put_dlq(_dlq_record(key, attempts=1))
+        store.put_dlq(_dlq_record(key, attempts=2, label=f"w{worker_id}"))
         # Every worker also hammers one shared key — contention must
         # serialize, never corrupt.
         assert store.put_answer("shared", Answer.yes(detail=f"worker-{worker_id}"))
@@ -190,46 +155,13 @@ def test_concurrent_writer_processes_lose_nothing(tmp_path):
             key = f"w{w}-{i}"
             answer = store.get_answer(key)
             assert answer is not None and answer.detail == key
-            assert store.get_artifact("test.kind", key) == {"worker": w, "i": i}
+            record = store.get_dlq(key)
+            assert record is not None
+            assert (record.attempts, record.label) == (2, f"w{w}")
+    assert store.dlq_count() == workers * _WRITES_PER_WORKER
     shared = store.get_answer("shared")
     assert shared is not None and shared.detail.startswith("worker-")
     store.close()
-
-
-# -- warm start through the artifact hook ------------------------------------------
-
-
-def test_artifacts_warm_start_cold_process(tmp_path):
-    """A fresh process (simulated: cleared module caches) reuses stored
-    AFA searcher artifacts instead of regenerating them."""
-    import repro.automata.afa as afa_mod
-    from repro._stats import STATS
-
-    directory = str(tmp_path / "cache")
-    sws = pl_counter_sws(6)
-    # Searcher artifacts persist when compiled inside a job scope; start
-    # from a genuinely cold compile cache so this process stores them.
-    afa_mod._SEARCHER_CACHE.clear()
-    afa_mod._DIFF_SEARCHER_CACHE.clear()
-    with SolverService(cache_dir=directory) as service:
-        first = service.run_batch([JobSpec("nonempty_pl", (sws,))])[0]
-        counts = service.cache.store.artifact_counts()
-        store_path = service.cache.store.path
-    assert counts.get("afa.searchers", 0) >= 1
-    assert counts.get("afa.quotient", 0) >= 1
-
-    # Wipe the answers (to force re-execution) but keep the artifacts,
-    # and clear the in-process compile caches — the cold-process state.
-    with sqlite3.connect(store_path) as conn:
-        conn.execute("DELETE FROM answers")
-    afa_mod._SEARCHER_CACHE.clear()
-    afa_mod._DIFF_SEARCHER_CACHE.clear()
-
-    hits_before = STATS.artifact_hits
-    with SolverService(cache_dir=directory) as service:
-        second = service.run_batch([JobSpec("nonempty_pl", (sws,))])[0]
-    assert second.verdict == first.verdict
-    assert STATS.artifact_hits > hits_before
 
 
 # -- dead-letter table -------------------------------------------------------------
@@ -299,85 +231,101 @@ def test_v1_store_upgrades_in_place(tmp_path):
         assert store.dlq_count() == 1
 
 
-# -- search-state snapshots (schema v3) --------------------------------------------
+# -- upgrades to schema v4 ---------------------------------------------------------
 
-
-def test_search_state_roundtrip(tmp_path):
-    with Store(str(tmp_path / "s.sqlite3")) as store:
-        payload = {"frontier": (1, 2, 3), "answer": Answer.yes(witness=("a",))}
-        assert store.put_search_state(
-            "nonempty_pl", "fp-1", payload, meta={"pops": 3}
+#: Tables older schemas kept that v4 drops, as those versions created
+#: them: ``artifacts`` (v1-v3) and ``search_states`` (v3).
+_RETIRED_DDL = {
+    "artifacts": """
+        CREATE TABLE artifacts (
+            kind        TEXT NOT NULL,
+            fingerprint TEXT NOT NULL,
+            payload     BLOB NOT NULL,
+            meta        TEXT,
+            updated_s   REAL NOT NULL,
+            PRIMARY KEY (kind, fingerprint)
         )
-        hit = store.get_search_state("nonempty_pl", "fp-1")
-        assert hit == payload
-        # Keyed by (procedure, fingerprint) — same fingerprint, other
-        # procedure is a distinct row.
-        assert store.get_search_state("validate_pl", "fp-1") is None
-        assert store.search_state_count() == 1
-        assert store.stats()["search_states"] == 1
-        assert store.delete_search_state("nonempty_pl", "fp-1")
-        assert not store.delete_search_state("nonempty_pl", "fp-1")
-        assert store.search_state_count() == 0
+    """,
+    "search_states": """
+        CREATE TABLE search_states (
+            procedure   TEXT NOT NULL,
+            fingerprint TEXT NOT NULL,
+            payload     BLOB NOT NULL,
+            meta        TEXT,
+            updated_s   REAL NOT NULL,
+            PRIMARY KEY (procedure, fingerprint)
+        )
+    """,
+}
+
+_V4_TABLES = {"schema_version", "meta", "answers", "dlq"}
 
 
-def test_search_state_upsert_and_unpicklable(tmp_path):
-    with Store(str(tmp_path / "s.sqlite3")) as store:
-        store.put_search_state("p", "fp", {"version": 1})
-        store.put_search_state("p", "fp", {"version": 2})
-        assert store.get_search_state("p", "fp") == {"version": 2}
-        assert store.search_state_count() == 1
-        # Unpicklable snapshots stay memory-only; the store reports it.
-        assert not store.put_search_state("p", "fp2", lambda: None)
-        assert store.search_state_count() == 1
-
-
-def test_search_state_corrupt_payload_is_dropped(tmp_path):
-    path = str(tmp_path / "s.sqlite3")
-    with Store(path) as store:
-        store.put_search_state("p", "fp", {"ok": True})
+def _tables(path: str) -> set[str]:
     with sqlite3.connect(path) as conn:
-        conn.execute(
-            "UPDATE search_states SET payload = ?", (b"not a pickle",)
-        )
+        rows = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        return {name for (name,) in rows}
+
+
+def _downgrade(path: str, version: int, retired: tuple[str, ...]) -> None:
+    """Stamp ``version`` and add the ``retired`` tables, one row each."""
+    with sqlite3.connect(path) as conn:
+        for table in retired:
+            conn.execute(_RETIRED_DDL[table])
+            conn.execute(
+                f"INSERT INTO {table} VALUES ('kind', 'fp', ?, NULL, 0)",
+                (pickle.dumps({"stale": table}),),
+            )
+        conn.execute("UPDATE schema_version SET version = ?", (version,))
+    assert set(retired) <= _tables(path)
+
+
+def test_v3_store_upgrades_to_v4_dropping_retired_tables(tmp_path):
+    """A v3 store keeps its answers and dead letters; the ``artifacts``
+    and ``search_states`` rows go with their tables."""
+    path = str(tmp_path / "s.sqlite3")
+    record = _dlq_record("fp-old")
     with Store(path) as store:
-        assert store.get_search_state("p", "fp") is None
-        assert store.search_state_count() == 0  # the bad row was deleted
+        store.put_answer("keep", Answer.yes(witness=("a",), detail="v3 answer"))
+        store.put_dlq(record)
+    _downgrade(path, 3, ("artifacts", "search_states"))
+    with Store(path) as store:
+        assert store.stats()["schema_version"] == STORE_SCHEMA_VERSION == 4
+        kept = store.get_answer("keep")
+        assert kept.detail == "v3 answer" and kept.witness == ("a",)
+        assert store.get_dlq("fp-old") == record
+    assert _tables(path) == _V4_TABLES
 
 
-def test_v2_store_upgrades_to_v3_in_place(tmp_path):
-    """A pre-delta (v2) store opens cleanly: ``search_states`` is added,
-    version bumped, and the dlq table carries over untouched."""
+def test_v2_store_upgrades_to_v4_in_place(tmp_path):
+    """A v2 store opens as v4: ``artifacts`` is dropped and the dlq
+    table carries over untouched."""
     path = str(tmp_path / "s.sqlite3")
     with Store(path) as store:
         store.put_answer("keep", Answer.yes(detail="survives the upgrade"))
         store.put_dlq(_dlq_record("fp-old"))
-    with sqlite3.connect(path) as conn:
-        conn.execute("DROP TABLE search_states")
-        conn.execute("UPDATE schema_version SET version = 2")
+    _downgrade(path, 2, ("artifacts",))
     with Store(path) as store:
         assert store.stats()["schema_version"] == STORE_SCHEMA_VERSION
         assert store.get_answer("keep").detail == "survives the upgrade"
         assert store.dlq_count() == 1
-        assert store.put_search_state("p", "fp", {"fresh": True})
-        assert store.get_search_state("p", "fp") == {"fresh": True}
+    assert _tables(path) == _V4_TABLES
 
 
-def test_v1_store_upgrades_to_v3_chained(tmp_path):
-    """A v1 store (no dlq, no search_states) chains straight to v3."""
+def test_v1_store_upgrades_to_v4_chained(tmp_path):
+    """A v1 store (artifacts, no dlq) chains straight to v4."""
     path = str(tmp_path / "s.sqlite3")
     with Store(path) as store:
         store.put_answer("keep", Answer.no(detail="v1 payload"))
     with sqlite3.connect(path) as conn:
         conn.execute("DROP TABLE dlq")
-        conn.execute("DROP TABLE search_states")
-        conn.execute("UPDATE schema_version SET version = 1")
+    _downgrade(path, 1, ("artifacts",))
     with Store(path) as store:
         assert store.stats()["schema_version"] == STORE_SCHEMA_VERSION
         assert store.get_answer("keep").detail == "v1 payload"
         store.put_dlq(_dlq_record("fp-new"))
         assert store.dlq_count() == 1
-        assert store.put_search_state("p", "fp", {"fresh": True})
-        assert store.get_search_state("p", "fp") == {"fresh": True}
+    assert _tables(path) == _V4_TABLES
 
 
 # -- decorrelated retry backoff ----------------------------------------------------
