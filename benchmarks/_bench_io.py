@@ -64,12 +64,12 @@ def _metrics_context() -> dict | None:
 
 
 def _progress_context() -> dict | None:
-    """The live search-progress/profiler context, if telemetry is on.
+    """The live search-progress context, if telemetry is on.
 
-    ``REPRO_PROGRESS=1`` (optionally plus ``REPRO_PROFILE=...``) stamps
-    the run's final frontier size, peak depth, and sample count into
-    ``_meta.progress`` so a committed number carries the search shape it
-    was measured under.  Disabled (the default) stamps nothing.
+    ``REPRO_PROGRESS=1`` stamps the run's final frontier size and peak
+    depth into ``_meta.progress`` so a committed number carries the
+    search shape it was measured under.  Disabled (the default) stamps
+    nothing.
     """
     try:
         from repro.obs import progress

@@ -268,7 +268,7 @@ python -m repro.obs check --baseline benchmarks/baselines.json \
     --metrics "${DELTA_DIR}/delta-metrics.jsonl" --trace 'BENCH_*.trace.jsonl'
 python -m repro.obs critical-path 'BENCH_*.trace.jsonl' --limit 8 > /dev/null
 
-echo "== introspection smoke (profiler + progress + explain + flame) =="
+echo "== introspection smoke (progress + explain) =="
 INTROSPECT_DIR="$(mktemp -d /tmp/repro_introspect_smoke.XXXXXX)"
 trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}" "${CHAOS_DIR}" "${METRICS_DIR}" "${DELTA_DIR}" "${INTROSPECT_DIR}"' EXIT
 REPRO_INTROSPECT_DIR="${INTROSPECT_DIR}" python - <<'PY'
@@ -278,19 +278,15 @@ import os
 from repro import obs
 from repro.analysis import nonempty_pl
 from repro.guard import Budget
-from repro.obs import profile, progress
+from repro.obs import progress
 from repro.workloads.scaling import pl_counter_sws
 
-out = os.environ["REPRO_INTROSPECT_DIR"]
-trace = os.path.join(out, "introspect.trace.jsonl")
-collapsed = os.path.join(out, "introspect.collapsed")
+trace = os.path.join(os.environ["REPRO_INTROSPECT_DIR"], "introspect.trace.jsonl")
 obs.configure(path=trace, mode="w")
 progress.configure(enabled=True, interval_s=0.01)
-profile.configure(path=collapsed, hz=500)
 try:
     answer = nonempty_pl(pl_counter_sws(15), guard=Budget(deadline_s=120))
 finally:
-    profile.configure(enabled=False)
     progress.configure(enabled=False)
     obs.configure(enabled=False)
 assert answer.is_yes, answer
@@ -303,36 +299,24 @@ prog = [
 assert prog, "no progress events from the AFA search"
 visited = [e["visited"] for e in prog if "visited" in e]
 assert visited == sorted(visited), f"visited not monotone: {visited}"
-
-profile.write_collapsed()
-samples = profile.parse_collapsed(open(collapsed).read())
-assert samples, "profiler collected no samples"
-top = max(samples.items(), key=lambda kv: kv[1])[0]
-assert any(
-    "afa" in frame or "_compiled" in frame or "_search" in frame
-    for frame in top
-), f"top stack not in the search engine: {top}"
 PY
 python -m repro.obs explain "${INTROSPECT_DIR}/introspect.trace.jsonl" \
     | grep -q "dominant phase"
-python -m repro.obs flame "${INTROSPECT_DIR}/introspect.collapsed" \
-    -o "${INTROSPECT_DIR}/introspect.html" > /dev/null
-test -s "${INTROSPECT_DIR}/introspect.html"
 
-echo "== profiler-overhead guard (disabled-mode solves stay in bounds) =="
-# With the profiler and progress telemetry OFF (the default), fresh
-# guarded solves must still clear the committed perf tripwire bounds —
-# the telemetry hooks may not tax the disabled path.
+echo "== telemetry-off guard (disabled-mode solves stay in bounds) =="
+# With progress telemetry OFF (the default), fresh guarded solves must
+# still clear the committed perf tripwire bounds — the telemetry hooks
+# may not tax the disabled path.
 REPRO_INTROSPECT_DIR="${INTROSPECT_DIR}" python - <<'PY'
 import os
 
 from repro import obs
 from repro.analysis import nonempty_pl, nonempty_pl_nr_sat
-from repro.obs import profile, progress
+from repro.obs import progress
 from repro.reductions.sat_to_sws import clauses_from_tuples, cnf_to_sws
 from repro.workloads.scaling import pl_counter_sws, random_3cnf
 
-assert not profile.is_enabled() and not progress.is_enabled()
+assert not progress.is_enabled()
 trace = os.path.join(os.environ["REPRO_INTROSPECT_DIR"], "overhead.trace.jsonl")
 obs.configure(path=trace, mode="w")
 try:

@@ -57,12 +57,6 @@ class Stats:
     component_runs: int = 0
     mediator_candidates: int = 0
 
-    # Serving layer (repro.serve).
-    serve_cache_hits: int = 0
-    serve_cache_misses: int = 0
-    serve_jobs_executed: int = 0
-    serve_jobs_deduped: int = 0
-
     def reset(self) -> "Stats":
         """Zero every counter; returns self for chaining."""
         for field in fields(self):

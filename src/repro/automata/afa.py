@@ -26,7 +26,7 @@ class's stand-alone row closure (:func:`repro.logic.pl.compile_row`) on
 its first single-step use.  Generated searchers are memoized per process
 on their state order and row formulas; nothing compiled is persisted, so
 a new process regenerates the code it runs.  Public results (vectors,
-witnesses) are unchanged; ``use_compiled(False)`` restores the
+witnesses) are unchanged; the :func:`ast_fallback` context restores the
 interpreted AST path for cross-validation and before/after benchmarks.
 
 **Determinism.**  Symbols are always explored in a canonical order
@@ -56,12 +56,6 @@ Vector = frozenset[State]
 """A valuation vector, represented as the set of states valued true."""
 
 _USE_COMPILED = True
-
-
-def use_compiled(enabled: bool) -> None:
-    """Globally enable/disable the compiled engine (on by default)."""
-    global _USE_COMPILED
-    _USE_COMPILED = bool(enabled)
 
 
 @contextmanager

@@ -121,7 +121,6 @@ def _replay(
 
 def _search(engine: _CompiledAFA, accepting: bool, budget: Any) -> tuple[Answer, int]:
     """One guarded generic BFS over the engine's rows; returns (answer, pops)."""
-    ckpt = checkpoint_callable("delta.recheck")
     start = engine.final_mask
     if engine.initial_fn(start) == accepting:
         return Answer.yes(witness=[], detail="delta search"), 0
@@ -129,6 +128,10 @@ def _search(engine: _CompiledAFA, accepting: bool, budget: Any) -> tuple[Answer,
     guard = ensure_guard(budget) if budget is not None else None
     try:
         with guard.activate() if guard is not None else nullcontext():
+            # Fetched inside the activated block: outside it, with no
+            # other guard ambient, it is the no-op and the budget never
+            # bounds the search.
+            ckpt = checkpoint_callable("delta.recheck")
             parents, hit, pops = generic_search(
                 rows, start, accepting, engine.initial_fn, ckpt
             )

@@ -54,10 +54,10 @@ from repro.obs._tracer import (
     traced,
 )
 
-# Imported for their side effects too: REPRO_PROGRESS / REPRO_PROFILE
-# environment activation happens here, mirroring REPRO_TRACE above.
-# Both are import-light and cost nothing while disabled.
-from repro.obs import profile, progress  # noqa: E402  (after _tracer)
+# Imported for its side effect too: REPRO_PROGRESS environment
+# activation happens here, mirroring REPRO_TRACE above.  It is
+# import-light and costs nothing while disabled.
+from repro.obs import progress  # noqa: E402  (after _tracer)
 
 __all__ = [
     "NOOP_SPAN",
@@ -73,7 +73,6 @@ __all__ = [
     "emit_event",
     "is_enabled",
     "iter_events",
-    "profile",
     "progress",
     "reemit",
     "span",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.critical_path import SpanNode, build_tree, dominant_chain, self_time_by_name
-from repro.obs.report import SpanAggregate, fold_events
+from repro.obs.report import SpanAggregate, aggregate
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -265,6 +265,4 @@ def explain(
                 event["_source"] = index
             events.append(event)
     spans, curves = split_events(events)
-    aggregates, _ = fold_events(spans)
-    roots = build_tree(spans)
-    return render(spans, curves, aggregates, roots, limit=limit)
+    return render(spans, curves, aggregate(spans), build_tree(spans), limit=limit)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Mapping
+from typing import Any
 
 from repro import metrics
 from repro.guard import _governor
@@ -62,7 +62,6 @@ __all__ = [
     "bench_context",
     "configure",
     "is_enabled",
-    "iter_progress_events",
     "reset",
     "summary",
 ]
@@ -329,13 +328,12 @@ def bench_context() -> dict[str, Any] | None:
 
     ``None`` while disabled (so plain regeneration runs leave the
     BENCH_*.json files byte-stable); otherwise the final frontier size,
-    peak frontier/depth, step and event totals across all sites, plus
-    the sampling profiler's sample count when one is running.
+    peak frontier/depth, step and event totals across all sites.
     """
     if _TRACKER is None:
         return None
     sites = summary()
-    context: dict[str, Any] = {
+    return {
         "steps": sum(row["steps"] for row in sites.values()),
         "events": sum(row["events"] for row in sites.values()),
         "final_frontier": max(
@@ -349,18 +347,6 @@ def bench_context() -> dict[str, Any] | None:
         ),
         "sites": sites,
     }
-    from repro.obs import profile
-
-    if profile.is_enabled():
-        context["profile_samples"] = profile.sample_count()
-    return context
-
-
-def iter_progress_events(
-    events: "Mapping[str, Any] | Any",
-) -> list[dict[str, Any]]:
-    """Filter an event iterable down to ``progress`` events."""
-    return [e for e in events if e.get("event") == "progress"]
 
 
 # Zero-code activation: REPRO_PROGRESS=1 (or an interval in seconds).

@@ -13,9 +13,7 @@ For every span name the report shows how often it ran, total/mean/max
 wall-clock, error count, the dominant counters (largest summed deltas),
 and the slowest single span with its attributes — enough to see where an
 exponential blowup actually landed without opening the raw trace.
-Root-span serving counter deltas additionally roll up into a
-``serve:`` section (cache hits/misses, jobs executed/deduped), and guard
-trips get their own breakdown.
+Guard trips get their own breakdown.
 
 The sibling subcommands live in their own modules: ``check``
 (:mod:`repro.obs.check`, the CI perf tripwire) and ``critical-path``
@@ -34,9 +32,6 @@ from repro.obs._tracer import iter_events
 
 #: How many counters count as "dominant" in the table.
 DOMINANT_COUNTERS = 3
-
-#: STATS counters rolled up into the report's ``serve:`` section.
-SERVE_COUNTER_PREFIXES = ("serve_cache_", "serve_jobs_")
 
 
 @dataclass
@@ -75,30 +70,13 @@ class SpanAggregate:
 
 def aggregate(events: Iterable[dict[str, Any]]) -> dict[str, SpanAggregate]:
     """Fold span events into per-name aggregates (non-span events skipped)."""
-    return fold_events(events)[0]
-
-
-def fold_events(
-    events: Iterable[dict[str, Any]],
-) -> tuple[dict[str, SpanAggregate], dict[str, int]]:
-    """One pass over the events: per-name aggregates + serve counter totals.
-
-    The serve totals sum :data:`SERVE_COUNTER_PREFIXES` counters over
-    *root* spans only — a child's deltas are already included in its
-    parent's, so summing every span would double-count nested work.
-    """
     out: dict[str, SpanAggregate] = {}
-    serve_totals: dict[str, int] = {}
     for event in events:
         if event.get("event") != "span":
             continue
         name = str(event.get("name", "<unnamed>"))
         out.setdefault(name, SpanAggregate(name)).add(event)
-        if event.get("parent_id") is None:
-            for counter, delta in (event.get("counters") or {}).items():
-                if counter.startswith(SERVE_COUNTER_PREFIXES):
-                    serve_totals[counter] = serve_totals.get(counter, 0) + delta
-    return out, serve_totals
+    return out
 
 
 def expand_traces(patterns: Sequence[str]) -> list[str]:
@@ -141,7 +119,6 @@ def render(
     aggregates: dict[str, SpanAggregate],
     sort: str = "total",
     limit: int | None = None,
-    serve_totals: dict[str, int] | None = None,
 ) -> str:
     """The report as printable text."""
     key = {
@@ -179,19 +156,6 @@ def render(
                 f"{limit}={count}" for limit, count in sorted(row.trips.items())
             )
             lines.append(f"  {row.name:<{name_width}}  {breakdown}")
-    if serve_totals:
-        lines.append("")
-        lines.append("serve:")
-        counter_width = max(len(name) for name in serve_totals)
-        for name in sorted(serve_totals):
-            lines.append(f"  {name:<{counter_width}}  {serve_totals[name]}")
-        hits = serve_totals.get("serve_cache_hits", 0)
-        misses = serve_totals.get("serve_cache_misses", 0)
-        if hits + misses:
-            lines.append(
-                f"  {'cache hit rate':<{counter_width}}  "
-                f"{hits / (hits + misses):.1%}"
-            )
     lines.append("")
     lines.append("slowest spans:")
     for row in rows:
@@ -223,10 +187,8 @@ def report(
     """
     patterns = [path] if isinstance(path, str) else list(path)
     paths = expand_traces(patterns)
-    aggregates, serve_totals = fold_events(
-        iter_all_events(paths, strict=strict, on_skip=on_skip)
-    )
-    return render(aggregates, sort=sort, limit=limit, serve_totals=serve_totals)
+    aggregates = aggregate(iter_all_events(paths, strict=strict, on_skip=on_skip))
+    return render(aggregates, sort=sort, limit=limit)
 
 
 def render_guard_map() -> str:
@@ -339,24 +301,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     explain_parser.add_argument(
         "--limit", type=int, default=None, help="show at most N findings"
     )
-    flame_parser = subparsers.add_parser(
-        "flame",
-        help="render collapsed-stack profiles as a self-contained HTML flamegraph",
-    )
-    flame_parser.add_argument(
-        "profile",
-        nargs="+",
-        help="collapsed-stack file(s) or glob pattern(s) (merged)",
-    )
-    flame_parser.add_argument(
-        "-o",
-        "--out",
-        default=None,
-        help="output HTML path (default: first input with .html suffix)",
-    )
-    flame_parser.add_argument(
-        "--title", default=None, help="flamegraph title"
-    )
     args = parser.parse_args(argv)
     warn = lambda message: print(f"warning: {message}", file=_sys.stderr)  # noqa: E731
     if args.command == "report":
@@ -428,33 +372,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (OSError, ValueError) as error:
             parser.exit(1, f"error: {error}\n")
         print(text, end="")
-        return 0
-    if args.command == "flame":
-        from repro.obs import profile as _profile
-
-        try:
-            paths = expand_traces(args.profile)
-            tables = []
-            for path in paths:
-                with open(path, encoding="utf-8") as handle:
-                    tables.append(_profile.parse_collapsed(handle.read(), path))
-            samples = _profile.merge_samples(tables)
-        except (OSError, ValueError) as error:
-            parser.exit(1, f"error: {error}\n")
-        if not samples:
-            parser.exit(1, "error: profile(s) contain no samples\n")
-        out = args.out
-        if out is None:
-            stem = paths[0]
-            if stem.endswith(".collapsed"):
-                stem = stem[: -len(".collapsed")]
-            out = f"{stem}.html"
-        title = args.title or f"repro flamegraph — {', '.join(paths)}"
-        html = _profile.flamegraph_html(samples, title=title)
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(html)
-        total = sum(samples.values())
-        print(f"{out}: {total} samples, {len(samples)} unique stacks")
         return 0
     return 2  # pragma: no cover - argparse enforces the subcommand
 

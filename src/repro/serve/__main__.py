@@ -3,12 +3,11 @@
 Subcommands:
 
 * ``run JOBS.jsonl [--workers N] [--out RESULTS.jsonl] [--cache-dir D]
-  [--repeat K] [--profile P.collapsed] [--retries K] [--strict]`` —
+  [--repeat K] [--retries K] [--strict]`` —
   execute a JSONL job file and write one result record per job (in job
-  order); ``--profile`` samples wall-clock stacks across the parent and
-  every worker into one collapsed-stack file.  ``--retries``/
-  ``--budget-multiplier`` turn on budget-escalation retry for tripped
-  jobs; ``--max-queue-depth``/``--admit-rate`` turn on admission
+  order).  ``--retries``/``--budget-multiplier`` turn on
+  budget-escalation retry for tripped jobs;
+  ``--max-queue-depth``/``--admit-rate`` turn on admission
   control.  The run always prints a per-outcome summary line; the exit
   status is nonzero when any job was dead-lettered, and ``--strict``
   extends that to any UNKNOWN result.
@@ -68,7 +67,6 @@ from typing import Any
 
 from repro import metrics
 from repro.guard import Budget
-from repro.obs import profile as _profile
 from repro.serve import top as _top
 from repro.serve.cache import AnswerCache
 from repro.serve.fingerprint import job_fingerprint
@@ -236,10 +234,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # Truncate: one batch, one snapshot stream (watch it live with
         # ``python -m repro.serve top <path>``).
         metrics.configure(path=args.metrics, mode="w")
-    if args.profile:
-        # Start before the service so the worker pool sees profiling
-        # enabled and sets up per-pid spools for its children.
-        _profile.configure(path=args.profile, hz=args.profile_hz)
     cache = AnswerCache(directory=args.cache_dir) if args.cache_dir else None
     retry_policy, admission = _build_resilience(args)
     service = SolverService(
@@ -333,16 +327,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cache.close()
         if args.metrics:
             metrics.write_snapshot()  # final frame for serve top / obs check
-        if args.profile:
-            # service.close() already merged the worker spools.
-            _profile.configure(enabled=False)
-            written = _profile.write_collapsed()
-            if written:
-                print(
-                    f"profile: {written} "
-                    f"(render with `python -m repro.obs flame {written}`)",
-                    file=sys.stderr,
-                )
     elapsed = time.perf_counter() - started
     summary = {"_summary": service.stats(), "elapsed_s": round(elapsed, 6)}
     if sessions:
@@ -592,18 +576,6 @@ def main(argv: list[str] | None = None) -> int:
         "--metrics",
         default=None,
         help="export metrics snapshots to this JSONL path (watch with `top`)",
-    )
-    run.add_argument(
-        "--profile",
-        default=None,
-        help="sample wall-clock stacks (parent and workers) into this "
-        "collapsed-stack file (render with `python -m repro.obs flame`)",
-    )
-    run.add_argument(
-        "--profile-hz",
-        type=float,
-        default=None,
-        help=f"sampling rate for --profile (default {_profile.DEFAULT_HZ})",
     )
     run.add_argument(
         "--retries",

@@ -23,9 +23,8 @@ Semantics:
   A legacy ``<namespace>.jsonl`` file in the directory is imported into
   the store on open (once per file version; store rows win).
 * Hit/miss/store counters feed both a local :class:`CacheStats` and the
-  process-wide ``repro.obs`` STATS block (``serve_cache_hits`` /
-  ``serve_cache_misses``), so cache behaviour shows up in span counter
-  deltas and ``python -m repro.obs report`` tables.
+  ``serve.cache.*`` counters of :mod:`repro.metrics`, which ``serve top``
+  and ``obs check`` read.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro import metrics
-from repro._stats import STATS
 from repro.serve.store import Store, StoreError
 
 #: Environment variable naming the on-disk cache directory.
@@ -158,7 +156,6 @@ class AnswerCache:
             if key in self._memory:
                 self._memory.move_to_end(key)
                 self.stats.hits += 1
-                STATS.serve_cache_hits += 1
                 metrics.counter("serve.cache.hits", tier="memory").inc()
                 return self._memory[key]
             if self.store is not None:
@@ -166,11 +163,9 @@ class AnswerCache:
                 if result is not None:
                     self._remember(key, result)
                     self.stats.hits += 1
-                    STATS.serve_cache_hits += 1
                     metrics.counter("serve.cache.hits", tier="disk").inc()
                     return result
             self.stats.misses += 1
-            STATS.serve_cache_misses += 1
             metrics.counter("serve.cache.misses").inc()
             return None
 

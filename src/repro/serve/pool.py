@@ -53,7 +53,6 @@ from typing import Any, Mapping
 from repro import metrics, obs
 from repro.guard import Budget
 from repro.guard import inject as _inject
-from repro.obs import profile as _obs_profile
 from repro.obs import progress as _obs_progress
 
 __all__ = ["BrokenProcessPool", "WorkerPool"]
@@ -62,11 +61,7 @@ __all__ = ["BrokenProcessPool", "WorkerPool"]
 _WORKER_TRACE_DIR: str | None = None
 
 
-def _worker_init(
-    trace_dir: str | None,
-    metrics_dir: str | None,
-    profile_dir: str | None = None,
-) -> None:
+def _worker_init(trace_dir: str | None, metrics_dir: str | None) -> None:
     """Per-worker initializer: give the worker its own trace/metrics sinks."""
     global _WORKER_TRACE_DIR
     _WORKER_TRACE_DIR = trace_dir
@@ -92,13 +87,6 @@ def _worker_init(
     # Progress telemetry: the inherited tracker state belongs to the
     # parent; re-arm a fresh one (keeps enablement + interval).
     _obs_progress.reset()
-    # Sampling profiler: the sampler thread did not survive the fork —
-    # restart it against the worker's per-pid collapsed spool.
-    _obs_profile.reset_after_fork(
-        os.path.join(profile_dir, f"profile-{os.getpid()}.collapsed")
-        if profile_dir is not None
-        else None
-    )
 
 
 def _run_job(
@@ -139,10 +127,8 @@ def _run_job(
         metrics.counter("serve.worker.busy_s").inc(elapsed)
         metrics.gauge("serve.worker.busy").set(0)
         # Cumulative spool write per job: the parent can merge at any
-        # point and always sees one complete snapshot.  Same contract
-        # for the profiler's collapsed-stack spool.
+        # point and always sees one complete snapshot.
         metrics.write_snapshot()
-        _obs_profile.write_collapsed()
 
 
 class WorkerPool:
@@ -154,15 +140,12 @@ class WorkerPool:
         self.workers = workers
         self._trace_dir: str | None = None
         self._metrics_dir: str | None = None
-        self._profile_dir: str | None = None
         self._merge_offsets: dict[str, int] = {}
         if obs.is_enabled():
             self._trace_dir = tempfile.mkdtemp(prefix="repro-serve-trace-")
         if metrics.is_enabled():
             self._metrics_dir = tempfile.mkdtemp(prefix="repro-serve-metrics-")
             metrics.gauge("serve.pool.workers").set(workers)
-        if _obs_profile.is_enabled():
-            self._profile_dir = tempfile.mkdtemp(prefix="repro-serve-profile-")
         self.respawns = 0
         self._executor = self._spawn_executor()
 
@@ -175,7 +158,7 @@ class WorkerPool:
             max_workers=self.workers,
             mp_context=context,
             initializer=_worker_init,
-            initargs=(self._trace_dir, self._metrics_dir, self._profile_dir),
+            initargs=(self._trace_dir, self._metrics_dir),
         )
 
     def respawn(self) -> None:
@@ -190,7 +173,6 @@ class WorkerPool:
         """
         self.merge_traces()
         self.merge_metrics()
-        self.merge_profiles()
         try:
             self._executor.shutdown(wait=False)
         except Exception:  # noqa: BLE001 - a broken executor may refuse
@@ -284,37 +266,11 @@ class WorkerPool:
             merged += 1
         return merged
 
-    # -- profile spool merging ---------------------------------------------------
-
-    def merge_profiles(self) -> int:
-        """Fold worker profiler spools into the parent's sample table.
-
-        Each spool is one *cumulative* collapsed-stack file per worker;
-        the profiler absorbs them replace-wise per source pid, so
-        repeated merges never double-count.  Returns the number of
-        samples currently attributed to worker spools.
-        """
-        if self._profile_dir is None or not _obs_profile.is_enabled():
-            return 0
-        absorbed = 0
-        try:
-            names = sorted(os.listdir(self._profile_dir))
-        except OSError:
-            return 0
-        for fname in names:
-            if not fname.startswith("profile-") or not fname.endswith(".collapsed"):
-                continue
-            path = os.path.join(self._profile_dir, fname)
-            pid = fname[len("profile-") : -len(".collapsed")]
-            absorbed += _obs_profile.absorb_spool(path, source=pid)
-        return absorbed
-
     def shutdown(self, wait: bool = True) -> None:
         self._executor.shutdown(wait=wait)
         self.merge_traces()
         self.merge_metrics()
-        self.merge_profiles()
-        for attr in ("_trace_dir", "_metrics_dir", "_profile_dir"):
+        for attr in ("_trace_dir", "_metrics_dir"):
             directory = getattr(self, attr)
             if directory is not None:
                 try:

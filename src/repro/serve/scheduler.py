@@ -74,7 +74,6 @@ from concurrent import futures as _futures
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro import metrics
-from repro._stats import STATS
 from repro.analysis.verdict import Answer
 from repro.guard import Budget, CancelToken, Guard
 from repro.serve.cache import AnswerCache, default_cache_directory
@@ -416,7 +415,6 @@ class SolverService:
                 )
                 entry.handles.append(handle)
                 self.jobs_deduped += 1
-                STATS.serve_jobs_deduped += 1
                 metrics.counter("serve.jobs.deduped").inc()
                 return handle
         cached = self.cache.get(key, procedure)
@@ -451,7 +449,6 @@ class SolverService:
             else:
                 deduped = True
                 self.jobs_deduped += 1
-                STATS.serve_jobs_deduped += 1
                 metrics.counter("serve.jobs.deduped").inc()
             metrics.gauge("serve.queue.depth").set(len(self._pending))
             handle = JobHandle(
@@ -644,7 +641,6 @@ class SolverService:
         procedure = get_procedure(entry.procedure)
         guard = Guard(budget=entry.budget, cancel_token=entry.token)
         self.jobs_executed += 1
-        STATS.serve_jobs_executed += 1
         metrics.counter("serve.jobs.executed").inc()
         metrics.gauge("serve.inflight").inc()
         try:
@@ -685,7 +681,6 @@ class SolverService:
                 procedure=entry.procedure,
             )
             self.jobs_executed += 1
-            STATS.serve_jobs_executed += 1
             metrics.counter("serve.jobs.executed").inc()
             to_dispatch.append(entry)
         executed = len(to_dispatch)
@@ -735,7 +730,6 @@ class SolverService:
             to_dispatch = self._recover_worker_loss(pool, lost) if lost else []
         pool.merge_traces()
         pool.merge_metrics()
-        pool.merge_profiles()
         return executed
 
     def _recover_worker_loss(

@@ -9,6 +9,8 @@ from repro.automata.afa import patch_engine
 from repro.core.pl_semantics import pair_states, to_afa, to_afa_incremental
 from repro.core.run import run_pl
 from repro.delta import DeltaError, Session, compute_delta
+from repro.delta.engine import _search
+from repro.guard import Budget
 from repro.workloads.editing import (
     flip_trace,
     growing_trace,
@@ -103,6 +105,15 @@ class TestRecheckModes:
         # The counter's unique witness; run_pl replay is skipped here
         # because forward simulation of the counter is exponential.
         assert len(result.answer.witness) == 2**bits
+
+    def test_budget_bounds_the_warm_search(self):
+        # The 10-bit counter needs 1,024 pops; a 10-step budget must
+        # stop the warm search at its first periodic checkpoint.
+        engine = to_afa(pl_counter_sws(10))._engine()
+        answer, _ = _search(engine, True, Budget(step_budget=10))
+        assert answer.is_unknown
+        assert answer.trip.limit == "steps"
+        assert answer.trip.site == "delta.recheck"
 
     def test_recheck_after_full_rerun_is_decided_and_cached(self):
         sws = pl_counter_sws(9)

@@ -157,34 +157,6 @@ class TestCLI:
         assert "dominant phase" in proc.stdout
         assert "warning" in proc.stderr  # the malformed line was reported
 
-    def test_flame_subcommand(self, tmp_path):
-        collapsed = tmp_path / "p.collapsed"
-        collapsed.write_text("main;solve 9\nmain;io 1\n")
-        out = tmp_path / "p.html"
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro.obs", "flame",
-                str(collapsed), "-o", str(out),
-            ],
-            capture_output=True,
-            text=True,
-            env=_src_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "10 samples" in proc.stdout
-        assert out.read_text().startswith("<!doctype html>")
-
-    def test_flame_empty_input_fails(self, tmp_path):
-        collapsed = tmp_path / "empty.collapsed"
-        collapsed.write_text("")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.obs", "flame", str(collapsed)],
-            capture_output=True,
-            text=True,
-            env=_src_env(),
-        )
-        assert proc.returncode == 1
-
 
 def _src_env():
     import os
@@ -193,5 +165,4 @@ def _src_env():
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env.pop("REPRO_TRACE", None)
     env.pop("REPRO_PROGRESS", None)
-    env.pop("REPRO_PROFILE", None)
     return env

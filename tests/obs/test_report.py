@@ -10,7 +10,6 @@ from repro.obs.report import (
     SpanAggregate,
     aggregate,
     expand_traces,
-    fold_events,
     main,
     render,
     report,
@@ -166,37 +165,6 @@ class TestMultiTrace:
         assert code == 0
         assert "proc" in capsys.readouterr().out
 
-
-class TestServeSection:
-    def test_root_span_serve_counters_roll_up(self):
-        child = _span("inner", 0.5, span_id=2, counters={"serve_cache_hits": 3})
-        child["parent_id"] = 1
-        events = [
-            _span(
-                "outer",
-                1.0,
-                span_id=1,
-                counters={
-                    "serve_cache_hits": 3,  # includes the child's delta
-                    "serve_cache_misses": 1,
-                    "sat_calls": 9,  # not a serve counter
-                },
-            ),
-            child,
-        ]
-        aggs, serve_totals = fold_events(events)
-        assert serve_totals == {
-            "serve_cache_hits": 3,
-            "serve_cache_misses": 1,
-        }
-        text = render(aggs, serve_totals=serve_totals)
-        assert "serve:" in text
-        assert "cache hit rate" in text and "75.0%" in text
-
-    def test_no_serve_counters_no_section(self):
-        aggs, serve_totals = fold_events([_span("a", 1.0)])
-        assert serve_totals == {}
-        assert "serve:" not in render(aggs, serve_totals=serve_totals)
 
 class TestLenientParsing:
     """Truncated traces (killed workers) degrade gracefully in the CLI."""

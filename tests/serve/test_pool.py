@@ -8,9 +8,10 @@ asserting every resubmitted job is a cache hit.
 from __future__ import annotations
 
 import json
+import os
 import time
 
-from repro import obs
+from repro import metrics, obs
 from repro.guard import Budget
 from repro.serve import JobSpec, SolverService
 from repro.workloads.scaling import pl_counter_sws
@@ -70,6 +71,18 @@ def test_worker_spans_merge_into_parent_trace(tmp_path):
     assert worker_events, "no worker spans were re-emitted into the parent sink"
     names = {e["name"] for e in worker_events}
     assert any("nonempty" in name for name in names)
+
+
+def test_close_removes_both_spool_directories(tmp_path):
+    obs.configure(path=str(tmp_path / "trace.jsonl"), mode="w")
+    metrics.configure(enabled=True)
+    with SolverService(workers=2) as service:
+        service.run_batch(
+            [JobSpec("nonempty_pl", (pl_counter_sws(n),)) for n in (6, 7)]
+        )
+        spools = [service._pool._trace_dir, service._pool._metrics_dir]
+        assert all(spool and os.listdir(spool) for spool in spools)
+    assert not any(os.path.exists(spool) for spool in spools)
 
 
 def test_pool_results_match_inline():
