@@ -95,7 +95,6 @@ trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}"' EXIT
 REPRO_STORE_SMOKE_DIR="${STORE_DIR}" python - <<'PY'
 import os
 
-import repro.automata.afa as afa
 from repro.serve import JobSpec, SolverService
 from repro.workloads.scaling import pl_counter_sws
 
@@ -109,10 +108,8 @@ with SolverService(cache_dir=cache_dir) as service:
     assert stats["journal_mode"] == "wal", stats
     assert stats["answers"] == 1, stats
 
-# Reopen cold: simulate a fresh process (cleared compile caches,
-# empty memory tier) and warm-start from the store.
-afa._SEARCHER_CACHE.clear()
-afa._DIFF_SEARCHER_CACHE.clear()
+# Reopen cold: a new service (empty memory tier) warm-starts from the
+# store.
 with SolverService(cache_dir=cache_dir) as service:
     assert service.cache.stats.disk_loaded == 1
     assert service.run_batch(specs)[0].is_yes

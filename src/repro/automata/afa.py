@@ -15,19 +15,25 @@ automaton accepts ``w`` iff the initial condition evaluates to true on
 ``V_w``.  Reachability over the (finitely many) vectors decides emptiness
 in exponential time / polynomial space — the classical AFA bound.
 
+**Letter classes.**  Every automaton carries a *class map* from each
+symbol to its class representative, and ``transitions`` hold rows for
+representatives only.  Hand-built and NFA-derived automata get the
+identity map; :func:`repro.core.pl_semantics.to_afa` hands over the
+row-equality quotient of its 2^|vars| assignments, so an SWS-derived
+automaton is built, validated and compiled per class.
+
 **Compiled hot path.**  The searches run on a compiled engine
 (:class:`_CompiledAFA`): states map to bit positions, valuation vectors are
-int bitsets, and alphabet symbols inducing *identical* transition rows are
-collapsed to one representative per class — for SWS-derived AFAs this
-shrinks the 2^|vars| assignment alphabet to its effective quotient.  Code
-is generated only when it is about to run: the witness search and the
-sweep BFS (each with every class row inlined) on their first call, and a
-class's stand-alone row closure (:func:`repro.logic.pl.compile_row`) on
-its first single-step use.  Generated searchers are memoized per process
-on their state order and row formulas; nothing compiled is persisted, so
-a new process regenerates the code it runs.  Public results (vectors,
-witnesses) are unchanged; the :func:`ast_fallback` context restores the
-interpreted AST path for cross-validation and before/after benchmarks.
+int bitsets, and one representative per class of symbols with identical
+rows is explored — the class map, with any representatives whose rows
+still coincide merged.  Code is generated only when it is about to run:
+the witness search and the sweep BFS (each with every class row inlined)
+on their first call, and a class's stand-alone row closure
+(:func:`repro.logic.pl.compile_row`) on its first single-step use.
+Generated code lives on its engine and dies with its automaton.  Public
+results (vectors, witnesses) are unchanged; the :func:`ast_fallback`
+context restores the interpreted AST path for cross-validation and
+before/after benchmarks.
 
 **Determinism.**  Symbols are always explored in a canonical order
 (:func:`symbol_sort_key`) that does not depend on ``PYTHONHASHSEED`` —
@@ -106,30 +112,19 @@ def _canonical_state_name(state) -> str:
     return str(state)
 
 
-def _reconstruct(parents: Mapping, node) -> tuple:
+def _reconstruct(parents: Mapping, node, symbols: Sequence[Symbol]) -> tuple:
     """Rebuild a witness word from BFS parent links.
 
-    ``parents[n]`` is ``(symbol, predecessor)`` or ``None`` at the start
-    node; since ``witness(next) = (symbol,) + witness(prev)``, walking the
-    chain emits the word front-to-back — O(length), where the old
-    tuple-prepend scheme cost O(length²) per BFS branch.
+    ``parents[n]`` is ``(index into symbols, predecessor)`` or ``None`` at
+    the start node; since ``witness(next) = (symbol,) + witness(prev)``,
+    walking the chain emits the word front-to-back — O(length), where the
+    old tuple-prepend scheme cost O(length²) per BFS branch.
     """
     word: list = []
     link = parents[node]
     while link is not None:
-        symbol, node = link
-        word.append(symbol)
-        link = parents[node]
-    return tuple(word)
-
-
-def _reconstruct_classes(parents: Mapping, node, reps: Sequence[Symbol]) -> tuple:
-    """Like :func:`_reconstruct`, for links holding symbol-class indices."""
-    word: list = []
-    link = parents[node]
-    while link is not None:
         idx, node = link
-        word.append(reps[idx])
+        word.append(symbols[idx])
         link = parents[node]
     return tuple(word)
 
@@ -152,14 +147,34 @@ def _exec_source(name: str, lines: list[str]) -> Callable:
     return namespace[name]
 
 
-_SEARCHER_CACHE: dict[tuple, Callable] = {}
-_DIFF_SEARCHER_CACHE: dict[tuple, Callable] = {}
-
 #: The generated BFS functions and their signatures.
 _SEARCHER_SIGNATURES = {
-    "_search": "start, accepting, initial, ckpt",
-    "_sweep": "start, ckpt",
+    "_search": "_search(start, accepting, initial, ckpt)",
+    "_sweep": "_sweep(start, ckpt)",
 }
+
+
+def _bfs_head(signature: str, node: str) -> list[str]:
+    """A generated BFS up to the pop of ``node`` in its loop body.
+
+    The guard checkpoint is batched: one callback per 256 pops (plus one
+    on entry, so tiny searches still hit a checkpoint) — the masked test
+    is the only per-iteration overhead, preserving the compiled speedup.
+    """
+    return [
+        f"def {signature}:",
+        "    parents = {start: None}",
+        "    queue = _deque((start,))",
+        "    append = queue.append",
+        "    popleft = queue.popleft",
+        "    n = 0",
+        "    ckpt(0, queue, parents)",
+        "    while queue:",
+        f"        {node} = popleft()",
+        "        n += 1",
+        "        if not n & 255:",
+        "            ckpt(n, queue, parents)",
+    ]
 
 
 def _compile_searchers(engine: "_CompiledAFA", name: str) -> Callable:
@@ -168,43 +183,16 @@ def _compile_searchers(engine: "_CompiledAFA", name: str) -> Callable:
     Inlining every transition row into the loop body removes all per-step
     Python function calls — the search runs as one compiled code object
     over int bitsets.  Parent links store the symbol-*class index*;
-    :func:`_reconstruct_classes` maps them back to representative symbols.
+    :func:`_reconstruct` maps them back to representative symbols.
     Each kind is generated only when first asked for: a non-emptiness
-    check never pays for the sweep.
-
-    Generated functions depend only on the state order and the interned
-    row formulas, so they are cached globally — rebuilding the same AFA
-    (e.g. one ``to_afa`` per analysis call) reuses the compiled search.
+    check never pays for the sweep.  The function is kept by its engine
+    only, so it dies with its automaton.
     """
-    keys = tuple(engine.row_keys[rep] for rep in engine.reps)
-    cache_key = (name, engine.order, keys)
-    cached = _SEARCHER_CACHE.get(cache_key)
-    if cached is not None:
-        STATS.compile_cache_hits += 1
-        return cached
-    STATS.compile_cache_misses += 1
     gen = pl._MaskCodegen(engine.index)
-    exprs = _class_exprs(gen, keys)
+    exprs = _class_exprs(gen, [engine.row_keys[rep] for rep in engine.reps])
     witness = name == "_search"
-
-    # The guard checkpoint is batched: one callback per 256 pops (plus one
-    # on entry, so tiny searches still hit a checkpoint) — the masked test
-    # is the only per-iteration overhead, preserving the compiled speedup.
-    lines = [
-        f"def {name}({_SEARCHER_SIGNATURES[name]}):",
-        "    parents = {start: None}",
-        "    queue = _deque((start,))",
-        "    append = queue.append",
-        "    popleft = queue.popleft",
-        "    n = 0",
-        "    ckpt(0, queue, parents)",
-        "    while queue:",
-        "        v = popleft()",
-        "        n += 1",
-        "        if not n & 255:",
-        "            ckpt(n, queue, parents)",
-        *("    " + line for line in gen.lines),
-    ]
+    lines = _bfs_head(_SEARCHER_SIGNATURES[name], "v")
+    lines += ["    " + line for line in gen.lines]
     for idx, expr in enumerate(exprs):
         lines += [
             f"        nxt = {expr}",
@@ -218,9 +206,7 @@ def _compile_searchers(engine: "_CompiledAFA", name: str) -> Callable:
             ]
         lines.append("            append(nxt)")
     lines.append("    return parents, None, n" if witness else "    return parents, n")
-    built = _exec_source(name, lines)
-    _SEARCHER_CACHE[cache_key] = built
-    return built
+    return _exec_source(name, lines)
 
 
 def generic_search(
@@ -238,7 +224,7 @@ def generic_search(
     sweep) but taking the per-class row callables as data instead of
     code-generating the loop body.  :mod:`repro.delta` uses it to re-check
     an edited automaton over *patched* rows without paying searcher
-    codegen.
+    codegen, and the interpreted AFA path over per-symbol AST rows.
     """
     parents: dict = {start: None}
     queue = deque((start,))
@@ -266,50 +252,28 @@ def _compile_diff_search(
 ) -> tuple[Callable, tuple[Symbol, ...]]:
     """Generate the joint difference-witness BFS over mask *pairs*.
 
-    Symbol dedup here is joint: two symbols collapse only when they induce
-    identical rows in *both* automata.  Both automata's rows inline into
-    one loop body (argument ``v`` / temps ``a*`` for ``mine``, ``w`` /
-    ``b*`` for ``theirs``).
+    Symbol dedup here is joint: two symbols collapse only when they lie in
+    one class of *both* engines, i.e. induce identical rows in both
+    automata.  Both automata's rows inline into one loop body (argument
+    ``v`` / temps ``a*`` for ``mine``, ``w`` / ``b*`` for ``theirs``).
     """
     seen: set[tuple] = set()
     reps: list[Symbol] = []
     keys_mine: list[tuple] = []
     keys_theirs: list[tuple] = []
-    for symbol in mine.symbols:
-        key = (mine.row_keys[symbol], theirs.row_keys[symbol])
+    for symbol in sorted(mine.alphabet, key=symbol_sort_key):
+        key = (mine.rep_of[symbol], theirs.rep_of[symbol])
         if key in seen:
             continue
         seen.add(key)
         reps.append(symbol)
-        keys_mine.append(key[0])
-        keys_theirs.append(key[1])
-    cache_key = (
-        mine.order,
-        theirs.order,
-        tuple(zip(keys_mine, keys_theirs)),
-    )
-    cached = _DIFF_SEARCHER_CACHE.get(cache_key)
-    if cached is not None:
-        STATS.compile_cache_hits += 1
-        return cached, tuple(reps)
-    STATS.compile_cache_misses += 1
+        keys_mine.append(mine.row_keys[key[0]])
+        keys_theirs.append(theirs.row_keys[key[1]])
     gen_a = pl._MaskCodegen(mine.index, arg="v", prefix="a")
     gen_b = pl._MaskCodegen(theirs.index, arg="w", prefix="b")
     exprs_a = _class_exprs(gen_a, keys_mine)
     exprs_b = _class_exprs(gen_b, keys_theirs)
-    lines = [
-        "def _dsearch(start, ia, ib, ckpt):",
-        "    parents = {start: None}",
-        "    queue = _deque((start,))",
-        "    append = queue.append",
-        "    popleft = queue.popleft",
-        "    n = 0",
-        "    ckpt(0, queue, parents)",
-        "    while queue:",
-        "        pair = popleft()",
-        "        n += 1",
-        "        if not n & 255:",
-        "            ckpt(n, queue, parents)",
+    lines = _bfs_head("_dsearch(start, ia, ib, ckpt)", "pair") + [
         "        v, w = pair",
         "        if ia(v) != ib(w):",
         "            return parents, pair, n",
@@ -324,9 +288,7 @@ def _compile_diff_search(
             "            append(nxt)",
         ]
     lines.append("    return parents, None, n")
-    fn = _exec_source("_dsearch", lines)
-    _DIFF_SEARCHER_CACHE[cache_key] = fn
-    return fn, tuple(reps)
+    return _exec_source("_dsearch", lines), tuple(reps)
 
 
 class _LazyRows(dict):
@@ -359,9 +321,10 @@ def _compile_key_row(key: tuple, index: Mapping[State, int]) -> Callable[[int], 
 class _CompiledAFA:
     """The compiled evaluation engine behind an :class:`AFA`.
 
-    Built once per automaton and cached; holds the state→bit mapping, the
-    symbol quotient (one representative per class of symbols with
-    identical rows), and the per-class transition rows, compiled lazily.
+    Built once per automaton and cached on it; holds the state→bit
+    mapping, the symbol quotient (``rep_of``: the automaton's class map,
+    with representatives whose rows coincide merged), and the per-class
+    transition rows, compiled lazily.
     """
 
     __slots__ = (
@@ -369,7 +332,7 @@ class _CompiledAFA:
         "index",
         "final_mask",
         "initial_fn",
-        "symbols",
+        "alphabet",
         "row_keys",
         "rep_of",
         "reps",
@@ -380,42 +343,54 @@ class _CompiledAFA:
     )
 
     def __init__(self, afa: "AFA") -> None:
-        self.order: tuple[State, ...] = tuple(sorted(afa.states))
-        self.index: dict[State, int] = {s: i for i, s in enumerate(self.order)}
-        self.final_mask = 0
-        for state in afa.finals:
-            self.final_mask |= 1 << self.index[state]
-        self.initial_fn = pl.compile_mask(afa.initial_condition, self.index)
-        self.symbols: tuple[Symbol, ...] = tuple(
-            sorted(afa.alphabet, key=symbol_sort_key)
-        )
-        # Group symbols by transition row (tuple of interned formulas, one
-        # per state): identical rows induce identical pre_step functions,
-        # so only one representative per class needs exploring.  One pass
-        # over the (sparse) transitions fills every row.
-        rows = {symbol: [pl.FALSE] * len(self.order) for symbol in self.symbols}
-        for (state, symbol), formula in afa.transitions.items():
-            rows[symbol][self.index[state]] = formula
-        # Interning makes equal rows exactly the rows of identical
-        # objects, so group by ids: int tuples hash at C speed, a tuple
-        # of formulas calls ``Formula.__hash__`` per entry.
-        self.row_keys: dict[Symbol, tuple] = {}
-        self.rep_of: dict[Symbol, Symbol] = {}
-        classes: dict[tuple, Symbol] = {}
-        for symbol in self.symbols:
-            row = rows[symbol]
-            rep = classes.setdefault(tuple(map(id, row)), symbol)
-            self.rep_of[symbol] = rep
-            self.row_keys[symbol] = tuple(row) if rep is symbol else self.row_keys[rep]
-        self.reps: tuple[Symbol, ...] = tuple(classes.values())
+        order = tuple(sorted(afa.states))
+        self._layout(afa, order, {s: i for i, s in enumerate(order)})
+        # One row per representative (tuple of interned formulas, one per
+        # state), filled in one pass over the sparse transitions.
+        rows = {rep: [pl.FALSE] * len(order) for rep in set(afa.classes.values())}
+        for (state, rep), formula in afa.transitions.items():
+            rows[rep][self.index[state]] = formula
+        self._quotient(afa, rows)
         # Closes over the dicts, not ``self``: no engine reference cycle.
         row_keys, index = self.row_keys, self.index
         self.rows = _LazyRows(lambda rep: _compile_key_row(row_keys[rep], index))
+        STATS.afa_compilations += 1
+
+    def _layout(self, afa: "AFA", order: tuple[State, ...], index: dict[State, int]) -> None:
+        self.order = order
+        self.index = index
+        self.final_mask = 0
+        for state in afa.finals:
+            self.final_mask |= 1 << index[state]
+        self.initial_fn = pl.compile_mask(afa.initial_condition, index)
+        self.alphabet = afa.alphabet
         self._search_fn: Callable | None = None
         self._sweep_fn: Callable | None = None
         self._diff_cache: dict["_CompiledAFA", tuple[Callable, tuple]] = {}
-        STATS.afa_compilations += 1
-        STATS.alphabet_symbols += len(self.symbols)
+
+    def _quotient(self, afa: "AFA", rows: Mapping[Symbol, Sequence]) -> None:
+        """Merge the representatives whose ``rows`` coincide, in canonical order.
+
+        Identical rows induce identical pre-step functions, so only one
+        representative per class needs exploring; a canonical class map
+        merges nothing and is shared as is.  Interned rows group by ids:
+        int tuples hash at C speed, formulas call ``Formula.__hash__``.
+        """
+        self.row_keys: dict[Symbol, tuple] = {}
+        classes: dict[tuple, Symbol] = {}
+        merged: dict[Symbol, Symbol] = {}
+        for rep in sorted(rows, key=symbol_sort_key):
+            row = rows[rep]
+            first = classes.setdefault(tuple(map(id, row)), rep)
+            if first is rep:
+                self.row_keys[rep] = tuple(row)
+            else:
+                merged[rep] = first
+        self.reps: tuple[Symbol, ...] = tuple(classes.values())
+        self.rep_of: Mapping[Symbol, Symbol] = afa.classes
+        if merged:
+            self.rep_of = {s: merged.get(r, r) for s, r in afa.classes.items()}
+        STATS.alphabet_symbols += len(self.alphabet)
         STATS.symbol_classes += len(self.reps)
 
     def searcher(self) -> Callable:
@@ -467,105 +442,65 @@ def patch_engine(
     Each transition-row bit depends only on its own state's formula, so a
     patched row is ``(base_row(v) & clean) | patch(v)`` where ``patch``
     compiles just the dirty states' formulas — per-class compile cost is
-    proportional to the edit, not to the automaton.  The symbol quotient
-    is refined the same way: symbols sharing a base class split only when
-    their dirty-state formulas differ.
+    proportional to the edit, not to the automaton.  The quotient is
+    regrouped over ``afa``'s representatives only, each one's row being
+    its base class's row with the dirty formulas spliced in — exactly the
+    classes a fresh compile of ``afa`` would form.
     """
     order = tuple(sorted(afa.states))
     if order != base.order:
         return None
-    # Equal alphabets sort to the base's symbol order; comparing sets
-    # skips the canonical sort, a third of a small re-check's time.
-    if afa.alphabet != frozenset(base.symbols):
+    if afa.alphabet != base.alphabet:
         return None
-    symbols = base.symbols
     index = base.index
-    dirty = [s for s in order if s in set(dirty_states)]
+    dirty = sorted(set(dirty_states).intersection(order))
     dirty_idx = [index[s] for s in dirty]
     clean = (1 << len(order)) - 1
     for i in dirty_idx:
         clean &= ~(1 << i)
 
     engine = object.__new__(_CompiledAFA)
-    engine.order = order
-    engine.index = index
-    engine.final_mask = 0
-    for state in afa.finals:
-        engine.final_mask |= 1 << index[state]
-    engine.initial_fn = pl.compile_mask(afa.initial_condition, index)
-    engine.symbols = symbols
-    engine.row_keys = {}
-    engine.rep_of = {}
-    # Two-level quotient: symbols with the same base class and the same
-    # dirty-state patch provably share a row, so the (long) full row key
-    # is built and hashed once per *group*, not once per symbol.  Groups
-    # whose patched keys coincide anyway (base rows differed only on now
-    # overridden dirty states) still merge through ``classes``, keeping
-    # the quotient exact — and stopping class-count drift across chained
-    # patches.
-    classes: dict[tuple, Symbol] = {}
-    patch_keys: dict[Symbol, tuple] = {}
-    key_of_rep: dict[Symbol, tuple] = {}
-    group_rep: dict[tuple, Symbol] = {}
-    for symbol in symbols:
-        patch = tuple(
-            afa.transitions.get((state, symbol), pl.FALSE) for state in dirty
-        )
-        rep = group_rep.get((base.rep_of[symbol], patch))
-        if rep is None:
-            key = list(base.row_keys[symbol])
-            for j, i in enumerate(dirty_idx):
-                key[i] = patch[j]
-            full_key = tuple(key)
-            rep = classes.setdefault(full_key, symbol)
-            if rep is symbol:
-                patch_keys[rep] = patch
-                key_of_rep[rep] = full_key
-            group_rep[(base.rep_of[symbol], patch)] = rep
-        engine.rep_of[symbol] = rep
-        engine.row_keys[symbol] = key_of_rep[rep]
-    engine.reps = tuple(classes.values())
+    engine._layout(afa, order, index)
+    patches = {}
+    rows = {}
+    for rep in set(afa.classes.values()):
+        patches[rep] = [afa.transition(state, rep) for state in dirty]
+        row = rows[rep] = list(base.row_keys[base.rep_of[rep]])
+        for i, formula in zip(dirty_idx, patches[rep]):
+            row[i] = formula
+    engine._quotient(afa, rows)
     base_rows, base_rep_of = base.rows, base.rep_of
 
     def make_row(rep: Symbol) -> Callable[[int], int]:
         patch_row = pl.compile_row(
             (
                 (1 << i, formula)
-                for i, formula in zip(dirty_idx, patch_keys[rep])
+                for i, formula in zip(dirty_idx, patches[rep])
                 if formula is not pl.FALSE
             ),
             index,
         )
-        return _patched_row(base_rows[base_rep_of[rep]], clean, patch_row)
+        base_row = base_rows[base_rep_of[rep]]
+        return lambda v: (base_row(v) & clean) | patch_row(v)
 
     # Lazy like the base's rows: a replay compiles only the classes its
     # witness visits, in both this engine and the base.
     engine.rows = _LazyRows(make_row)
-    engine._search_fn = None
-    engine._sweep_fn = None
-    engine._diff_cache = {}
     STATS.afa_engine_patches += 1
-    STATS.alphabet_symbols += len(engine.symbols)
-    STATS.symbol_classes += len(engine.reps)
     return engine
-
-
-def _patched_row(
-    base_row: Callable[[int], int], clean: int, patch_row: Callable[[int], int]
-) -> Callable[[int], int]:
-    def row(v: int) -> int:
-        return (base_row(v) & clean) | patch_row(v)
-
-    return row
 
 
 class AFA:
     """An alternating finite automaton with boolean transition conditions.
 
-    ``transitions[(q, a)]`` is a propositional formula over state names;
-    a missing entry means ``false`` (the run from ``q`` rejects on ``a``).
-    ``initial_condition`` is a formula over state names evaluated on the
-    full-word vector; for a conventional AFA it is a single state variable.
+    ``classes`` maps every symbol to its class representative (default:
+    the identity map); the symbols of a class share one transition row.
+    ``transitions[(q, r)]`` is a propositional formula over state names
+    for a representative ``r``; a missing entry means ``false`` (the run
+    from ``q`` rejects on ``r``'s class).  :meth:`transition` reads it for
+    any symbol.  ``initial_condition`` is a formula over state names
+    evaluated on the full-word vector; for a conventional AFA it is a
+    single state variable.
     """
 
     def __init__(
@@ -575,25 +510,39 @@ class AFA:
         transitions: Mapping[tuple[State, Symbol], pl.Formula],
         initial_condition: pl.Formula,
         finals: Iterable[State],
+        classes: Mapping[Symbol, Symbol] | None = None,
     ) -> None:
         self.states = frozenset(states)
         self.alphabet = frozenset(alphabet)
         self.transitions = dict(transitions)
         self.initial_condition = initial_condition
         self.finals = frozenset(finals)
+        self.classes = (
+            {symbol: symbol for symbol in self.alphabet}
+            if classes is None
+            else dict(classes)
+        )
         self._engine_cache: _CompiledAFA | None = None
         if not self.finals <= self.states:
             raise ReproError("final states must be states")
+        if self.classes.keys() != self.alphabet:
+            raise ReproError("the class map must cover exactly the alphabet")
+        reps = set(self.classes.values())
+        if any(self.classes.get(rep) != rep for rep in reps):
+            raise ReproError("every class representative must represent itself")
         # Check each distinct state, symbol and (interned) formula once:
-        # derived automata share one formula across many symbols.
+        # derived automata share one formula across many classes.
         unknown = {state for state, _ in self.transitions} - self.states
         if unknown:
             raise ReproError(f"transition from unknown state {unknown.pop()!r}")
-        unknown = {symbol for _, symbol in self.transitions} - self.alphabet
+        # Representatives represent themselves, so they lie in the alphabet.
+        unknown = {symbol for _, symbol in self.transitions} - reps
         if unknown:
-            raise ReproError(f"transition on unknown symbol {unknown.pop()!r}")
+            raise ReproError(f"transition on {unknown.pop()!r}, not a class representative")
         for formula in set(self.transitions.values()):
-            stray = formula.variables() - self.states
+            # Uncached: a row formula's variable set is read only here, and
+            # caching it on the interned node would keep it for the process.
+            stray = formula._compute_variables() - self.states
             if stray:
                 raise ReproError(
                     f"transition condition mentions non-states {sorted(stray)}"
@@ -610,6 +559,7 @@ class AFA:
         transitions: dict,
         initial_condition: pl.Formula,
         finals: frozenset,
+        classes: dict,
     ) -> "AFA":
         """Construct without re-validating, for derived automata.
 
@@ -617,7 +567,7 @@ class AFA:
         set — linear in the whole automaton, which defeats incremental
         construction (:func:`repro.core.pl_semantics.to_afa_incremental`
         splices a few recomputed rows into an already-validated base).
-        Callers own the arguments: all five must already satisfy the
+        Callers own the arguments: all six must already satisfy the
         ``__init__`` invariants, and the dicts/frozensets are stored
         as-is, not copied.
         """
@@ -627,8 +577,15 @@ class AFA:
         afa.transitions = transitions
         afa.initial_condition = initial_condition
         afa.finals = finals
+        afa.classes = classes
         afa._engine_cache = None
         return afa
+
+    def transition(self, state: State, symbol: Symbol) -> pl.Formula:
+        """``δ(state, symbol)``, read through the symbol's class."""
+        return self.transitions.get(
+            (state, self.classes.get(symbol, symbol)), pl.FALSE
+        )
 
     def __getstate__(self) -> dict:
         # The compiled engine holds exec()-generated closures, which cannot
@@ -675,8 +632,15 @@ class AFA:
         return frozenset(
             state
             for state in self.states
-            if self.transitions.get((state, symbol), pl.FALSE).evaluate(vector)
+            if self.transition(state, symbol).evaluate(vector)
         )
+
+    def _ast_rows(self, symbols: Sequence[Symbol]) -> list[tuple[int, Callable]]:
+        """Interpreted pre-steps, one :func:`generic_search` row per symbol."""
+        return [
+            (i, lambda vector, symbol=symbol: self._pre_step_ast(vector, symbol))
+            for i, symbol in enumerate(symbols)
+        ]
 
     def vector_for(self, word: Sequence[Symbol]) -> Vector:
         """The valuation vector of a word (computed suffix-first)."""
@@ -729,26 +693,15 @@ class AFA:
             STATS.pre_steps += popped * len(engine.reps)
             reps = engine.reps
             return {
-                engine.to_vector(m): _reconstruct_classes(parents, m, reps)
+                engine.to_vector(m): _reconstruct(parents, m, reps)
                 for m in parents
             }
-        start = self.empty_word_vector()
-        parents_v: dict[Vector, tuple[Symbol, Vector] | None] = {start: None}
-        queue_v: deque[Vector] = deque([start])
         order = self._symbol_order()
-        n = 0
-        ckpt(0, queue_v, parents_v)
-        while queue_v:
-            vector = queue_v.popleft()
-            STATS.vectors_explored += 1
-            n += 1
-            ckpt(n, queue_v, parents_v)
-            for symbol in order:
-                nxt = self._pre_step_ast(vector, symbol)
-                if nxt not in parents_v:
-                    parents_v[nxt] = (symbol, vector)
-                    queue_v.append(nxt)
-        return {v: _reconstruct(parents_v, v) for v in parents_v}
+        parents, _, popped = generic_search(
+            self._ast_rows(order), self.empty_word_vector(), None, bool, ckpt
+        )
+        STATS.vectors_explored += popped
+        return {v: _reconstruct(parents, v, order) for v in parents}
 
     def is_empty(self) -> bool:
         """Emptiness via vector reachability."""
@@ -799,29 +752,16 @@ class AFA:
             STATS.pre_steps += popped * len(engine.reps)
             if hit is None:
                 return None
-            return _reconstruct_classes(parents, hit, engine.reps)
-        start = self.empty_word_vector()
-        if self.initial_condition.evaluate(start) == accepting:
+            return _reconstruct(parents, hit, engine.reps)
+        start, initial = self.empty_word_vector(), self.initial_condition.evaluate
+        if initial(start) == accepting:
             return ()
-        parents_v: dict[Vector, tuple[Symbol, Vector] | None] = {start: None}
-        queue_v: deque[Vector] = deque([start])
         order = self._symbol_order()
-        n = 0
-        ckpt(0, queue_v, parents_v)
-        while queue_v:
-            vector = queue_v.popleft()
-            STATS.vectors_explored += 1
-            n += 1
-            ckpt(n, queue_v, parents_v)
-            for symbol in order:
-                nxt = self._pre_step_ast(vector, symbol)
-                if nxt in parents_v:
-                    continue
-                parents_v[nxt] = (symbol, vector)
-                if self.initial_condition.evaluate(nxt) == accepting:
-                    return _reconstruct(parents_v, nxt)
-                queue_v.append(nxt)
-        return None
+        parents, hit, popped = generic_search(
+            self._ast_rows(order), start, accepting, initial, ckpt
+        )
+        STATS.vectors_explored += popped
+        return None if hit is None else _reconstruct(parents, hit, order)
 
     def to_dfa(self) -> DFA:
         """The *reverse-deterministic* DFA over valuation vectors.
@@ -902,32 +842,25 @@ class AFA:
             STATS.pre_steps += popped * 2 * len(reps)
             if hit is None:
                 return None
-            return _reconstruct_classes(parents, hit, reps)
-        start_v = (self.empty_word_vector(), other.empty_word_vector())
-        parents_v: dict[tuple[Vector, Vector], tuple | None] = {start_v: None}
-        queue_v: deque[tuple[Vector, Vector]] = deque([start_v])
+            return _reconstruct(parents, hit, reps)
+        mine, theirs = self.initial_condition.evaluate, other.initial_condition.evaluate
+        start = (self.empty_word_vector(), other.empty_word_vector())
+
+        def differs(pair: tuple[Vector, Vector]) -> bool:
+            return mine(pair[0]) != theirs(pair[1])
+
+        if differs(start):
+            return ()
+        # Stopping at the first disagreeing pair pushed finds the pair the
+        # compiled search pops first: the queue is FIFO.
         order = self._symbol_order()
-        n = 0
-        ckpt(0, queue_v, parents_v)
-        while queue_v:
-            pair_v = queue_v.popleft()
-            mine_v, theirs_v = pair_v
-            STATS.vectors_explored += 1
-            n += 1
-            ckpt(n, queue_v, parents_v)
-            if self.initial_condition.evaluate(mine_v) != other.initial_condition.evaluate(
-                theirs_v
-            ):
-                return _reconstruct(parents_v, pair_v)
-            for symbol in order:
-                nxt_v = (
-                    self._pre_step_ast(mine_v, symbol),
-                    other._pre_step_ast(theirs_v, symbol),
-                )
-                if nxt_v not in parents_v:
-                    parents_v[nxt_v] = (symbol, pair_v)
-                    queue_v.append(nxt_v)
-        return None
+        rows = [
+            (i, lambda pair, a=a, b=b: (a(pair[0]), b(pair[1])))
+            for (i, a), (_, b) in zip(self._ast_rows(order), other._ast_rows(order))
+        ]
+        parents, hit, popped = generic_search(rows, start, True, differs, ckpt)
+        STATS.vectors_explored += popped
+        return None if hit is None else _reconstruct(parents, hit, order)
 
     @classmethod
     def from_nfa(cls, nfa: NFA) -> "AFA":

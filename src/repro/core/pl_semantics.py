@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from repro.automata.afa import AFA
+from repro.automata.afa import AFA, symbol_sort_key
 from repro.core.classes import SWSClass, require_class
 from repro.core.sws import MSG, SWS, SWSKind
 from repro.errors import AnalysisError
@@ -79,25 +79,41 @@ def to_afa(sws: SWS, variables: Iterable[str] | None = None) -> AFA:
       ``k > 0``, ``m = false``), whose transitions are ``false``;
     * initial condition: the variable ``(q0, false)`` — the start pair is
       exempt from the dead-pair rule because q0 never occurs on a rhs.
+
+    Rows depend on the assignment only through the guards and final
+    syntheses the live pairs read, so they are built per *letter class*
+    of assignments agreeing on all of those (the minterm construction of
+    symbolic automata).  Classes whose rows coincide are merged: the
+    AFA's class map is the row-equality quotient, each class represented
+    by its first assignment in :func:`repro.automata.afa.symbol_sort_key`
+    order.
     """
     require_class(sws, SWSClass.PL_PL, "to_afa")
-    symbols = alphabet_for(sws, variables)
-    states = [
-        _state_var(state, msg) for state in sws.states for msg in (True, False)
-    ]
-    transitions: dict[tuple[str, Assignment], pl.Formula] = {}
-    finals: set[str] = set()
-    truths = _Truths(symbols)
-    for state in sws.states:
-        state_finals, state_transitions = _pair_rows(sws, state, symbols, truths)
-        finals |= state_finals
-        transitions.update(state_transitions)
+    symbols = sorted(alphabet_for(sws, variables), key=symbol_sort_key)
+    classes = _letter_classes(sws, sws.states, _Truths(symbols))
+    reps = list(dict.fromkeys(classes.values()))
+    finals, columns = _pair_rows(sws, sws.states, reps)
+    # Interned rows compare by identity; the start pair is always live.
+    first: dict[tuple, Assignment] = {}
+    merged = {
+        rep: first.setdefault(tuple(map(id, row)), rep)
+        for rep, row in zip(reps, zip(*columns.values()))
+    }
+    if len(first) < len(reps):
+        classes = {symbol: merged[rep] for symbol, rep in classes.items()}
+    transitions = {
+        (pair, rep): formula
+        for pair, column in columns.items()
+        for rep, formula in zip(reps, column)
+        if formula is not pl.FALSE and merged[rep] is rep
+    }
     return AFA(
-        states,
+        [_state_var(state, msg) for state in sws.states for msg in (True, False)],
         symbols,
         transitions,
         pl.Var(_state_var(sws.start, False)),
         finals,
+        classes,
     )
 
 
@@ -110,6 +126,7 @@ class _Truths:
     """
 
     def __init__(self, symbols: Sequence[Assignment]) -> None:
+        self.symbols = symbols
         self._envs = {True: [a | {MSG} for a in symbols], False: symbols}
         self._memo: dict[tuple[pl.Formula, bool], tuple[bool, ...]] = {}
 
@@ -122,58 +139,91 @@ class _Truths:
         return values
 
 
+def _letter_classes(
+    sws: SWS, states: Iterable[str], truths: _Truths
+) -> dict[Assignment, Assignment]:
+    """Each symbol of ``truths`` mapped to its letter class's representative.
+
+    Two symbols share a class when every formula the live pairs of
+    ``states`` read has one truth value on both; the representative is
+    the first symbol of the class in ``truths``' order.
+    """
+    columns: dict[int, tuple[bool, ...]] = {}
+    for state in states:
+        rule = sws.transitions[state]
+        if rule.is_final:
+            sigma = sws.synthesis[state].query
+            reads = [(sigma, True), (sigma, False)]
+        else:  # a dead pair (non-start, register false) reads nothing
+            msgs = (True, False) if state == sws.start else (True,)
+            reads = [(phi, msg) for msg in msgs for _, phi in rule.targets]
+        for formula, msg in reads:
+            values = truths(formula, msg)
+            columns[id(values)] = values
+    first: dict[tuple[bool, ...], Assignment] = {}
+    signatures = zip(*columns.values()) if columns else itertools.repeat(())
+    return {
+        symbol: first.setdefault(signature, symbol)
+        for symbol, signature in zip(truths.symbols, signatures)
+    }
+
+
 def _pair_rows(
-    sws: SWS, state: str, symbols: Sequence[Assignment], truths: _Truths
-) -> tuple[set[str], dict[tuple[str, Assignment], pl.Formula]]:
-    """The finals and transition entries contributed by one state's pairs.
+    sws: SWS, states: Iterable[str], reps: Sequence[Assignment]
+) -> tuple[set[str], dict[str, tuple[pl.Formula, ...]]]:
+    """The finals and the transition columns of the live pairs of ``states``.
 
-    Both pairs of ``state`` depend only on ``state``'s own transition and
-    synthesis rules (successor states appear as *names* in the produced
-    formulas, not as rules), which is what makes the construction
-    incremental: :func:`to_afa_incremental` re-runs this for edited
-    states only.
+    A column holds a pair's formula on each letter class, in the order of
+    the representatives ``reps``; dead pairs get none.  The pairs of a
+    state depend only on its own transition and synthesis rules
+    (successor states appear as *names* in the produced formulas, not as
+    rules), which is what makes the construction incremental:
+    :func:`to_afa_incremental` re-runs this for edited states only.
 
-    A transition formula depends on the symbol and register only through
+    A transition formula depends on the class and register only through
     the truth values of the distinct guards ``φi``, so it is built once per
     distinct tuple of those values (a word-chain state has two) and shared
-    by every symbol and both pairs producing that tuple.
+    by every class and both pairs producing that tuple.
     """
-    rule = sws.transitions[state]
-    sigma = sws.synthesis[state].query
-    assert isinstance(sigma, pl.Formula)
-    transitions: dict[tuple[str, Assignment], pl.Formula] = {}
+    truths = _Truths(reps)
+    columns: dict[str, tuple[pl.Formula, ...]] = {}
     finals: set[str] = set()
-    if not rule.is_final:
+    for state in states:
+        rule = sws.transitions[state]
+        sigma = sws.synthesis[state].query
+        assert isinstance(sigma, pl.Formula)
+        if rule.is_final:
+            for msg in (True, False):
+                pair = _state_var(state, msg)
+                # V_ε entry: ψ on the empty assignment.
+                if sigma.evaluate(frozenset({MSG}) if msg else frozenset()):
+                    finals.add(pair)
+                columns[pair] = tuple([pl.TRUE if v else pl.FALSE for v in truths(sigma, msg)])
+            continue
         aliases = sws.successor_register_aliases(state)
         # Guards are interned, so equal guards are one object.
         guards = list(dict.fromkeys(phi for _, phi in rule.targets))
         slot = {phi: j for j, phi in enumerate(guards)}
-        children = [(target, slot[phi]) for target, phi in rule.targets]
+        # Each register ψ reads: its name, its successor, its guard's slot.
+        registers = []
+        for name in sigma.variables():
+            target, phi = rule.targets[aliases[name]]
+            registers.append((name, target, slot[phi]))
         rows: dict[tuple[bool, ...], pl.Formula] = {}
-    for msg in (True, False):
-        pair = _state_var(state, msg)
-        if rule.is_final:
-            # V_ε entry: ψ on the empty assignment.
-            env_eps = frozenset({MSG}) if msg else frozenset()
-            if sigma.evaluate(env_eps):
-                finals.add(pair)
-            for a, value in zip(symbols, truths(sigma, msg)):
-                transitions[(pair, a)] = pl.TRUE if value else pl.FALSE
-            continue
-        if not msg and state != sws.start:
-            continue  # dead pair: all transitions false, not final
-        columns = [truths(phi, msg) for phi in guards]
-        for a, truth in zip(symbols, zip(*columns)):
-            formula = rows.get(truth)
-            if formula is None:
-                child_pairs = [_state_var(target, truth[j]) for target, j in children]
-                substitution = {
-                    name: pl.Var(child_pairs[position])
-                    for name, position in aliases.items()
-                }
-                formula = rows[truth] = sigma.substitute(substitution).simplify()
-            transitions[(pair, a)] = formula
-    return finals, transitions
+        # The dead pair (non-start, register false) rejects everything.
+        for msg in (True, False) if state == sws.start else (True,):
+            column = []
+            for truth in zip(*[truths(phi, msg) for phi in guards]):
+                formula = rows.get(truth)
+                if formula is None:
+                    substitution = {
+                        name: pl.Var(_state_var(target, truth[j]))
+                        for name, target, j in registers
+                    }
+                    formula = rows[truth] = sigma.substitute(substitution).simplify()
+                column.append(formula)
+            columns[_state_var(state, msg)] = tuple(column)
+    return finals, columns
 
 
 def pair_states(state: str) -> tuple[str, str]:
@@ -190,13 +240,18 @@ def to_afa_incremental(
 ) -> AFA | None:
     """Rebuild ``to_afa(sws)`` from ``base_afa`` re-deriving only edits.
 
-    ``sws`` must differ from ``base`` (for which ``base_afa`` was built)
-    only in the transition/synthesis rules of ``changed_states``: same
-    state set, same start, same input variables.  Returns ``None`` when
-    those layout preconditions fail — alphabet-growing or state-adding
-    edits fall back to the full construction.  Per-state locality of
-    :func:`_pair_rows` makes the result formula-identical to a scratch
-    ``to_afa(sws)``; cost is proportional to the edited states.
+    ``sws`` must differ from ``base`` (for which ``base_afa`` was built by
+    :func:`to_afa` or by this function) only in the transition/synthesis
+    rules of ``changed_states``: same state set, same start, same input
+    variables.  Returns ``None`` when those layout preconditions fail —
+    alphabet-growing or state-adding edits fall back to the full
+    construction.  Per-state locality of :func:`_pair_rows` makes the
+    result identical to a scratch ``to_afa(sws)``, class map included;
+    cost is proportional to the edited states.
+
+    The base's class map carries over unless the edit splits a class (an
+    edited formula separates two of its assignments) or merges two (their
+    rows become equal); the result is then a scratch ``to_afa``.
     """
     require_class(sws, SWSClass.PL_PL, "to_afa_incremental")
     if frozenset(sws.states) != frozenset(base.states):
@@ -207,30 +262,50 @@ def to_afa_incremental(
     if frozenset(symbols) != base_afa.alphabet:
         return None
     changed = set(changed_states)
-    dead_pairs = {
-        pair for state in changed for pair in pair_states(state)
-    }
+    classes = base_afa.classes
+    edited = _letter_classes(sws, changed, _Truths(list(classes)))
+    seen: dict[Assignment, Assignment] = {}
+    for symbol, rep in classes.items():
+        if seen.setdefault(rep, edited[symbol]) is not edited[symbol]:
+            return to_afa(sws, variables)
+    reps = list(dict.fromkeys(classes.values()))
+    dirty_pairs = [pair for state in changed for pair in pair_states(state)]
+    new_finals, columns = _pair_rows(sws, changed, reps)
+    # Base classes have distinct rows, so two merge only if the edit
+    # equalizes the edited pairs where they differed and the others agree.
+    old = base_afa.transition
+    groups: dict[tuple, list[Assignment]] = {}
+    for j, rep in enumerate(reps):
+        key = tuple([id(columns[p][j] if p in columns else pl.FALSE) for p in dirty_pairs])
+        groups.setdefault(key, []).append(rep)
+    clean = base_afa.states.difference(dirty_pairs)
+    if any(
+        any(old(p, a) is not old(p, b) for p in dirty_pairs)
+        and all(old(p, a) is old(p, b) for p in clean)
+        for group in groups.values()
+        for a, b in itertools.combinations(group, 2)
+    ):
+        return to_afa(sws, variables)
     # Bulk-copy then evict the edited pairs' rows: the C-level dict copy
-    # beats a filtering comprehension, and eviction is O(edit × symbols).
+    # beats a filtering comprehension, and eviction is O(edit × classes).
     transitions = dict(base_afa.transitions)
-    for pair in dead_pairs:
-        for a in symbols:
-            transitions.pop((pair, a), None)
-    finals = set(base_afa.finals) - dead_pairs
-    truths = _Truths(symbols)
-    for state in changed:
-        state_finals, state_transitions = _pair_rows(sws, state, symbols, truths)
-        finals |= state_finals
-        transitions.update(state_transitions)
+    for pair in dirty_pairs:
+        for rep in reps:
+            transitions.pop((pair, rep), None)
+    for pair, column in columns.items():
+        for rep, formula in zip(reps, column):
+            if formula is not pl.FALSE:
+                transitions[(pair, rep)] = formula
     # The spliced parts are the already-validated base plus rows from the
     # same `_pair_rows` a scratch `to_afa` would run, over an identical
-    # state/alphabet layout — skip `AFA.__init__`'s full re-validation.
+    # state/alphabet/class layout — skip `AFA.__init__`'s full re-validation.
     return AFA._from_validated(
         base_afa.states,
         base_afa.alphabet,
         transitions,
         pl.Var(_state_var(sws.start, False)),
-        frozenset(finals),
+        base_afa.finals.difference(dirty_pairs) | new_finals,
+        classes,
     )
 
 

@@ -51,7 +51,6 @@ def run(sws: SWS, *args, **kwargs) -> RunResult:
     PL services: ``run(sws, word)`` with ``word`` a sequence of truth
     assignments.  Relational services: ``run(sws, database, inputs)``.
     """
-    STATS.runs_executed += 1
     if sws.kind is SWSKind.PL:
         return run_pl(sws, *args, **kwargs)
     return run_relational(sws, *args, **kwargs)
@@ -114,6 +113,7 @@ def run_relational(
             f"root message arity {root_msg.schema.arity} does not match "
             f"the input payload arity {payload.arity}"
         )
+    STATS.runs_executed += 1
     root: ExecutionNode[Relation] = ExecutionNode(
         sws.start, 1, Relation(payload.renamed(MSG), root_msg.rows)
     )
@@ -176,6 +176,7 @@ def run_pl(sws: SWS, word: PLWord, root_msg: bool = False) -> RunResult[bool]:
     """
     if sws.kind is not SWSKind.PL:
         raise RunError(f"{sws.name} is not a PL SWS")
+    STATS.runs_executed += 1
     word = [frozenset(symbol) for symbol in word]
     n = len(word)
 

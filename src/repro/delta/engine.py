@@ -12,8 +12,8 @@ depends on the edit being small, only the cost does:
 * ``warm`` — local edit: the AFA is rebuilt only for the edited states
   (:func:`repro.core.pl_semantics.to_afa_incremental`), the compiled
   engine is row-patched (:func:`repro.automata.afa.patch_engine` —
-  clean states' row bits reuse the previous closures, the symbol
-  quotient refines instead of recomputing), and the BFS runs afresh
+  clean states' row bits reuse the previous closures, and only the
+  class representatives are regrouped), and the BFS runs afresh
   over the patched rows.  Reached vectors are a whole-instance property,
   so nothing of the previous search is reused — reusing it would be
   unsound precisely in the YES→NO flip case.
@@ -38,7 +38,7 @@ from repro.analysis.verdict import Answer
 from repro.automata.afa import (
     AFA,
     _CompiledAFA,
-    _reconstruct_classes,
+    _reconstruct,
     generic_search,
     patch_engine,
 )
@@ -138,7 +138,7 @@ def _search(engine: _CompiledAFA, accepting: bool, budget: Any) -> tuple[Answer,
     except GuardTrip as error:
         return Answer.unknown(detail=error.trip.describe(), trip=error.trip), 0
     if hit is not None:
-        witness = _reconstruct_classes(parents, hit, engine.reps)
+        witness = _reconstruct(parents, hit, engine.reps)
         return Answer.yes(witness=list(witness), detail="delta search"), pops
     return Answer.no(detail="vector space exhausted (delta search)"), pops
 

@@ -451,7 +451,22 @@ def iff(left: Formula, right: Formula) -> Formula:
 #: Compiled evaluators keyed by the interned formula(s) plus the bit
 #: positions of their own variables — the generated code reads nothing
 #: else of the index, so engines with different state sets share entries.
+#: Row keys hold whole rows, so the cache is cleared at its limit.
 _COMPILE_CACHE: dict[tuple, Callable] = {}
+_COMPILE_CACHE_LIMIT = 256
+
+
+def _compiled(key: tuple, build: Callable[[], Callable]) -> Callable:
+    """The cached evaluator for ``key``, built on a miss."""
+    fn = _COMPILE_CACHE.get(key)
+    if fn is not None:
+        STATS.compile_cache_hits += 1
+        return fn
+    STATS.compile_cache_misses += 1
+    if len(_COMPILE_CACHE) >= _COMPILE_CACHE_LIMIT:
+        _COMPILE_CACHE.clear()
+    fn = _COMPILE_CACHE[key] = build()
+    return fn
 
 
 def _positions(formula: Formula, index: Mapping[str, int]) -> tuple[int, ...]:
@@ -609,18 +624,14 @@ def compile_mask(
     ``index`` maps each variable to its bit position.  Compiled functions
     are cached per (interned formula, bit positions of its variables).
     """
-    key = ("mask", formula, _positions(formula, index))
-    cached = _COMPILE_CACHE.get(key)
-    if cached is not None:
-        STATS.compile_cache_hits += 1
-        return cached
-    STATS.compile_cache_misses += 1
-    gen = _MaskCodegen(index)
-    gen.count_refs(formula)
-    root = gen.expr(formula)
-    fn = _assemble("_compiled", "", gen.lines, f"    return bool({root})")
-    _COMPILE_CACHE[key] = fn
-    return fn
+
+    def build() -> Callable[[int], bool]:
+        gen = _MaskCodegen(index)
+        gen.count_refs(formula)
+        root = gen.expr(formula)
+        return _assemble("_compiled", "", gen.lines, f"    return bool({root})")
+
+    return _compiled(("mask", formula, _positions(formula, index)), build)
 
 
 def compile_row(
@@ -634,19 +645,14 @@ def compile_row(
     in a single call.  Shared subformulas across the row evaluate once.
     """
     entries = tuple(entries)
-    key = ("row", entries, tuple(_positions(f, index) for _, f in entries))
-    cached = _COMPILE_CACHE.get(key)
-    if cached is not None:
-        STATS.compile_cache_hits += 1
-        return cached
-    STATS.compile_cache_misses += 1
-    gen = _MaskCodegen(index)
-    bits = [(bit.bit_length() - 1, formula) for bit, formula in entries]
-    gen.count_row(bits)
-    result = gen.row(bits)
-    fn = _assemble("_row", "", gen.lines, f"    return {result}")
-    _COMPILE_CACHE[key] = fn
-    return fn
+
+    def build() -> Callable[[int], int]:
+        gen = _MaskCodegen(index)
+        bits = [(bit.bit_length() - 1, formula) for bit, formula in entries]
+        gen.count_row(bits)
+        return _assemble("_row", "", gen.lines, f"    return {gen.row(bits)}")
+
+    return _compiled(("row", entries, tuple(_positions(f, index) for _, f in entries)), build)
 
 
 # -- parser -----------------------------------------------------------------

@@ -108,7 +108,7 @@ def afa_to_sws(afa: AFA, name: str = "afa") -> SWS:
             per_symbol_condition = {
                 symbol: afa.initial_condition.substitute(
                     {
-                        q: afa.transitions.get((q, symbol), pl.FALSE)
+                        q: afa.transition(q, symbol)
                         for q in afa_states
                     }
                 ).simplify()
@@ -119,7 +119,7 @@ def afa_to_sws(afa: AFA, name: str = "afa") -> SWS:
             ).simplify()
         else:
             per_symbol_condition = {
-                symbol: afa.transitions.get((afa_state, symbol), pl.FALSE)
+                symbol: afa.transition(afa_state, symbol)
                 for symbol in alphabet
             }
             is_final = pl.TRUE if afa_state in afa.finals else pl.FALSE

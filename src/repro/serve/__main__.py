@@ -44,10 +44,11 @@ and blank lines are skipped.
 
 With ``--repeat K``, factory arguments equal to the string ``"@round"``
 are replaced by the round index, so each round can build an *edited*
-version of the instance.  PL nonempty/validate jobs then reuse one
-:class:`repro.delta.Session` per fingerprint across rounds — re-checks
-run incrementally (cached / replay / warm) instead of resubmitting, and
-the summary reports the per-mode counts.
+version of the instance.  Round 0 runs through the service like any
+batch (workers, cache, metrics); PL nonempty/validate jobs then open one
+:class:`repro.delta.Session` per fingerprint on that answer, and later
+rounds re-check incrementally (cached / replay / warm) instead of
+resubmitting; the summary reports the per-mode counts.
 
 Result records carry the job's label, procedure, fingerprint, verdict
 summary (via ``Answer.as_dict`` when available), whether it was served
@@ -245,17 +246,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     rounds = max(1, args.repeat)
     sessions: dict[str, Any] = {}
-    line_keys: dict[int, str] = {}
+    line_sessions: dict[int, Any] = {}
     jobs: list[JobSpec] = []
     records: list[dict[str, Any]] = []
     if rounds > 1:
-        # `--repeat` opens one delta Session per job fingerprint: rounds
-        # after the first go through edit/recheck (incremental when the
-        # spec only moved a little — see `"@round"` factory substitution)
-        # instead of resubmitting against the answer cache.
+        # `--repeat` solves round 0 through the service like any batch,
+        # then opens one delta Session per job fingerprint on its answer
+        # (taken from the service's cache): later rounds go through
+        # edit/recheck (incremental when the spec only moved a little —
+        # see `"@round"` factory substitution) instead of resubmitting.
         from repro.core.sws import SWS
         from repro.delta.engine import SUPPORTED_PROCEDURES
-        from repro.delta.session import Session
     try:
         for rnd in range(rounds):
             # Each repeat round drains before the next submits, so
@@ -265,62 +266,42 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for idx, raw in enumerate(raw_jobs):
                 job = raw.build(rnd)
                 jobs.append(job)
-                eligible = (
-                    rounds > 1
+                session = line_sessions.get(idx)
+                if session is None:
+                    handle = service.submit(
+                        job.procedure,
+                        *job.args,
+                        budget=job.budget,
+                        label=job.label,
+                        **job.kwargs,
+                    )
+                    entries.append((job, handle))
+                    continue
+                session.edit(job.args[0])
+                result = session.recheck(job.budget)
+                entries.append(
+                    (job, _session_record(job, session, result.answer, result.mode))
+                )
+            service.drain()
+            for idx, (job, item) in enumerate(entries):
+                if isinstance(item, dict):
+                    records.append(item)
+                    continue
+                records.append(_result_record(job, item, item.result()))
+                if (
+                    rnd == 0
+                    and rounds > 1
                     and job.procedure in SUPPORTED_PROCEDURES
                     and len(job.args) == 1
                     and isinstance(job.args[0], SWS)
-                )
-                if not eligible:
-                    entries.append(
-                        (
-                            job,
-                            service.submit(
-                                job.procedure,
-                                *job.args,
-                                budget=job.budget,
-                                label=job.label,
-                                **job.kwargs,
-                            ),
+                ):
+                    session = sessions.get(item.fingerprint)
+                    if session is None:
+                        session = sessions[item.fingerprint] = service.session(
+                            job.args[0], job.procedure, budget=job.budget, **job.kwargs
                         )
-                    )
-                    continue
-                if idx not in line_keys:
-                    key = job_fingerprint(job.procedure, job.args, job.kwargs)
-                    line_keys[idx] = key
-                else:
-                    key = line_keys[idx]
-                session = sessions.get(key)
-                if session is None:
-                    session = Session(
-                        job.args[0],
-                        job.procedure,
-                        cache=cache,
-                        budget=job.budget,
-                        **job.kwargs,
-                    )
-                    sessions[key] = session
-                    answer = session.check()
-                    entries.append(
-                        (job, _session_record(job, session, answer, "solve"))
-                    )
-                else:
-                    session.edit(job.args[0])
-                    result = session.recheck(job.budget)
-                    entries.append(
-                        (
-                            job,
-                            _session_record(
-                                job, session, result.answer, result.mode
-                            ),
-                        )
-                    )
-            service.drain()
-            for job, item in entries:
-                if isinstance(item, dict):
-                    records.append(item)
-                else:
-                    records.append(_result_record(job, item, item.result()))
+                    line_sessions[idx] = session
+                    records[-1]["delta_mode"] = "solve"
     finally:
         service.close()
         if cache is not None:

@@ -174,17 +174,30 @@ def _mediator(mediator: Mediator) -> tuple:
     )
 
 
+def _moves(entries: Iterable[tuple[tuple[Any, Any], Any]]) -> tuple:
+    """Transition entries ``((state, symbol), target form)``, sorted."""
+    return tuple(
+        sorted(
+            (((canonical(state), canonical(symbol)), target)
+            for (state, symbol), target in entries),
+            key=repr,
+        )
+    )
+
+
 def _afa(afa: AFA) -> tuple:
+    # One entry per (state, symbol) with a non-false transition, read
+    # through the class map: an automaton fingerprints the same whichever
+    # letter classes it was built with.
     return (
         "afa",
         _sorted_set(afa.states),
         _sorted_set(afa.alphabet),
-        tuple(
-            sorted(
-                (((canonical(state), canonical(symbol)), _pl_formula(formula))
-                for (state, symbol), formula in afa.transitions.items()),
-                key=repr,
-            )
+        _moves(
+            ((state, symbol), _pl_formula(formula))
+            for state in afa.states
+            for symbol in afa.alphabet
+            if (formula := afa.transition(state, symbol)) is not pl.FALSE
         ),
         _pl_formula(afa.initial_condition),
         _sorted_set(afa.finals),
@@ -196,13 +209,7 @@ def _nfa(nfa: NFA) -> tuple:
         "nfa",
         _sorted_set(nfa.states),
         _sorted_set(nfa.alphabet),
-        tuple(
-            sorted(
-                (((canonical(state), canonical(symbol)), _sorted_set(targets))
-                for (state, symbol), targets in nfa.transitions.items()),
-                key=repr,
-            )
-        ),
+        _moves((key, _sorted_set(targets)) for key, targets in nfa.transitions.items()),
         _sorted_set(nfa.initials),
         _sorted_set(nfa.finals),
     )
@@ -213,13 +220,7 @@ def _dfa(dfa: DFA) -> tuple:
         "dfa",
         _sorted_set(dfa.states),
         _sorted_set(dfa.alphabet),
-        tuple(
-            sorted(
-                (((canonical(state), canonical(symbol)), canonical(target))
-                for (state, symbol), target in dfa.transitions.items()),
-                key=repr,
-            )
-        ),
+        _moves((key, canonical(target)) for key, target in dfa.transitions.items()),
         canonical(dfa.initial),
         _sorted_set(dfa.finals),
     )

@@ -25,8 +25,8 @@ safely:
 The store keeps decided answers and dead-letter records, nothing else.
 A YES answer carries its witness, which is all :mod:`repro.delta` needs
 to re-check an edited version in a new process.  The engine's
-intermediates (compiled searchers, symbol quotients) live in
-per-process memos and are rebuilt, not loaded, by a new process.
+intermediates (compiled searchers, symbol quotients) live with their
+automaton and are rebuilt, not loaded, by a new process.
 
 Legacy ``answers.jsonl`` files migrate via :meth:`Store.import_jsonl`
 (the cache calls it automatically on open; re-imports only when the

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.analysis import STATS, nonempty_pl, nonempty_pl_nr_sat
+from repro.analysis import STATS, nonempty_fo_bounded, nonempty_pl, nonempty_pl_nr_sat
 from repro.analysis.equivalence import equivalent_pl
 from repro.analysis.stats import Stats, stats_delta
 from repro.workloads.random_sws import random_pl_sws
 from repro.workloads.scaling import pl_counter_sws
+from repro.workloads.travel import travel_service
 
 
 class TestStatsCounters:
@@ -43,6 +44,12 @@ class TestStatsCounters:
         sws = random_pl_sws(3, n_states=4, n_variables=2)
         run(sws, [frozenset()])
         assert STATS.runs_executed == 1
+
+    def test_bounded_fo_runs_are_counted(self):
+        # The bounded procedures call the relational engine directly.
+        with stats_delta() as work:
+            nonempty_fo_bounded(travel_service(), budget=50)
+        assert work["runs_executed"] > 0
 
     def test_intern_hit_rate_bounds(self):
         STATS.reset()

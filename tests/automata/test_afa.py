@@ -74,6 +74,26 @@ class TestSemantics:
         with pytest.raises(ReproError):
             AFA({"q"}, {"a"}, {("q", "a"): pl.Var("zzz")}, pl.Var("q"), set())
 
+    def test_class_members_share_their_representatives_row(self):
+        q = pl.Var("q")
+        afa = AFA({"q"}, {"a", "b", "c"}, {("q", "a"): q}, q, {"q"}, {"a": "a", "b": "a", "c": "c"})
+        assert afa.transition("q", "b") is q and afa.transition("q", "c") is pl.FALSE
+        assert afa.accepts("ab") and not afa.accepts("ac")
+        assert afa._engine().reps == ("a", "c")
+
+    @pytest.mark.parametrize(
+        "classes, transitions",
+        [
+            ({"a": "a"}, {}),  # the map misses symbol b
+            ({"a": "b", "b": "a"}, {}),  # representative b maps to a
+            ({"a": "a", "b": "a"}, {("q", "b"): pl.Var("q")}),  # b is no representative
+        ],
+        ids=["missing-symbol", "representative-elsewhere", "non-representative-row"],
+    )
+    def test_class_map_validation(self, classes, transitions):
+        with pytest.raises(ReproError):
+            AFA({"q"}, {"a", "b"}, transitions, pl.Var("q"), set(), classes)
+
 
 class TestDecisionProcedures:
     def test_counter_witness_is_exponential(self):

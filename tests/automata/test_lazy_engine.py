@@ -8,15 +8,20 @@ work counters must not depend on any of this.
 
 from __future__ import annotations
 
+import gc
+import random
+import weakref
+
 import pytest
 
 from repro._stats import STATS
 from repro.analysis import nonempty_pl
 from repro.automata import afa as afa_mod
-from repro.automata.afa import patch_engine
+from repro.automata.afa import patch_engine, symbol_sort_key
 from repro.core.pl_semantics import pair_states, to_afa, to_afa_incremental
 from repro.delta import Session, compute_delta
 from repro.logic import pl
+from repro.serve import JobSpec, SolverService
 from repro.workloads.editing import menu_editing_trace
 from repro.workloads.pl_services import HASH, union_word_service
 from repro.workloads.scaling import pl_counter_sws
@@ -73,7 +78,7 @@ class TestOnDemandCompilation:
         afa = to_afa(_menu())
         engine = afa._engine()
         assert len(engine.reps) > 1
-        symbol = engine.symbols[-1]
+        symbol = sorted(afa.alphabet, key=symbol_sort_key)[-1]
         afa.pre_step(afa.empty_word_vector(), symbol)
         assert list(engine.rows) == [engine.rep_of[symbol]]
         assert compiled["rows"] == 1
@@ -94,7 +99,7 @@ class TestOnDemandCompilation:
         n = len(full.order)
         masks = [0, (1 << n) - 1, full.final_mask]
         masks += [(0x9E3779B9 * i) & ((1 << n) - 1) for i in range(1, 20)]
-        for symbol in full.symbols:
+        for symbol in incremental.alphabet:
             p_row = patched.rows[patched.rep_of[symbol]]
             f_row = full.rows[full.rep_of[symbol]]
             assert [p_row(m) for m in masks] == [f_row(m) for m in masks]
@@ -108,6 +113,34 @@ class TestOnDemandCompilation:
             result = session.recheck()
             assert result.mode in ("replay", "warm")
             assert result.answer.verdict is nonempty_pl(version).verdict
+
+
+class TestNothingCompiledIsRetained:
+    def test_served_menus_leave_no_code_behind(self, monkeypatch):
+        """Generated searchers die with their automata, and the shared
+        compile cache stays within its bound."""
+        searchers = []
+        compile_searchers = afa_mod._compile_searchers
+
+        def record(engine, name):
+            searcher = compile_searchers(engine, name)
+            searchers.append(weakref.ref(searcher))
+            return searcher
+
+        monkeypatch.setattr(afa_mod, "_compile_searchers", record)
+        menus = []
+        for seed in range(30):
+            rng = random.Random(seed)
+            words = ["".join(rng.choice("abcd") for _ in range(4)) for _ in range(3)]
+            menus.append(union_word_service([list(w) + [HASH] for w in words], "abcd"))
+        with SolverService() as service:
+            answers = service.run_batch([JobSpec("nonempty_pl", (m,)) for m in menus])
+        assert all(answer.is_yes for answer in answers)
+        assert len(searchers) == 30  # one witness search per distinct menu
+        del menus, answers
+        gc.collect()
+        assert [ref for ref in searchers if ref() is not None] == []
+        assert len(pl._COMPILE_CACHE) <= pl._COMPILE_CACHE_LIMIT
 
 
 class TestCountersUnchanged:

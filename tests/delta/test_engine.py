@@ -8,9 +8,11 @@ from repro.analysis import nonempty_pl, validate_pl
 from repro.automata.afa import patch_engine
 from repro.core.pl_semantics import pair_states, to_afa, to_afa_incremental
 from repro.core.run import run_pl
+from repro.core.sws import MSG, TransitionRule
 from repro.delta import DeltaError, Session, compute_delta
 from repro.delta.engine import _search
 from repro.guard import Budget
+from repro.logic import pl
 from repro.workloads.editing import (
     flip_trace,
     growing_trace,
@@ -18,6 +20,7 @@ from repro.workloads.editing import (
     rename_trace,
     replace_rule,
 )
+from repro.workloads.pl_services import HASH, exactly, union_word_service
 from repro.workloads.random_sws import random_pl_sws
 from repro.workloads.scaling import pl_counter_sws
 
@@ -169,9 +172,38 @@ class TestIncrementalAFA:
         assert incremental is not None
         assert incremental.states == scratch.states
         assert incremental.finals == scratch.finals
+        assert incremental.classes == scratch.classes
         assert set(incremental.transitions) == set(scratch.transitions)
         for key, formula in scratch.transitions.items():
             assert incremental.transitions[key] == formula
+
+    @staticmethod
+    def _letter_edit():
+        """Menu over a, b, c; the edit retargets the only c-guard to b."""
+        words = [["a", "b", HASH], ["a", "c", HASH]]
+        base = union_word_service(words, "abc")
+        guard = pl.Var(MSG) & exactly("b", "abc")
+        (target, _), = base.transitions["b1_w1"].targets
+        edited = replace_rule(base, "b1_w1", rule=TransitionRule([(target, guard)]))
+        return base, edited
+
+    @pytest.mark.parametrize("direction", ["merge", "split"])
+    def test_incremental_class_map_matches_scratch(self, direction):
+        base, edited = self._letter_edit()
+        if direction == "split":  # the reverse edit tests c again
+            base, edited = edited, base
+        base_afa = to_afa(base)
+        delta = compute_delta(base, edited)
+        assert delta.is_local
+        incremental = to_afa_incremental(edited, base, base_afa, delta.changed_states)
+        scratch = to_afa(edited)
+        classes = len(set(scratch.classes.values()))
+        assert classes == len(set(base_afa.classes.values())) + (
+            1 if direction == "split" else -1
+        )
+        assert incremental.classes == scratch.classes
+        assert incremental.finals == scratch.finals
+        assert incremental.transitions == scratch.transitions
 
     def test_incremental_rebuild_refuses_layout_changes(self):
         base, grown = growing_trace()

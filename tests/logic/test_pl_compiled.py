@@ -111,6 +111,17 @@ class TestCompiledEvaluators:
             formula, self.INDEX
         )
 
+    def test_compile_cache_is_cleared_at_its_limit(self, monkeypatch):
+        monkeypatch.setattr(pl, "_COMPILE_CACHE", {})
+        monkeypatch.setattr(pl, "_COMPILE_CACHE_LIMIT", 4)
+        index = {f"v{i}": i for i in range(10)}
+        for i in range(10):
+            pl.compile_mask(pl.Var(f"v{i}"), index)
+            assert 1 <= len(pl._COMPILE_CACHE) <= 4
+        # The latest entry survives the clear.
+        fn = pl.compile_mask(pl.Var("v9"), index)
+        assert pl.compile_mask(pl.Var("v9"), index) is fn
+
     def test_compile_row_sets_bits(self):
         row = pl.compile_row(
             ((1, pl.Var("p")), (2, pl.Var("q")), (4, pl.parse("p & q"))),

@@ -8,9 +8,11 @@ from repro.analysis import nonempty_pl
 from repro.automata import parse_regex
 from repro.automata.afa import AFA
 from repro.core.classes import SWSClass, classify
+from repro.core.pl_semantics import alphabet_for, language_value, to_afa
 from repro.core.run import run_pl
 from repro.logic import pl
 from repro.reductions.afa_to_sws import afa_to_sws, encode_afa_word
+from repro.workloads.random_sws import random_pl_sws
 from repro.workloads.scaling import afa_counter
 
 
@@ -59,6 +61,17 @@ class TestWordLevelAgreement:
                 assert afa.accepts(word) == run_pl(
                     sws, encode_afa_word(list(word))
                 ).output, word
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_translated_pl_service(self, seed):
+        """A translated AFA carries letter classes; the reduction reads
+        every symbol through them."""
+        sws = random_pl_sws(seed, n_states=3, n_variables=2, recursive=seed % 2 == 0)
+        reduced = afa_to_sws(to_afa(sws))
+        for n in range(0, 4):
+            for word in itertools.product(alphabet_for(sws), repeat=n):
+                expected = language_value(sws, list(word))
+                assert run_pl(reduced, encode_afa_word(list(word))).output == expected
 
 
 class TestReductionProperties:

@@ -8,6 +8,7 @@ import pickle
 
 import pytest
 
+from repro import metrics
 from repro.serve.__main__ import main
 from repro.workloads.scaling import pl_counter_sws
 
@@ -104,6 +105,33 @@ def test_repeat_reuses_delta_sessions(tmp_path, capsys):
     assert [r["delta_mode"] for r in counter[1:]] == ["cached", "cached"]
     assert all(r["verdict"] == "yes" for r in results)
     assert "delta: 2 session(s)" in capsys.readouterr().err
+
+
+def test_repeat_solves_round_zero_on_the_workers(tmp_path):
+    """--repeat sends round 0 to the pool; the sessions of later rounds
+    start from the answers the service cached."""
+    path = tmp_path / "jobs.jsonl"
+    write_jobs(
+        path,
+        [
+            {
+                "procedure": "nonempty_pl",
+                "instances": [
+                    {"factory": "repro.workloads.scaling:pl_counter_sws", "args": [bits]}
+                ],
+            }
+            for bits in (4, 5)
+        ],
+    )
+    out = tmp_path / "results.jsonl"
+    metrics_path = tmp_path / "metrics.jsonl"
+    argv = ["run", str(path), "--workers", "2", "--repeat", "2", "--out", str(out)]
+    assert main(argv + ["--metrics", str(metrics_path)]) == 0
+    counters = metrics.last_snapshot(str(metrics_path))["counters"]
+    assert metrics.counter_total(counters, "serve.jobs.executed") == 2
+    *results, summary = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["delta_mode"] for r in results] == ["solve", "solve", "cached", "cached"]
+    assert summary["delta"]["rechecks"] == 2
 
 
 def test_run_with_cache_dir_hits_on_second_run(tmp_path, jobs_file):

@@ -15,7 +15,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.automata.afa import AFA
 from repro.automata.nfa import NFA
+from repro.core.pl_semantics import to_afa
 from repro.core.sws import SWS, SWSKind, SynthesisRule, TransitionRule
 from repro.logic import pl
 from repro.logic.cq import ConjunctiveQuery
@@ -172,6 +174,26 @@ def test_nfa_epsilon_and_mixed_symbols():
         )
 
     assert fingerprint(build(False)) == fingerprint(build(True))
+
+
+def test_afa_fingerprint_reads_through_letter_classes():
+    """A translated menu (one row per letter class) fingerprints like the
+    same automaton rebuilt with one entry per (pair, assignment)."""
+    afa = to_afa(menu_editing_trace(edits=0, branches=5)[0])
+    assert len(set(afa.classes.values())) < len(afa.alphabet)
+    per_assignment = AFA(
+        afa.states,
+        afa.alphabet,
+        {
+            (state, symbol): afa.transition(state, symbol)
+            for state in afa.states
+            for symbol in afa.alphabet
+        },
+        afa.initial_condition,
+        afa.finals,
+    )
+    assert fingerprint(per_assignment) == fingerprint(afa)
+    assert fingerprint(to_afa(pl_counter_sws(3))) != fingerprint(afa)
 
 
 def test_containers_canonicalize():
