@@ -68,7 +68,7 @@ assert answer.trip.limit == "deadline"
 PY
 python -m repro.obs guard > /dev/null
 
-echo "== serve smoke (2-worker batch + cache hits on resubmission) =="
+echo "== serve smoke (in-process and 2-worker batch + cache hits on resubmission) =="
 python - <<'PY'
 from repro.serve import JobSpec, SolverService
 from repro.workloads.scaling import pl_counter_sws
@@ -78,14 +78,17 @@ specs = [
     for i in (0, 1)
     for n in (6, 7, 8, 9)
 ]
-with SolverService(workers=2) as service:
-    cold = service.run_batch(specs)
-    assert [a.verdict.value for a in cold] == ["yes"] * 8
-    assert service.jobs_executed == 4, service.stats()  # dedup
-    warm = service.run_batch(specs)
-    assert all(a.is_yes for a in warm)
-    assert service.cache.stats.hits >= 8, service.stats()
-    assert service.jobs_executed == 4, service.stats()  # all cached
+verdicts = {}
+for service in (SolverService(), SolverService(workers=2)):
+    with service:
+        cold = service.run_batch(specs)
+        verdicts[service.workers] = [a.verdict.value for a in cold]
+        assert service.jobs_executed == 4, service.stats()  # dedup
+        warm = service.run_batch(specs)
+        assert all(a.is_yes for a in warm)
+        assert service.cache.stats.hits >= 8, service.stats()
+        assert service.jobs_executed == 4, service.stats()  # all cached
+assert verdicts[0] == verdicts[2] == ["yes"] * 8, verdicts
 PY
 python -m repro.serve procedures > /dev/null
 

@@ -15,10 +15,11 @@ Design constraints, mirroring :mod:`repro.obs._tracer`:
    error (one bucket's growth factor).
 
 3. **Cross-process mergeable.**  Worker processes record into their own
-   registry and spool *cumulative* snapshots to disk; the parent folds
-   them in with :meth:`Registry.merge_snapshot`, which applies only the
-   delta since the last merge per source — merging is idempotent and
-   counters are never double-counted however often the spool is polled.
+   registry and append *cumulative* snapshots to their spool (see
+   :func:`reset_after_fork`); the parent folds them in with
+   :meth:`Registry.merge_snapshot`, which applies only the delta since
+   the last merge per source — merging is idempotent and counters are
+   never double-counted however often the spool is polled.
 
 This module is import-light on purpose (stdlib only), so the guard and
 the lowest serving layers can record without import cycles.
@@ -42,8 +43,7 @@ METRICS_SCHEMA_VERSION = 1
 #: only through :func:`configure`.
 ENABLED = False
 
-#: Default seconds between periodic snapshot lines (see
-#: ``REPRO_METRICS_INTERVAL``).
+#: Default seconds between periodic snapshot lines.
 DEFAULT_EXPORT_INTERVAL_S = 1.0
 
 # -- histogram bucket layout ---------------------------------------------------
@@ -446,9 +446,7 @@ def snapshot() -> dict[str, Any]:
 # -- export --------------------------------------------------------------------
 
 _export_lock = threading.Lock()
-_path: str | None = None
 _stream: IO[str] | None = None
-_spool_path: str | None = None
 _exporter: "_Exporter | None" = None
 _atexit_registered = False
 
@@ -476,29 +474,21 @@ class _Exporter(threading.Thread):
 def write_snapshot() -> dict[str, Any] | None:
     """Append one snapshot line to the configured sink; returns it.
 
-    With a spool path configured (worker mode) the snapshot *replaces*
-    the spool file instead (atomic rename), so the parent always reads
-    one complete cumulative snapshot per worker.  No-op (returns None)
-    while metrics are disabled or no sink is configured.
+    The sink is the export file, or a worker's spool (see
+    :func:`reset_after_fork`).  Returns None while metrics are disabled;
+    with no sink configured the snapshot is only returned.
     """
     if not ENABLED:
         return None
     snap = REGISTRY.snapshot()
     line = json.dumps(snap, sort_keys=True)
     with _export_lock:
-        if _spool_path is not None:
-            tmp = f"{_spool_path}.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-            os.replace(tmp, _spool_path)
-        elif _stream is not None:
+        if _stream is not None:
             _stream.write(line + "\n")
             try:
                 _stream.flush()
             except OSError:  # pragma: no cover - sink went away
                 pass
-        else:
-            return snap
     return snap
 
 
@@ -514,10 +504,10 @@ def maybe_write_snapshot(
     """Throttled :func:`write_snapshot` for in-band callers.
 
     The progress tracker calls this on every emitted progress event so a
-    long-running worker job's spool file refreshes *mid-job* (the normal
-    per-job write in the pool only lands when the job finishes).  The
-    throttle makes it safe to call at event rate; returns the snapshot
-    when one was written, else ``None``.
+    long-running worker job appends snapshots to its spool *mid-job*
+    (the normal per-job write in the pool only lands when the job
+    finishes).  The throttle makes it safe to call at event rate;
+    returns the snapshot when one was written, else ``None``.
     """
     global _last_snapshot_write
     if not ENABLED:
@@ -557,19 +547,15 @@ def configure(
     path: str | None = None,
     enabled: bool | None = None,
     interval_s: float | None = None,
-    spool_path: str | None = None,
     mode: str = "a",
 ) -> None:
     """(Re)configure metrics recording and snapshot export.
 
     * ``configure(path="metrics.jsonl")`` — enable recording and start a
       daemon exporter appending one cumulative snapshot per
-      ``interval_s`` (default :data:`DEFAULT_EXPORT_INTERVAL_S`, or
-      ``REPRO_METRICS_INTERVAL``), plus a final snapshot at interpreter
-      exit.  ``mode="w"`` truncates the file first.
-    * ``configure(spool_path=...)`` — worker mode: recording on, no
-      periodic thread; each :func:`write_snapshot` atomically replaces
-      the spool file for the parent to merge.
+      ``interval_s`` (default :data:`DEFAULT_EXPORT_INTERVAL_S`), plus a
+      final snapshot at interpreter exit.  ``mode="w"`` truncates the
+      file first.
     * ``configure(enabled=True)`` — recording on with no sink (snapshots
       via :func:`snapshot` only — what tests use).
     * ``configure(enabled=False)`` — flush a final snapshot, stop the
@@ -578,39 +564,22 @@ def configure(
     ``REPRO_METRICS=metrics.jsonl`` in the environment is the zero-code
     entry point, mirroring ``REPRO_TRACE``.
     """
-    global ENABLED, _path, _stream, _spool_path, _atexit_registered
-    global _exporter
-    if path is not None and spool_path is not None:
-        raise ValueError("configure() takes a path or a spool_path, not both")
-    if interval_s is None:
-        try:
-            interval_s = float(
-                os.environ.get("REPRO_METRICS_INTERVAL", DEFAULT_EXPORT_INTERVAL_S)
-            )
-        except ValueError:
-            interval_s = DEFAULT_EXPORT_INTERVAL_S
+    global ENABLED, _stream, _atexit_registered, _exporter
     if path is not None:
         with _export_lock:
             _stop_exporter()
             _close_stream()
-            _path = path
-            _spool_path = None
             _stream = open(path, mode, encoding="utf-8")
         ENABLED = True
-        _exporter = _Exporter(interval_s)
+        _exporter = _Exporter(
+            DEFAULT_EXPORT_INTERVAL_S if interval_s is None else interval_s
+        )
         _exporter.start()
         if not _atexit_registered:
             import atexit
 
             atexit.register(_atexit_flush)
             _atexit_registered = True
-    elif spool_path is not None:
-        with _export_lock:
-            _stop_exporter()
-            _close_stream()
-            _path = None
-            _spool_path = spool_path
-        ENABLED = True
     if enabled is not None:
         if enabled:
             ENABLED = True
@@ -621,31 +590,26 @@ def configure(
             with _export_lock:
                 _stop_exporter()
                 _close_stream()
-                _path = None
-                _spool_path = None
 
 
-def reset_after_fork(spool_path: str | None) -> None:
+def reset_after_fork(spool: IO[str] | None) -> None:
     """Re-arm metrics inside a freshly forked worker process.
 
     The child inherits the parent's registry contents, an exporter
     thread that did not survive the fork, and an open sink it must not
     write to (two processes appending would interleave).  Zero the
     registry (the parent already owns those counts — spooling them again
-    would double-count on merge), detach the parent's sink, and either
-    switch to spool mode or disable recording entirely.
+    would double-count on merge) and detach the parent's sink.  With a
+    ``spool`` stream, recording stays on and each :func:`write_snapshot`
+    appends one cumulative line to it for the parent to merge (no
+    periodic thread); without one, recording is disabled.
     """
-    global ENABLED, _path, _stream, _spool_path, _exporter
+    global ENABLED, _stream, _exporter
     with _export_lock:
         _exporter = None  # thread object is dead in the child
-        _stream = None  # the parent owns the file handle
-        _path = None
-        _spool_path = None
+        _stream = spool  # never the parent's handle
     REGISTRY.reset()
-    if spool_path is not None:
-        configure(spool_path=spool_path)
-    else:
-        ENABLED = False
+    ENABLED = spool is not None
 
 
 # -- snapshot files ------------------------------------------------------------
@@ -669,7 +633,7 @@ def iter_snapshots(path: str) -> Iterator[dict[str, Any]]:
 
 
 def last_snapshot(path: str) -> dict[str, Any] | None:
-    """The final snapshot in a JSONL export (or a bare-JSON spool file)."""
+    """The final snapshot in a JSONL export (or a worker spool)."""
     last = None
     for snap in iter_snapshots(path):
         last = snap

@@ -236,9 +236,9 @@ class ProgressTracker:
             metrics.gauge("progress.steps_per_s", site=state.site).set(
                 round(rate, 3)
             )
-            # Long-running worker jobs surface mid-job: refresh the spool
-            # snapshot (throttled; atomic replace) so the parent's merge
-            # loop and `serve top` see live numbers before the job ends.
+            # Long-running worker jobs surface mid-job: append a spool
+            # snapshot (throttled) so the parent's merge loop and
+            # `serve top` see live numbers before the job ends.
             metrics.maybe_write_snapshot()
 
     # -- introspection ---------------------------------------------------------

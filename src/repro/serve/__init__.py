@@ -39,8 +39,8 @@ Components:
   escalation + decorrelated-jitter backoff), :class:`AdmissionControl`
   (queue-depth cap + per-source token buckets), and the store-backed
   :class:`DeadLetterQueue` (``python -m repro.serve dlq``).
-* :mod:`repro.serve.pool` — worker processes + trace spool merging and
-  in-place respawn after a worker death.
+* :mod:`repro.serve.pool` — the in-process and worker-pool runners,
+  worker spool merging, and in-place respawn after a worker death.
 * :mod:`repro.serve.registry` — the name → procedure table.
 
 See ``docs/SERVING.md`` for the full design.

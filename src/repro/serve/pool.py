@@ -1,4 +1,4 @@
-"""Process-pool execution of solver jobs.
+"""Job runners: the worker pool and its in-process twin.
 
 Workers receive *names*, not code: a job crosses the process boundary
 as ``(procedure_name, args, kwargs, budget_spec)`` where the procedure
@@ -9,38 +9,44 @@ pickle thanks to the model types' round-trip support (interned PL
 formulas re-intern on load; compiled AFA engines are dropped and
 rebuilt on first use).
 
-Tracing across the boundary: when the parent has :mod:`repro.obs`
-enabled, each worker is initialized with its own JSONL trace file under
-a spool directory (``worker-<pid>.jsonl``).  The parent periodically
-merges those files — re-emitting each span event into its own sink via
-:func:`repro.obs.reemit` with a ``worker_pid`` attribute — so one
-parent trace tells the whole story.  Merging tracks per-file byte
-offsets, so it is incremental and idempotent.
+:class:`InlineRunner` offers the pool's ``submit`` for ``workers=0``:
+its future runs the job in whichever thread awaits it, so the
+scheduler's round loop drives in-process and pooled jobs alike.  Both
+runners execute one job body (:func:`_solve`: resolve the procedure,
+run it under the guard, observe ``serve.job.latency_s``); a worker
+wraps it with budget decoding, chaos, busy gauges and a per-job
+metrics snapshot (:func:`_run_job`).
 
-Metrics cross the boundary the same way: when the parent has
-:mod:`repro.metrics` enabled, each worker records into its own registry
-(zeroed after the fork — the parent owns the pre-fork counts) and
-spools one *cumulative* snapshot per completed job
-(``metrics-<pid>.json``, atomic rename).  :meth:`WorkerPool.merge_metrics`
-folds the spools into the parent registry delta-wise, so parent-side
-histograms include worker-recorded samples and repeated merges never
-double-count.
+Telemetry across the boundary: when the parent has :mod:`repro.obs` or
+:mod:`repro.metrics` enabled, each worker appends to its own JSONL
+spool (``worker-<pid>.jsonl``) in one temporary directory — its span
+and progress events, and after every job one *cumulative* ``metrics``
+snapshot (the worker's registry is zeroed after the fork; the parent
+owns the pre-fork counts).  :meth:`WorkerPool.merge_traces` folds the
+spools in: events are re-emitted into the parent's sink via
+:func:`repro.obs.reemit` with a ``worker_pid`` attribute, and each
+spool's newest snapshot merges into the parent registry delta-wise.
+Merging tracks per-file byte offsets and reads whole lines only, so it
+is incremental and idempotent and never consumes a line a worker is
+still writing.
 
 Cancellation: a queued job's future can still be cancelled; a job
 already running in a worker runs to completion (its budget's deadline
-still bounds it).  Cross-process cooperative cancellation would need a
-shared token; the scheduler therefore checks tokens before dispatch.
+still bounds it).  A token cannot cross processes, so the pool ignores
+``cancel_token`` and the scheduler checks tokens before dispatch; an
+in-process job's guard polls its token at every checkpoint.
 
 Worker loss: an abruptly dead worker (OOM kill, segfault, chaos
 ``os._exit``) breaks the whole :class:`ProcessPoolExecutor` — every
 in-flight future raises :class:`BrokenProcessPool`.  :meth:`WorkerPool.respawn`
-rebuilds the executor in place (same spool directories, same merge
+rebuilds the executor in place (same spool directory, same merge
 offsets, so no telemetry is lost) and the scheduler re-dispatches or
 resolves the stranded jobs; the pool itself never leaks a hung future.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
@@ -48,45 +54,57 @@ import tempfile
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro import metrics, obs
-from repro.guard import Budget
+from repro.guard import Budget, CancelToken, Guard
 from repro.guard import inject as _inject
 from repro.obs import progress as _obs_progress
+from repro.serve.registry import get_procedure
 
-__all__ = ["BrokenProcessPool", "WorkerPool"]
-
-#: Module-level so the fork/spawn child can import it by qualified name.
-_WORKER_TRACE_DIR: str | None = None
+__all__ = ["BrokenProcessPool", "InlineRunner", "WorkerPool"]
 
 
-def _worker_init(trace_dir: str | None, metrics_dir: str | None) -> None:
-    """Per-worker initializer: give the worker its own trace/metrics sinks."""
-    global _WORKER_TRACE_DIR
-    _WORKER_TRACE_DIR = trace_dir
-    if trace_dir is not None:
-        path = os.path.join(trace_dir, f"worker-{os.getpid()}.jsonl")
-        # "a": a recycled pid (or a fork that inherited an open sink)
-        # must not truncate events the parent has not merged yet.
-        obs.configure(path=path, mode="a")
-    else:
+def _worker_init(spool_dir: str | None, trace: bool, record: bool) -> None:
+    """Per-worker initializer: point the worker's telemetry at its spool."""
+    spool = None
+    if spool_dir is not None:
+        # "a": a recycled pid must not truncate lines the parent has
+        # not merged yet.
+        path = os.path.join(spool_dir, f"worker-{os.getpid()}.jsonl")
+        spool = open(path, "a", encoding="utf-8")
+    if trace:
+        obs.configure(stream=spool)
+    elif obs.is_enabled():
         # A forked worker inherits the parent's open sink; writing to it
         # from two processes would interleave half-lines.  Detach.
-        if obs.is_enabled():
-            obs.configure(enabled=False)
+        obs.configure(enabled=False)
     # The fork also inherits the parent's metrics registry and sink:
-    # zero the registry (the parent owns those counts) and spool
-    # cumulative snapshots for the parent to merge delta-wise.
-    spool = (
-        os.path.join(metrics_dir, f"metrics-{os.getpid()}.json")
-        if metrics_dir is not None
-        else None
-    )
-    metrics.reset_after_fork(spool)
+    # zero the registry (the parent owns those counts) and append
+    # cumulative snapshots to the spool for the parent to merge.
+    metrics.reset_after_fork(spool if record else None)
     # Progress telemetry: the inherited tracker state belongs to the
     # parent; re-arm a fresh one (keeps enablement + interval).
     _obs_progress.reset()
+
+
+def _solve(
+    name: str,
+    args: tuple,
+    kwargs: Mapping[str, Any],
+    guard: Guard | Budget | None,
+) -> Any:
+    """The job body both runners share: resolve, run under ``guard``, time."""
+    procedure = get_procedure(name)
+    t0 = time.perf_counter()
+    try:
+        if guard is not None:
+            return procedure(*args, guard=guard, **kwargs)
+        return procedure(*args, **kwargs)
+    finally:
+        metrics.observe(
+            "serve.job.latency_s", time.perf_counter() - t0, procedure=name
+        )
 
 
 def _run_job(
@@ -97,16 +115,13 @@ def _run_job(
     job_key: str | None = None,
     attempt: int = 0,
 ) -> Any:
-    """Worker-side job body: resolve the procedure by name and run it.
+    """Worker-side job: decode the budget, draw chaos, run :func:`_solve`.
 
     ``attempt`` is the parent's dispatch count for this entry (retries
     and post-crash re-dispatches increment it); it only feeds the chaos
     harness's per-dispatch fault decisions.
     """
-    from repro.serve.registry import get_procedure
-
-    procedure = get_procedure(name)
-    guard = Budget.from_dict(budget_spec) if budget_spec else None
+    budget = Budget.from_dict(budget_spec) if budget_spec else None
     # Chaos (if armed via install_chaos before the fork, or REPRO_CHAOS):
     # this dispatch may draw a mid-search kill, an injected trip, or a
     # pre-execution stall.
@@ -116,36 +131,80 @@ def _run_job(
     metrics.gauge("serve.worker.busy").set(1)
     t0 = time.perf_counter()
     try:
-        if guard is not None:
-            return procedure(*args, guard=guard, **dict(kwargs))
-        return procedure(*args, **dict(kwargs))
+        return _solve(name, args, kwargs, budget)
     finally:
         _inject.clear_job_chaos()
-        elapsed = time.perf_counter() - t0
-        metrics.observe("serve.job.latency_s", elapsed, procedure=name)
         metrics.counter("serve.worker.jobs").inc()
-        metrics.counter("serve.worker.busy_s").inc(elapsed)
+        metrics.counter("serve.worker.busy_s").inc(time.perf_counter() - t0)
         metrics.gauge("serve.worker.busy").set(0)
-        # Cumulative spool write per job: the parent can merge at any
-        # point and always sees one complete snapshot.
+        # One cumulative snapshot per job, appended to the spool: the
+        # parent can merge at any point and always finds a whole one.
         metrics.write_snapshot()
 
 
+class _DeferredFuture(Future):
+    """A future whose job runs in the first thread that awaits it."""
+
+    def __init__(self, job: Callable[[], Any]) -> None:
+        super().__init__()
+        self._job: Callable[[], Any] | None = job
+
+    def _run(self) -> None:
+        job, self._job = self._job, None
+        # False when the future was cancelled before anyone awaited it.
+        if job is not None and self.set_running_or_notify_cancel():
+            try:
+                self.set_result(job())
+            except BaseException as error:  # noqa: BLE001 - the awaiter gets it
+                self.set_exception(error)
+
+    def result(self, timeout: float | None = None) -> Any:
+        self._run()
+        return super().result(timeout)
+
+    def exception(self, timeout: float | None = None) -> BaseException | None:
+        self._run()
+        return super().exception(timeout)
+
+
+class InlineRunner:
+    """Runs jobs in the calling process, behind :class:`WorkerPool`'s ``submit``.
+
+    The job runs when the scheduler's round awaits its future, under a
+    :class:`~repro.guard.Guard` that polls ``cancel_token``, so an
+    entry cancelled mid-run trips at its next checkpoint.  No chaos is
+    drawn and no worker telemetry is recorded: the spans and metrics
+    land in this process directly.
+    """
+
+    def submit(
+        self,
+        name: str,
+        args: tuple,
+        kwargs: Mapping[str, Any],
+        budget: Budget | None,
+        job_key: str | None = None,
+        attempt: int = 0,
+        cancel_token: CancelToken | None = None,
+    ) -> Future:
+        guard = Guard(budget=budget, cancel_token=cancel_token)
+        return _DeferredFuture(functools.partial(_solve, name, args, kwargs, guard))
+
+
 class WorkerPool:
-    """A :class:`ProcessPoolExecutor` wired for solver jobs and tracing."""
+    """A :class:`ProcessPoolExecutor` wired for solver jobs and telemetry."""
 
     def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError("worker pool needs at least one worker")
         self.workers = workers
-        self._trace_dir: str | None = None
-        self._metrics_dir: str | None = None
+        self._trace = obs.is_enabled()
+        self._record = metrics.is_enabled()
+        self._spool_dir: str | None = None
         self._merge_offsets: dict[str, int] = {}
-        if obs.is_enabled():
-            self._trace_dir = tempfile.mkdtemp(prefix="repro-serve-trace-")
-        if metrics.is_enabled():
-            self._metrics_dir = tempfile.mkdtemp(prefix="repro-serve-metrics-")
-            metrics.gauge("serve.pool.workers").set(workers)
+        if self._trace or self._record:
+            self._spool_dir = tempfile.mkdtemp(prefix="repro-serve-spool-")
+        metrics.gauge("serve.pool.workers").set(workers)
         self.respawns = 0
         self._executor = self._spawn_executor()
 
@@ -158,7 +217,7 @@ class WorkerPool:
             max_workers=self.workers,
             mp_context=context,
             initializer=_worker_init,
-            initargs=(self._trace_dir, self._metrics_dir),
+            initargs=(self._spool_dir, self._trace, self._record),
         )
 
     def respawn(self) -> None:
@@ -166,13 +225,12 @@ class WorkerPool:
 
         Called after a worker died abruptly and broke the pool.  The
         dead executor is shut down without waiting (its workers are
-        gone); spool directories and merge offsets survive, so worker
-        telemetry from before the crash still merges.  Any telemetry
-        the surviving spool files hold is folded in first — the dead
-        workers will never write again.
+        gone); the spool directory and merge offsets survive, so worker
+        telemetry from before the crash still merges.  Whatever the
+        spools hold is folded in first — the dead workers will never
+        write again.
         """
         self.merge_traces()
-        self.merge_metrics()
         try:
             self._executor.shutdown(wait=False)
         except Exception:  # noqa: BLE001 - a broken executor may refuse
@@ -189,97 +247,70 @@ class WorkerPool:
         budget: Budget | None,
         job_key: str | None = None,
         attempt: int = 0,
+        cancel_token: CancelToken | None = None,
     ) -> Future:
         spec = budget.as_dict() if budget is not None else None
         return self._executor.submit(
             _run_job, name, args, dict(kwargs), spec, job_key, attempt
         )
 
-    # -- trace spool merging -----------------------------------------------------
+    # -- spool merging -----------------------------------------------------------
 
     def merge_traces(self) -> int:
-        """Fold new worker span events into the parent sink.
+        """Fold what the workers appended to their spools into the parent.
 
-        Returns the number of events merged.  Safe to call repeatedly;
-        each call only reads bytes appended since the last one.
+        Span and progress events are re-emitted into the parent's trace
+        sink; each spool's newest ``metrics`` snapshot merges into the
+        parent registry.  Only whole lines are read — a line a worker is
+        still writing waits for the next call.  Safe to call
+        repeatedly; each call reads only bytes appended since the last
+        one.  Returns the number of lines merged.
         """
-        if self._trace_dir is None or not obs.is_enabled():
+        if self._spool_dir is None:
             return 0
         merged = 0
         try:
-            names = sorted(os.listdir(self._trace_dir))
+            names = sorted(os.listdir(self._spool_dir))
         except OSError:
             return 0
         for fname in names:
-            if not fname.endswith(".jsonl"):
-                continue
-            path = os.path.join(self._trace_dir, fname)
+            path = os.path.join(self._spool_dir, fname)
             offset = self._merge_offsets.get(path, 0)
             try:
-                with open(path, encoding="utf-8") as handle:
+                with open(path, "rb") as handle:
                     handle.seek(offset)
                     payload = handle.read()
-                    self._merge_offsets[path] = handle.tell()
             except OSError:
                 continue
+            whole = payload.rfind(b"\n") + 1
+            self._merge_offsets[path] = offset + whole
             pid = fname[len("worker-") : -len(".jsonl")]
-            for line in payload.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
+            snapshot = None
+            for line in payload[:whole].splitlines():
                 try:
                     event = json.loads(line)
-                except json.JSONDecodeError:
+                except ValueError:  # e.g. a line cut off by a killed worker
                     continue
-                obs.reemit(event, worker_pid=pid)
                 merged += 1
-        return merged
-
-    # -- metrics spool merging ---------------------------------------------------
-
-    def merge_metrics(self) -> int:
-        """Fold worker metrics spools into the parent registry.
-
-        Each spool file is one cumulative snapshot per worker; the
-        registry merges delta-wise per source, so calling this
-        repeatedly (mid-batch, post-batch, at shutdown) never
-        double-counts.  Returns the number of spools merged.
-        """
-        if self._metrics_dir is None or not metrics.is_enabled():
-            return 0
-        merged = 0
-        try:
-            names = sorted(os.listdir(self._metrics_dir))
-        except OSError:
-            return 0
-        for fname in names:
-            if not fname.startswith("metrics-") or not fname.endswith(".json"):
-                continue
-            path = os.path.join(self._metrics_dir, fname)
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    snap = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            pid = fname[len("metrics-") : -len(".json")]
-            metrics.REGISTRY.merge_snapshot(snap, source=pid)
-            merged += 1
+                if event.get("event") == "metrics":
+                    snapshot = event  # cumulative: the newest one suffices
+                else:
+                    obs.reemit(event, worker_pid=pid)
+            if snapshot is not None and metrics.is_enabled():
+                metrics.REGISTRY.merge_snapshot(snapshot, source=pid)
         return merged
 
     def shutdown(self, wait: bool = True) -> None:
         self._executor.shutdown(wait=wait)
         self.merge_traces()
-        self.merge_metrics()
-        for attr in ("_trace_dir", "_metrics_dir"):
-            directory = getattr(self, attr)
-            if directory is not None:
-                try:
-                    for fname in os.listdir(directory):
-                        os.unlink(os.path.join(directory, fname))
-                    os.rmdir(directory)
-                except OSError:
-                    pass
-                setattr(self, attr, None)
+        directory, self._spool_dir = self._spool_dir, None
+        if directory is not None:
+            try:
+                for fname in os.listdir(directory):
+                    os.unlink(os.path.join(directory, fname))
+                os.rmdir(directory)
+            except OSError:
+                pass
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -21,19 +21,28 @@ The pipeline per submission:
    a drain, so a whole batch dedups before any work starts and a queued
    job can still be cancelled.
 
-Execution happens either in-process (``workers=0``, the default — jobs
-run sequentially in the draining thread) or on a
-:class:`repro.serve.pool.WorkerPool` (``workers>=1`` — jobs are
-dispatched to worker processes and drained concurrently).
+Execution runs in *rounds* through one loop: every ready entry is
+submitted to a runner, then each future is awaited in turn, and
+retries, caching, resolution and the serving metrics happen there
+whatever the runner.  With ``workers=0`` (the default) the runner is a
+:class:`repro.serve.pool.InlineRunner` — each job runs in the draining
+thread when the round awaits it; with ``workers>=1`` it is a
+:class:`repro.serve.pool.WorkerPool`, whose worker processes run the
+round's jobs concurrently.
 
 Cancellation: ``handle.cancel()`` or a fired
 :class:`~repro.guard.CancelToken` passed at submit time.  An entry whose
-handles are all cancelled before dispatch is **skipped** — the
+handles are all cancelled before it starts is **skipped** — the
 procedure is never called — and resolves to an UNKNOWN answer with
 detail :data:`CANCELLED_DETAIL`.  In-process entries additionally get a
 service-side token wired into their :class:`~repro.guard.Guard`, so
 cancelling mid-run trips the procedure cooperatively at its next
 checkpoint.
+
+Failure: a procedure that raises resolves its handles UNKNOWN
+(``procedure raised <Type>``) in either mode and the round runs on.
+Only a non-``Exception`` escape (``KeyboardInterrupt``) aborts a drain,
+after resolving the entries it strands (:data:`BATCH_ABORTED_DETAIL`).
 
 Fault tolerance (all opt-in, composed from
 :mod:`repro.serve.resilience`):
@@ -61,8 +70,9 @@ Fault tolerance (all opt-in, composed from
   ``python -m repro.serve dlq list|retry|purge``.
 
 The drain invariant is unchanged and now fault-proof: **every handle
-resolves** — decided, UNKNOWN (tripped / cancelled / worker-lost /
-batch-aborted), or rejected — no matter which workers died.
+resolves** — decided, UNKNOWN (tripped / cancelled / raised /
+worker-lost / batch-aborted), or rejected — no matter which workers
+died.
 """
 
 from __future__ import annotations
@@ -75,10 +85,10 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro import metrics
 from repro.analysis.verdict import Answer
-from repro.guard import Budget, CancelToken, Guard
+from repro.guard import Budget, CancelToken
 from repro.serve.cache import AnswerCache, default_cache_directory
 from repro.serve.fingerprint import job_fingerprint
-from repro.serve.pool import BrokenProcessPool, WorkerPool
+from repro.serve.pool import BrokenProcessPool, InlineRunner, WorkerPool
 from repro.serve.registry import get_procedure
 from repro.serve.resilience import (
     REJECTED_DETAIL,
@@ -97,16 +107,17 @@ __all__ = [
     "SolverService",
 ]
 
-#: Sentinel ``_await_pooled`` returns when the entry's worker died and
-#: broke the pool — the caller must respawn and decide re-dispatch.
+#: Sentinel ``_await`` returns when the entry's worker died and broke
+#: the pool — the caller must respawn and decide re-dispatch.
 _WORKER_LOST = object()
 
 #: ``Answer.detail`` of jobs cancelled before execution.
 CANCELLED_DETAIL = "cancelled before execution"
 
-#: ``Answer.detail`` of jobs stranded when an earlier job in the same
-#: drain raised: they resolve to UNKNOWN instead of hanging their handles.
-BATCH_ABORTED_DETAIL = "batch aborted: an earlier job's procedure raised"
+#: ``Answer.detail`` of jobs stranded when a non-``Exception`` escape
+#: (``KeyboardInterrupt``, ``SystemExit``) interrupts a drain: they
+#: resolve to UNKNOWN instead of hanging their handles.
+BATCH_ABORTED_DETAIL = "batch aborted: the drain was interrupted"
 
 #: While a pooled job runs, the awaiting drain merges worker spools this
 #: often so ``serve top`` shows live progress instead of a silent gap.
@@ -173,8 +184,6 @@ class _Entry:
         "handles",
         "done",
         "result",
-        "dispatched",
-        "skipped",
         "token",
         "future",
         "t_submitted",
@@ -204,8 +213,6 @@ class _Entry:
         self.handles: list[JobHandle] = []
         self.done = threading.Event()
         self.result: Any = None
-        self.dispatched = False
-        self.skipped = False
         # Service-side token: fires when every handle cancels — whether
         # via handle.cancel() or a submit-time token firing mid-run — so
         # an in-process run trips cooperatively at its next checkpoint.
@@ -517,15 +524,14 @@ class SolverService:
     def drain(self) -> int:
         """Run every pending job to completion; returns how many entries ran.
 
-        With workers, all pending entries are dispatched before any is
-        awaited, so distinct jobs overlap across worker processes.
-
-        Runs in *rounds*: entries a :class:`RetryPolicy` re-queued with a
-        backoff deadline are picked up by a later round once their wait
-        elapses (the wait polls for cancellation, so cancelling every
-        handle of a backing-off entry resolves it promptly).  The drain
-        returns only when nothing is pending — every entry resolved,
-        retried to resolution, or dead-lettered.
+        Each round submits every ready entry before awaiting any, so
+        with workers distinct jobs overlap across worker processes.
+        Entries a :class:`RetryPolicy` re-queued with a backoff deadline
+        are picked up by a later round once their wait elapses (the
+        wait polls for cancellation, so cancelling every handle of a
+        backing-off entry resolves it promptly).  The drain returns only
+        when nothing is pending — every entry resolved, retried to
+        resolution, or dead-lettered.
         """
         executed = 0
         while True:
@@ -547,13 +553,9 @@ class SolverService:
                 self._await_retry_ready()
                 continue
             try:
-                if self.workers == 0:
-                    for entry in ready:
-                        executed += self._run_entry_inline(entry)
-                else:
-                    executed += self._run_batch_pooled(ready)
+                executed += self._run_round(ready)
             finally:
-                # A procedure exception aborts the rest of the round;
+                # A non-Exception escape aborts the rest of the round;
                 # resolve every stranded entry (UNKNOWN, "batch
                 # aborted") before propagating so no JobHandle.result()
                 # can block forever.  Entries the retry policy re-queued
@@ -621,59 +623,18 @@ class SolverService:
         return [handle.result() for handle in handles]
 
     def _skip(self, entry: _Entry) -> None:
-        entry.skipped = True
         self.jobs_skipped += 1
         metrics.counter("serve.jobs.completed", outcome="skipped").inc()
         entry.resolve(Answer.unknown(detail=CANCELLED_DETAIL))
 
-    def _run_entry_inline(self, entry: _Entry) -> int:
-        if entry.all_cancelled():
-            self._skip(entry)
-            return 0
-        entry.dispatched = True
-        entry.t_dispatched = time.perf_counter()
-        entry.attempts += 1
-        metrics.observe(
-            "serve.job.queue_wait_s",
-            entry.t_dispatched - entry.t_submitted,
-            procedure=entry.procedure,
-        )
-        procedure = get_procedure(entry.procedure)
-        guard = Guard(budget=entry.budget, cancel_token=entry.token)
-        self.jobs_executed += 1
-        metrics.counter("serve.jobs.executed").inc()
-        metrics.gauge("serve.inflight").inc()
-        try:
-            result = procedure(*entry.args, guard=guard, **entry.kwargs)
-        except Exception as error:  # noqa: BLE001 - resolve waiters, then raise
-            metrics.counter("serve.jobs.completed", outcome="error").inc()
-            entry.resolve(
-                Answer.unknown(detail=f"procedure raised {type(error).__name__}")
-            )
-            raise
-        finally:
-            metrics.gauge("serve.inflight").dec()
-            metrics.observe(
-                "serve.job.latency_s",
-                time.perf_counter() - entry.t_dispatched,
-                procedure=entry.procedure,
-            )
-        if self._maybe_schedule_retry(entry, result):
-            metrics.counter("serve.jobs.completed", outcome="retry").inc()
-            return 1
-        metrics.counter("serve.jobs.completed", outcome="executed").inc()
-        self.cache.put(entry.key, result, entry.procedure)
-        entry.resolve(result)
-        return 1
-
-    def _run_batch_pooled(self, batch: list[_Entry]) -> int:
-        pool = self._ensure_pool()
+    def _run_round(self, batch: list[_Entry]) -> int:
+        """Skip the cancelled entries, submit the rest, await each in turn."""
+        runner = self._runner()
         to_dispatch: list[_Entry] = []
         for entry in batch:
             if entry.all_cancelled():
                 self._skip(entry)
                 continue
-            entry.dispatched = True
             entry.t_dispatched = time.perf_counter()
             metrics.observe(
                 "serve.job.queue_wait_s",
@@ -697,25 +658,26 @@ class SolverService:
                 seq = self._dispatch_history.get(entry.key, 0)
                 self._dispatch_history[entry.key] = seq + 1
                 entry.dispatch_seq = seq + 1
-                entry.future = pool.submit(
+                entry.future = runner.submit(
                     entry.procedure,
                     entry.args,
                     entry.kwargs,
                     entry.budget,
                     job_key=entry.key,
                     attempt=seq,
+                    cancel_token=entry.token,
                 )
             inflight.set(len(to_dispatch))
             lost: list[_Entry] = []
             for entry in to_dispatch:
-                result = self._await_pooled(entry)
+                result = self._await(entry)
                 inflight.dec()
                 if result is _WORKER_LOST:
                     entry.attempts -= 1  # it never ran to completion
                     lost.append(entry)
                     continue
                 if result is None:
-                    continue  # resolved inside (error or cancelled-in-queue)
+                    continue  # resolved inside (raised or cancelled-in-queue)
                 metrics.observe(
                     "serve.job.turnaround_s",
                     time.perf_counter() - entry.t_dispatched,
@@ -727,9 +689,9 @@ class SolverService:
                 metrics.counter("serve.jobs.completed", outcome="executed").inc()
                 self.cache.put(entry.key, result, entry.procedure)
                 entry.resolve(result)
-            to_dispatch = self._recover_worker_loss(pool, lost) if lost else []
-        pool.merge_traces()
-        pool.merge_metrics()
+            to_dispatch = self._recover_worker_loss(runner, lost) if lost else []
+        if self._pool is not None:
+            self._pool.merge_traces()
         return executed
 
     def _recover_worker_loss(
@@ -848,7 +810,6 @@ class SolverService:
         """
         pool = self._pool
         if pool is not None:
-            pool.merge_metrics()
             pool.merge_traces()
         if entry.t_dispatched is not None:
             metrics.gauge(
@@ -856,54 +817,63 @@ class SolverService:
             ).set(round(time.perf_counter() - entry.t_dispatched, 3))
         metrics.write_snapshot()
 
-    def _await_pooled(self, entry: _Entry) -> Any | None:
-        """Await one pool future, polling for token-fired cancellation.
+    def _await(self, entry: _Entry) -> Any | None:
+        """Await one entry's future, polling for token-fired cancellation.
 
-        A job still queued behind busy workers whose handles have all
-        cancelled (e.g. their submit-time tokens fired after dispatch)
-        is withdrawn from the pool instead of executed.  A job already
-        running in a worker completes — cross-process cooperative
-        cancellation would need a shared token — bounded by its budget.
-        While waiting, a heartbeat every :data:`HEARTBEAT_INTERVAL_S`
-        merges worker telemetry so progress stays visible mid-job.
-        Resolves the entry and returns ``None`` on error/cancellation;
-        returns :data:`_WORKER_LOST` when the worker died and broke the
-        pool (the caller respawns and re-dispatches); otherwise returns
-        the result for the caller to cache + resolve.
+        A job not yet started whose handles have all cancelled (e.g.
+        their submit-time tokens fired after dispatch) is withdrawn
+        instead of executed.  A job already running in a worker
+        completes — cross-process cooperative cancellation would need a
+        shared token — bounded by its budget.  While waiting, a
+        heartbeat every :data:`HEARTBEAT_INTERVAL_S` merges worker
+        telemetry so progress stays visible mid-job.  Resolves the
+        entry and returns ``None`` when the procedure raised or the job
+        was cancelled (a non-``Exception`` escape is re-raised after
+        resolving); returns :data:`_WORKER_LOST` when the worker died
+        and broke the pool (the caller respawns and re-dispatches);
+        otherwise returns the result for the caller to cache + resolve.
         """
         last_heartbeat = time.perf_counter()
         while True:
+            if entry.all_cancelled() and entry.future.cancel():
+                self._skip(entry)
+                return None
             try:
-                return entry.future.result(timeout=0.05)
+                # exception(), not result(): a TimeoutError the job
+                # raised must not read as a poll timeout.
+                error = entry.future.exception(timeout=0.05)
             except _futures.TimeoutError:
-                if entry.all_cancelled() and entry.future.cancel():
-                    self._skip(entry)
-                    return None
                 now = time.perf_counter()
                 if now - last_heartbeat >= HEARTBEAT_INTERVAL_S:
                     last_heartbeat = now
                     self._heartbeat(entry)
+                continue
             except _futures.CancelledError:
                 self._skip(entry)
                 return None
-            except BrokenProcessPool:
+            if error is None:
+                return entry.future.result()
+            if isinstance(error, BrokenProcessPool):
                 return _WORKER_LOST
-            except Exception as error:  # noqa: BLE001
-                metrics.counter("serve.jobs.completed", outcome="error").inc()
-                entry.resolve(
-                    Answer.unknown(detail=f"worker raised {type(error).__name__}")
-                )
-                return None
+            metrics.counter("serve.jobs.completed", outcome="error").inc()
+            entry.resolve(
+                Answer.unknown(detail=f"procedure raised {type(error).__name__}")
+            )
+            if not isinstance(error, Exception):
+                raise error
+            return None
 
-    def _ensure_pool(self) -> WorkerPool:
+    def _runner(self) -> InlineRunner | WorkerPool:
+        if not self.workers:
+            return InlineRunner()
         if self._pool is None:
             self._pool = WorkerPool(self.workers)
         return self._pool
 
     def _on_handle_cancelled(self, entry: _Entry) -> None:
         if entry.all_cancelled():
-            # Trips an in-process run at its next checkpoint; for a pool
-            # job, best-effort cancel of a not-yet-started future.
+            # Trips an in-process run at its next checkpoint; a job not
+            # yet started has its future cancelled instead.
             entry.token.cancel()
             future = entry.future
             if future is not None:

@@ -75,6 +75,18 @@ _RETRIES = 5
 _RETRY_BASE_SLEEP_S = 0.05
 _RETRY_CAP_SLEEP_S = 1.0
 
+#: Run on every new connection.  page_size only takes effect before the
+#: first table is created; on an existing database it is a no-op, which
+#: is what we want.
+_PRAGMAS = (
+    f"PRAGMA page_size={_PAGE_SIZE}",
+    "PRAGMA journal_mode=WAL",
+    "PRAGMA synchronous=NORMAL",
+    f"PRAGMA cache_size={-_CACHE_KIB}",
+    "PRAGMA temp_store=MEMORY",
+    f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}",
+)
+
 
 def retry_backoff_s(
     previous_s: float | None, rng: random.Random | None = None
@@ -170,16 +182,15 @@ class Store:
             timeout=BUSY_TIMEOUT_MS / 1000.0,
             isolation_level=None,  # autocommit; single statements are atomic
         )
-        cursor = conn.cursor()
-        # page_size only takes effect before the first table is created;
-        # on an existing database it is a no-op, which is what we want.
-        cursor.execute(f"PRAGMA page_size={_PAGE_SIZE}")
-        cursor.execute("PRAGMA journal_mode=WAL")
-        cursor.execute("PRAGMA synchronous=NORMAL")
-        cursor.execute(f"PRAGMA cache_size={-_CACHE_KIB}")
-        cursor.execute("PRAGMA temp_store=MEMORY")
-        cursor.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-        cursor.close()
+
+        def apply_pragmas() -> None:
+            for pragma in _PRAGMAS:
+                conn.execute(pragma)
+
+        # Several connections opening a fresh file at once can get
+        # "database is locked" from journal_mode=WAL without the busy
+        # handler waiting, so the PRAGMAs retry like any statement.
+        self._retry(apply_pragmas)
         self._local.conn = conn
         self._local.pid = os.getpid()
         return conn

@@ -53,17 +53,15 @@ class TestExportFiles:
         assert snaps[1]["counters"]["c"] == 2
         assert metrics.last_snapshot(str(path))["counters"]["c"] == 2
 
-    def test_spool_mode_replaces_single_snapshot(self, tmp_path):
-        spool = tmp_path / "metrics-123.json"
-        metrics.configure(spool_path=str(spool))
+    def test_spool_mode_appends_snapshots(self, tmp_path):
+        spool = tmp_path / "worker-123.jsonl"
+        metrics.reset_after_fork(open(spool, "a", encoding="utf-8"))
         metrics.counter("c").inc()
         metrics.write_snapshot()
         metrics.counter("c").inc()
         metrics.write_snapshot()
-        with open(spool) as handle:
-            lines = [line for line in handle if line.strip()]
-        assert len(lines) == 1  # replaced, not appended
-        assert json.loads(lines[0])["counters"]["c"] == 2
+        snaps = list(metrics.iter_snapshots(str(spool)))
+        assert [snap["counters"]["c"] for snap in snaps] == [1, 2]  # cumulative
 
     def test_write_snapshot_none_when_disabled(self):
         assert metrics.write_snapshot() is None
@@ -147,8 +145,8 @@ class TestResetAfterFork:
     def test_spool_rearm(self, tmp_path):
         metrics.configure(enabled=True)
         metrics.counter("inherited").inc(9)
-        spool = tmp_path / "metrics-child.json"
-        metrics.reset_after_fork(str(spool))
+        spool = tmp_path / "worker-child.jsonl"
+        metrics.reset_after_fork(open(spool, "a", encoding="utf-8"))
         assert metrics.is_enabled()
         assert metrics.REGISTRY.instruments() == {}  # parent owns old counts
         metrics.counter("child").inc()

@@ -36,8 +36,8 @@ def test_four_worker_pool_merges_worker_samples_without_double_count():
         # nothing (delta-wise merge per source).
         latency = _histogram("serve.job.latency_s", procedure="nonempty_pl")
         count_after_batch = latency.count
-        pool.merge_metrics()
-        pool.merge_metrics()
+        pool.merge_traces()
+        pool.merge_traces()
         assert latency.count == count_after_batch
     # 4 distinct fingerprints executed in workers: exactly 4 worker-side
     # latency samples merged up (dedup absorbs the other 4 jobs).
@@ -77,6 +77,23 @@ def test_inline_service_records_latency_and_cache_counters():
     assert counters["serve.jobs.completed{outcome=cached}"] == 8
     assert latency.count == 4  # cached answers don't re-observe latency
     assert metrics.cache_hit_rate(counters) is not None
+
+
+def test_inline_and_pooled_rounds_record_the_same_job_metrics():
+    """One round loop serves both modes: the same verdicts and
+    executions, and one latency and one turnaround sample per executed
+    job whether the job ran in-process or in a worker."""
+    verdicts = {}
+    for workers in (0, 2):
+        metrics.REGISTRY.reset()
+        metrics.configure(enabled=True)
+        with SolverService(workers=workers) as service:
+            verdicts[workers] = [a.verdict.value for a in service.run_batch(_batch())]
+            assert service.jobs_executed == 4
+        for name in ("serve.job.latency_s", "serve.job.turnaround_s"):
+            samples = _histogram(name, procedure="nonempty_pl").count
+            assert samples == 4, (workers, name, samples)
+    assert verdicts[0] == verdicts[2] == ["yes"] * 8
 
 
 def test_disabled_metrics_record_nothing_through_the_service():

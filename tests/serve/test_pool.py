@@ -7,6 +7,7 @@ asserting every resubmitted job is a cache hit.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
@@ -14,6 +15,7 @@ import time
 from repro import metrics, obs
 from repro.guard import Budget
 from repro.serve import JobSpec, SolverService
+from repro.serve.pool import WorkerPool
 from repro.workloads.scaling import pl_counter_sws
 
 
@@ -73,16 +75,44 @@ def test_worker_spans_merge_into_parent_trace(tmp_path):
     assert any("nonempty" in name for name in names)
 
 
-def test_close_removes_both_spool_directories(tmp_path):
+def test_close_removes_the_spool_directory(tmp_path):
     obs.configure(path=str(tmp_path / "trace.jsonl"), mode="w")
     metrics.configure(enabled=True)
     with SolverService(workers=2) as service:
         service.run_batch(
             [JobSpec("nonempty_pl", (pl_counter_sws(n),)) for n in (6, 7)]
         )
-        spools = [service._pool._trace_dir, service._pool._metrics_dir]
-        assert all(spool and os.listdir(spool) for spool in spools)
-    assert not any(os.path.exists(spool) for spool in spools)
+        spool = service._pool._spool_dir
+        kinds = set()
+        for name in os.listdir(spool):
+            with open(os.path.join(spool, name), encoding="utf-8") as handle:
+                kinds.update(json.loads(line)["event"] for line in handle)
+        # Spans and metrics snapshots share each worker's one spool.
+        assert {"span", "metrics"} <= kinds
+    assert not os.path.exists(spool)
+
+
+def test_merge_waits_for_a_half_written_line():
+    """Regression: a merge that finds a line still being written leaves
+    it for the next merge instead of skipping past it."""
+    sink = io.StringIO()
+    obs.configure(stream=sink)
+    pool = WorkerPool(1)
+    try:
+        line = json.dumps({"event": "span", "name": "late", "span_id": 1})
+        path = os.path.join(pool._spool_dir, "worker-4242.jsonl")
+        with open(path, "a", encoding="utf-8") as spool:
+            spool.write(line[:20])
+            spool.flush()
+            pool.merge_traces()
+            spool.write(line[20:] + "\n")
+            spool.flush()
+            pool.merge_traces()
+    finally:
+        pool.shutdown()
+        obs.configure(enabled=False)
+    merged = [json.loads(event) for event in sink.getvalue().splitlines()]
+    assert [(e["name"], e["attrs"]["worker_pid"]) for e in merged] == [("late", "4242")]
 
 
 def test_pool_results_match_inline():

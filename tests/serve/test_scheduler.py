@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import threading
 import time
 
@@ -38,8 +39,8 @@ def slow_procedure(tag: str, steps: int = 50) -> Answer:
 
 
 @guarded()
-def raising_procedure(tag: str) -> Answer:
-    raise ValueError(f"boom {tag}")
+def raising_procedure(tag: str, error: str = "ValueError") -> Answer:
+    raise getattr(builtins, error)(f"boom {tag}")
 
 
 @pytest.fixture(autouse=True)
@@ -180,21 +181,22 @@ def test_run_batch_accepts_mappings():
 
 
 def test_drain_abort_resolves_every_stranded_handle():
-    """Regression: an exception mid-batch must not strand queued handles.
+    """Regression: an escape mid-batch must not strand queued handles.
 
     Before the fix, a procedure raising during drain() left every
     not-yet-run entry unresolved and still registered in-flight, so
     ``JobHandle.result()`` blocked forever (drain had nothing pending)
-    and resubmissions deduped against the dead entry.
+    and resubmissions deduped against the dead entry.  Only a
+    non-``Exception`` escape still aborts a drain.
     """
     service = SolverService()
-    doomed = service.submit("test_raising", "first")
+    doomed = service.submit("test_raising", "first", error="KeyboardInterrupt")
     stranded = [service.submit("test_counting", tag) for tag in ("a", "b", "c")]
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyboardInterrupt):
         service.drain()
-    # The raising job's own handle reports the failure...
+    # The interrupted job's own handle reports the failure...
     assert doomed.done()
-    assert doomed.result(timeout=1).detail == "procedure raised ValueError"
+    assert doomed.result(timeout=1).detail == "procedure raised KeyboardInterrupt"
     # ...and every queued-behind-it handle resolves instead of hanging.
     for handle in stranded:
         assert handle.done()
@@ -208,13 +210,18 @@ def test_drain_abort_resolves_every_stranded_handle():
     assert CALLS == ["a"]
 
 
-def test_pooled_drain_worker_exception_does_not_strand_the_batch():
-    """In pooled mode a raising job resolves UNKNOWN; the rest still run."""
-    with SolverService(workers=1) as service:
-        doomed = service.submit("test_raising", "first")
+@pytest.mark.parametrize("workers", [0, 1])
+@pytest.mark.parametrize("error", ["ValueError", "TimeoutError"])
+def test_raising_job_does_not_strand_the_round(workers, error):
+    """In either mode a raising job resolves UNKNOWN; the rest still run.
+
+    A raised ``TimeoutError`` is the job's failure, not the awaiting
+    loop's poll timeout (which would re-poll forever)."""
+    with SolverService(workers=workers) as service:
+        doomed = service.submit("test_raising", "first", error=error)
         survivor = service.submit("test_counting", "ok")
         service.drain()  # must not raise and must not hang
-        assert doomed.result(timeout=5).detail == "worker raised ValueError"
+        assert doomed.result(timeout=5).detail == f"procedure raised {error}"
         assert survivor.result(timeout=5).is_yes
 
 

@@ -417,3 +417,42 @@ def test_five_concurrent_writers_under_injected_faults(tmp_path):
         for w in range(writers):
             for i in range(writes_each):
                 assert store.get_answer(f"w{w}-{i}").detail == f"w{w}-{i}"
+
+
+def test_connect_retries_a_locked_pragma(tmp_path, monkeypatch):
+    """Regression: a new connection's PRAGMAs run through the retry loop.
+
+    Connections opening a fresh file at once can get ``database is
+    locked`` from ``PRAGMA journal_mode=WAL`` without the busy handler
+    waiting; that error used to escape ``Store()`` (the intermittent
+    failure of the concurrent-writers test above).
+    """
+    failed: list[str] = []
+
+    def locked_once(sql: str) -> None:
+        if "journal_mode" in sql and not failed:
+            failed.append(sql)
+            raise sqlite3.OperationalError("database is locked")
+
+    # Both execute paths fail once, whichever the store uses for PRAGMAs.
+    class Cursor(sqlite3.Cursor):
+        def execute(self, sql, *args):
+            locked_once(sql)
+            return super().execute(sql, *args)
+
+    class Connection(sqlite3.Connection):
+        def cursor(self, factory=Cursor):
+            return super().cursor(factory=factory)
+
+        def execute(self, sql, *args):
+            locked_once(sql)
+            return super().execute(sql, *args)
+
+    connect = sqlite3.connect
+    monkeypatch.setattr(
+        sqlite3, "connect", lambda *a, **k: connect(*a, factory=Connection, **k)
+    )
+    with Store(str(tmp_path / "s.sqlite3")) as store:
+        assert store.put_answer("k", Answer.yes(detail="landed"))
+        assert store.get_answer("k").detail == "landed"
+    assert failed == ["PRAGMA journal_mode=WAL"]
