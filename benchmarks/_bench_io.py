@@ -6,7 +6,7 @@ The pytest-benchmark runs measure scaling shape interactively; the
 numbers for the compiled PL/AFA engine into a single
 ``BENCH_table1_pl.json`` at the repository root, and to drop a
 ``repro.obs`` JSONL trace artifact next to it (one per emitter; inspect
-with ``python -m repro.obs report <artifact>``).
+with ``python -m repro.obs explain <artifact>``).
 """
 
 from __future__ import annotations

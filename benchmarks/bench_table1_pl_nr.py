@@ -218,7 +218,7 @@ def main() -> None:
     trace_path = trace_artifact_path(__file__)
     emit_trace_artifact(trace_path)
     print(f"wrote {BENCH_TABLE1_PL}")
-    print(f"wrote {trace_path} (inspect: python -m repro.obs report)")
+    print(f"wrote {trace_path} (inspect: python -m repro.obs explain)")
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ fi
 echo "== end-to-end benchmark tests (smoke run of every workload) =="
 python -m pytest benchmarks/e2e -q
 
-echo "== obs smoke (traced analysis + report CLI) =="
+echo "== obs smoke (traced analysis + explain CLI) =="
 OBS_TRACE="$(mktemp /tmp/repro_obs_smoke.XXXXXX.jsonl)"
 trap 'rm -f "${OBS_TRACE}"' EXIT
 REPRO_TRACE="${OBS_TRACE}" python - <<'PY'
@@ -50,7 +50,12 @@ assert answer.is_yes
 assert answer.provenance is not None, "tracing enabled but no provenance"
 assert answer.provenance.counters["vectors_explored"] > 0
 PY
-python -m repro.obs report "${OBS_TRACE}"
+EXPLAIN_OUT="$(python -m repro.obs explain "${OBS_TRACE}")"
+printf '%s\n' "${EXPLAIN_OUT}"
+for header in "where the time went" "how much work was done" \
+    "whether and why a budget tripped"; do
+    grep -q "== ${header} ==" <<< "${EXPLAIN_OUT}"
+done
 
 echo "== guard smoke (fault injection + guard map CLI) =="
 python - <<'PY'
@@ -266,7 +271,11 @@ python -m repro.obs check --baseline benchmarks/baselines.json \
 # bounds (delta.*) only have values there.
 python -m repro.obs check --baseline benchmarks/baselines.json \
     --metrics "${DELTA_DIR}/delta-metrics.jsonl" --trace 'BENCH_*.trace.jsonl'
-python -m repro.obs critical-path 'BENCH_*.trace.jsonl' --limit 8 > /dev/null
+EXPLAIN_OUT="$(python -m repro.obs explain 'BENCH_*.trace.jsonl' --limit 8)"
+for header in "where the time went" "how much work was done" \
+    "whether and why a budget tripped"; do
+    grep -q "== ${header} ==" <<< "${EXPLAIN_OUT}"
+done
 
 echo "== introspection smoke (progress + explain) =="
 INTROSPECT_DIR="$(mktemp -d /tmp/repro_introspect_smoke.XXXXXX)"

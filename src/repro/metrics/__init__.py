@@ -65,7 +65,6 @@ from repro.metrics._core import (
     histogram,
     histogram_readout,
     is_enabled,
-    iter_snapshots,
     last_snapshot,
     observe,
     reset_after_fork,
@@ -97,7 +96,6 @@ __all__ = [
     "histogram",
     "histogram_readout",
     "is_enabled",
-    "iter_snapshots",
     "last_snapshot",
     "observe",
     "reset_after_fork",

@@ -32,7 +32,7 @@ import math
 import os
 import threading
 import time
-from typing import Any, IO, Iterator, Mapping
+from typing import Any, IO, Mapping
 
 METRICS_ENV_VAR = "REPRO_METRICS"
 
@@ -615,29 +615,39 @@ def reset_after_fork(spool: IO[str] | None) -> None:
 # -- snapshot files ------------------------------------------------------------
 
 
-def iter_snapshots(path: str) -> Iterator[dict[str, Any]]:
-    """Parse a JSONL snapshot file, skipping blanks and non-metrics lines."""
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(
-                    f"{path}:{line_number}: malformed snapshot line: {error}"
-                ) from error
-            if record.get("event") == "metrics":
-                yield record
+#: How many trailing bytes :func:`last_snapshot` reads first.
+TAIL_BYTES = 256 * 1024
 
 
 def last_snapshot(path: str) -> dict[str, Any] | None:
-    """The final snapshot in a JSONL export (or a worker spool)."""
-    last = None
-    for snap in iter_snapshots(path):
-        last = snap
-    return last
+    """The newest whole metrics snapshot in ``path``, or ``None``.
+
+    Snapshot files grow one line per export interval, so a soak's file
+    can be large: read the last :data:`TAIL_BYTES` and parse its lines
+    from the end, widening the window only if it holds no snapshot.
+    Lines that do not parse are passed over: the first line of a window
+    that starts mid-file, and a final line a killed writer cut off.
+    A missing file reads as ``None``.
+    """
+    try:
+        with open(path, "rb") as handle:
+            size = handle.seek(0, os.SEEK_END)
+            window = TAIL_BYTES
+            while True:
+                start = max(0, size - window)
+                handle.seek(start)
+                for line in reversed(handle.read(size - start).splitlines()):
+                    try:
+                        record = json.loads(line)
+                    except ValueError:
+                        continue
+                    if isinstance(record, dict) and record.get("event") == "metrics":
+                        return record
+                if start == 0:
+                    return None
+                window *= 4
+    except OSError:
+        return None
 
 
 def histogram_readout(dump: Mapping[str, Any]) -> dict[str, float | int | None]:

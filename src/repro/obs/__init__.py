@@ -18,9 +18,11 @@ instrumented with:
   With no sink configured, tracing is **off** and every instrumented
   path degrades to a single flag check (the compiled AFA/PL hot path
   keeps its speedup).
-* ``python -m repro.obs report trace.jsonl`` — aggregates a trace into a
-  per-procedure table: call counts, total/max time, dominant counters,
-  and the slowest span with its attributes.
+* ``python -m repro.obs explain TRACE...`` — the one reader of a trace
+  (files or globs): where the time went (dominant chain, self time by
+  span name), how much work was done (per-procedure counts, times,
+  dominant counters, slowest span; frontier and throughput trends), and
+  whether and why a budget tripped.
 
 Quickstart::
 

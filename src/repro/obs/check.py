@@ -4,7 +4,10 @@
 [--metrics SNAP.jsonl] [--trace TRACE.jsonl ...]`` evaluates a metrics
 snapshot and/or trace files against a committed baseline and exits
 nonzero on any violation — giving CI a regression gate fed by the same
-artifacts `serve top` and `obs report` consume.
+artifacts `serve top` and `obs explain` read, through the same readers:
+the newest whole snapshot (:func:`repro.metrics.last_snapshot`, so a
+line cut off by a killed writer is passed over) and leniently parsed
+trace files or globs (:func:`repro.obs.report.load_events`).
 
 Baseline format (JSON)::
 
@@ -44,11 +47,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro import metrics
-from repro.obs.report import SpanAggregate, aggregate
-from repro.obs._tracer import iter_events
+from repro.obs.report import SpanAggregate, aggregate, load_events
 
 
 @dataclass
@@ -172,19 +174,14 @@ def _load_inputs(
     baseline_path: str,
     metrics_path: str | None,
     trace_paths: Sequence[str],
-    strict: bool = True,
-    on_skip: Any = None,
+    on_skip: Callable[[str], None] | None,
 ) -> tuple[dict, Mapping[str, Any] | None, Mapping[str, SpanAggregate] | None]:
     with open(baseline_path, encoding="utf-8") as handle:
         baseline = json.load(handle)
     snap = metrics.last_snapshot(metrics_path) if metrics_path else None
-    aggregates = None
-    if trace_paths:
-        def events():
-            for path in trace_paths:
-                yield from iter_events(path, strict=strict, on_skip=on_skip)
-
-        aggregates = aggregate(events())
+    aggregates = (
+        aggregate(load_events(trace_paths, on_skip=on_skip)) if trace_paths else None
+    )
     return baseline, snap, aggregates
 
 
@@ -192,12 +189,11 @@ def run_check(
     baseline_path: str,
     metrics_path: str | None = None,
     trace_paths: Sequence[str] = (),
-    strict: bool = True,
-    on_skip: Any = None,
+    on_skip: Callable[[str], None] | None = None,
 ) -> tuple[int, str]:
     """Evaluate a baseline file; returns (exit code, report text)."""
     baseline, snap, aggregates = _load_inputs(
-        baseline_path, metrics_path, trace_paths, strict=strict, on_skip=on_skip
+        baseline_path, metrics_path, trace_paths, on_skip
     )
     if metrics_path and snap is None:
         return 1, f"error: {metrics_path}: no metrics snapshot found\n"
@@ -230,8 +226,7 @@ def update_baseline(
     metrics_path: str | None = None,
     trace_paths: Sequence[str] = (),
     headroom: float = DEFAULT_HEADROOM,
-    strict: bool = True,
-    on_skip: Any = None,
+    on_skip: Callable[[str], None] | None = None,
 ) -> tuple[int, str]:
     """Regenerate a baseline's bounds from fresh inputs (``check --update``).
 
@@ -247,7 +242,7 @@ def update_baseline(
     if headroom < 1.0:
         raise ValueError("headroom must be >= 1.0")
     baseline, snap, aggregates = _load_inputs(
-        baseline_path, metrics_path, trace_paths, strict=strict, on_skip=on_skip
+        baseline_path, metrics_path, trace_paths, on_skip
     )
     lines: list[str] = []
     updated = 0

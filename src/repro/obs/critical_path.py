@@ -1,11 +1,11 @@
-"""Critical-path profiling over a JSONL span trace.
+"""The span tree of a JSONL trace, with self-time attribution.
 
-``python -m repro.obs critical-path trace.jsonl`` answers "where did the
-wall-clock go" from any existing trace artifact: it rebuilds the span
-tree from ``parent_id`` links, attributes each span its *self time*
-(elapsed minus the elapsed of its direct children), then walks the
-dominant chain — from the slowest root, repeatedly into the slowest
-child — reporting every hop with its self-time share.
+:func:`build_tree` rebuilds the tree from ``parent_id`` links and gives
+each span its *self time* (elapsed minus the elapsed of its direct
+children); :func:`dominant_chain` walks from the slowest root into the
+slowest child at each hop.  ``python -m repro.obs explain`` prints both
+under "where the time went", and the end-to-end benchmark's layer table
+splits request time with the same tree.
 
 Merged worker events (re-emitted through :func:`repro.obs.reemit`) keep
 their worker-local span ids, so ids can collide across processes; nodes
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Iterable
-
-from repro.obs._tracer import iter_events
 
 #: Key type: ("<source file>:<worker pid>" scope, span id) — both scope
 #: parts empty for spans the parent process emitted from a single file.
@@ -99,74 +97,3 @@ def self_time_by_name(roots: list[SpanNode]) -> dict[str, tuple[float, int]]:
         totals[node.name] = (total + node.self_s, count + 1)
         stack.extend(node.children)
     return totals
-
-
-def _fmt_seconds(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:8.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:7.2f}ms"
-    return f"{seconds * 1e6:7.1f}µs"
-
-
-def render(roots: list[SpanNode], limit: int = 10) -> str:
-    """The critical-path report as printable text."""
-    if not roots:
-        return "trace contains no span events\n"
-    chain = dominant_chain(roots)
-    total = chain[0].elapsed_s or 1e-12
-    lines = [
-        f"dominant chain (root {chain[0].name!r}, "
-        f"{_fmt_seconds(chain[0].elapsed_s).strip()} wall-clock):",
-        "",
-    ]
-    name_width = max(len(node.name) for node in chain)
-    for depth, node in enumerate(chain):
-        marker = "└─ " * bool(depth)
-        share = node.elapsed_s / total
-        self_share = node.self_s / total
-        worker = node.key[0].rpartition(":")[2]
-        worker_text = f"  worker={worker}" if worker else ""
-        lines.append(
-            f"{'  ' * depth}{marker}{node.name:<{name_width}}  "
-            f"total {_fmt_seconds(node.elapsed_s).strip():>9} ({share:5.1%})  "
-            f"self {_fmt_seconds(node.self_s).strip():>9} ({self_share:5.1%})"
-            f"{worker_text}"
-        )
-    lines.append("")
-    lines.append(f"self time by span name (top {limit}):")
-    totals = self_time_by_name(roots)
-    grand = sum(t for t, _ in totals.values()) or 1e-12
-    ranked = sorted(totals.items(), key=lambda kv: -kv[1][0])[:limit]
-    width = max(len(name) for name, _ in ranked)
-    for name, (self_s, count) in ranked:
-        lines.append(
-            f"  {name:<{width}}  {_fmt_seconds(self_s):>9}  "
-            f"({self_s / grand:5.1%})  n={count}"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
-def critical_path(
-    paths: list[str],
-    limit: int = 10,
-    strict: bool = True,
-    on_skip: Any = None,
-) -> str:
-    """Render the critical-path report for one or more trace files.
-
-    ``strict=False`` skips malformed lines (reporting them through
-    ``on_skip``) instead of raising — what the CLI wants for traces
-    truncated by killed workers.
-    """
-
-    def events() -> Iterable[dict[str, Any]]:
-        for index, path in enumerate(paths):
-            for event in iter_events(path, strict=strict, on_skip=on_skip):
-                if len(paths) > 1:
-                    event = dict(event)
-                    event["_source"] = index
-                yield event
-
-    return render(build_tree(events()), limit=limit)

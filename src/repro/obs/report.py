@@ -1,23 +1,20 @@
-"""Aggregate JSONL traces into a per-procedure report.
+"""Trace loading, per-span aggregation, and the ``python -m repro.obs`` CLI.
 
 CLI::
 
-    python -m repro.obs report TRACE... [--sort total|count|max] [--limit N]
+    python -m repro.obs explain TRACE... [--limit N]
+    python -m repro.obs check --baseline B [--metrics SNAP] [--trace TRACE...]
+    python -m repro.obs guard
 
-``TRACE`` arguments may be files or globs (quoted, so the shell does
-not eat them) — per-worker spool files aggregate without hand-merging::
+``explain`` (:mod:`repro.obs.explain`) is the human reader of a trace,
+``check`` (:mod:`repro.obs.check`) the CI perf tripwire, and ``guard``
+lists the checkpoint sites fault injection can target.
 
-    python -m repro.obs report 'spool/worker-*.jsonl'
+Both trace consumers read through :func:`load_events`.  ``TRACE``
+arguments may be files or globs (quoted, so the shell does not eat
+them), so per-worker spool files read without hand-merging::
 
-For every span name the report shows how often it ran, total/mean/max
-wall-clock, error count, the dominant counters (largest summed deltas),
-and the slowest single span with its attributes — enough to see where an
-exponential blowup actually landed without opening the raw trace.
-Guard trips get their own breakdown.
-
-The sibling subcommands live in their own modules: ``check``
-(:mod:`repro.obs.check`, the CI perf tripwire) and ``critical-path``
-(:mod:`repro.obs.critical_path`, wall-clock attribution).
+    python -m repro.obs explain 'spool/worker-*.jsonl'
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import argparse
 import glob as _glob
 import sys as _sys
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.obs._tracer import iter_events
 
@@ -93,102 +90,27 @@ def expand_traces(patterns: Sequence[str]) -> list[str]:
     return paths
 
 
-def iter_all_events(
-    paths: Sequence[str],
-    strict: bool = True,
-    on_skip: Any = None,
-) -> Iterable[dict[str, Any]]:
-    """Chain :func:`iter_events` over several trace files."""
-    for path in paths:
-        yield from iter_events(path, strict=strict, on_skip=on_skip)
+def load_events(
+    patterns: Sequence[str],
+    on_skip: Callable[[str], None] | None = None,
+) -> list[dict[str, Any]]:
+    """Every event in the trace files or globs ``patterns``, leniently.
 
-
-def _format_seconds(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:8.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:7.2f}ms"
-    return f"{seconds * 1e6:7.1f}µs"
-
-
-def _format_counters(pairs: Sequence[tuple[str, int]]) -> str:
-    return ", ".join(f"{name}={value}" for name, value in pairs) or "-"
-
-
-def render(
-    aggregates: dict[str, SpanAggregate],
-    sort: str = "total",
-    limit: int | None = None,
-) -> str:
-    """The report as printable text."""
-    key = {
-        "total": lambda a: -a.total_s,
-        "count": lambda a: -a.count,
-        "max": lambda a: -a.max_s,
-        "name": lambda a: a.name,
-    }[sort]
-    rows = sorted(aggregates.values(), key=key)
-    if limit is not None:
-        rows = rows[:limit]
-    if not rows:
-        return "trace contains no span events\n"
-    name_width = max(len(r.name) for r in rows)
-    name_width = max(name_width, len("span"))
-    lines = [
-        f"{'span':<{name_width}}  {'count':>5}  {'err':>3}  {'total':>9}  "
-        f"{'mean':>9}  {'max':>9}  dominant counters"
-    ]
-    lines.append("-" * len(lines[0]))
-    for row in rows:
-        mean = row.total_s / row.count if row.count else 0.0
-        lines.append(
-            f"{row.name:<{name_width}}  {row.count:>5}  {row.errors:>3}  "
-            f"{_format_seconds(row.total_s):>9}  {_format_seconds(mean):>9}  "
-            f"{_format_seconds(row.max_s):>9}  "
-            f"{_format_counters(row.dominant_counters())}"
-        )
-    tripped_rows = [r for r in rows if r.trips]
-    if tripped_rows:
-        lines.append("")
-        lines.append("guard trips:")
-        for row in tripped_rows:
-            breakdown = ", ".join(
-                f"{limit}={count}" for limit, count in sorted(row.trips.items())
-            )
-            lines.append(f"  {row.name:<{name_width}}  {breakdown}")
-    lines.append("")
-    lines.append("slowest spans:")
-    for row in rows:
-        slowest = row.slowest or {}
-        attrs = slowest.get("attrs") or {}
-        attr_text = (
-            " ".join(f"{k}={v}" for k, v in sorted(attrs.items())) or "-"
-        )
-        lines.append(
-            f"  {row.name:<{name_width}}  span_id={slowest.get('span_id', '?')}  "
-            f"{_format_seconds(row.max_s).strip():>9}  {attr_text}"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
-def report(
-    path: str | Sequence[str],
-    sort: str = "total",
-    limit: int | None = None,
-    strict: bool = True,
-    on_skip: Any = None,
-) -> str:
-    """Aggregate trace file(s)/glob(s) and return the rendered table.
-
-    ``strict=False`` degrades gracefully on truncated/partial JSONL
-    lines (killed workers): malformed lines are skipped — reported
-    through ``on_skip`` — instead of aborting the whole report.
+    A malformed line (one a killed worker cut off mid-write) is skipped
+    and reported through ``on_skip``; a file with no valid event at all
+    still raises :class:`ValueError`, as does a glob matching nothing.
+    With several files, each event carries its file's index as
+    ``_source``: span ids restart per file, and
+    :func:`repro.obs.critical_path.build_tree` scopes them by it.
     """
-    patterns = [path] if isinstance(path, str) else list(path)
     paths = expand_traces(patterns)
-    aggregates = aggregate(iter_all_events(paths, strict=strict, on_skip=on_skip))
-    return render(aggregates, sort=sort, limit=limit)
+    events: list[dict[str, Any]] = []
+    for index, path in enumerate(paths):
+        for event in iter_events(path, strict=False, on_skip=on_skip):
+            if len(paths) > 1:
+                event["_source"] = index
+            events.append(event)
+    return events
 
 
 def render_guard_map() -> str:
@@ -233,34 +155,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="Inspect repro.obs JSONL traces.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    report_parser = subparsers.add_parser(
-        "report", help="aggregate trace(s) into a per-procedure table"
+    explain_parser = subparsers.add_parser(
+        "explain",
+        help="where the time went, how much work was done, and whether "
+        "and why a budget tripped",
     )
-    report_parser.add_argument(
+    explain_parser.add_argument(
         "trace", nargs="+", help="JSONL trace file(s) or glob pattern(s)"
     )
-    report_parser.add_argument(
-        "--sort",
-        choices=("total", "count", "max", "name"),
-        default="total",
-        help="row ordering (default: total time, descending)",
-    )
-    report_parser.add_argument(
-        "--limit", type=int, default=None, help="show at most N rows"
-    )
-    subparsers.add_parser(
-        "guard",
-        help="list guarded checkpoint sites (fault-injection span names)",
-    )
-    path_parser = subparsers.add_parser(
-        "critical-path",
-        help="dominant span chain with self-time attribution",
-    )
-    path_parser.add_argument(
-        "trace", nargs="+", help="JSONL trace file(s) or glob pattern(s)"
-    )
-    path_parser.add_argument(
-        "--limit", type=int, default=10, help="self-time ranking rows"
+    explain_parser.add_argument(
+        "--limit", type=int, default=None, help="show at most N rows per table"
     )
     check_parser = subparsers.add_parser(
         "check",
@@ -291,89 +195,45 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         help="bound multiplier for --update (default: 10x)",
     )
-    explain_parser = subparsers.add_parser(
-        "explain",
-        help="ranked 'why was this solve slow' diagnosis over a trace",
-    )
-    explain_parser.add_argument(
-        "trace", nargs="+", help="JSONL trace file(s) or glob pattern(s)"
-    )
-    explain_parser.add_argument(
-        "--limit", type=int, default=None, help="show at most N findings"
+    subparsers.add_parser(
+        "guard",
+        help="list guarded checkpoint sites (fault-injection span names)",
     )
     args = parser.parse_args(argv)
-    warn = lambda message: print(f"warning: {message}", file=_sys.stderr)  # noqa: E731
-    if args.command == "report":
-        try:
-            text = report(
-                args.trace,
-                sort=args.sort,
-                limit=args.limit,
-                strict=False,
-                on_skip=warn,
-            )
-        except (OSError, ValueError) as error:
-            parser.exit(1, f"error: {error}\n")
-        print(text, end="")
-        return 0
     if args.command == "guard":
         print(render_guard_map(), end="")
         return 0
-    if args.command == "critical-path":
-        from repro.obs.critical_path import critical_path
+    warn = lambda message: print(f"warning: {message}", file=_sys.stderr)  # noqa: E731
+    try:
+        if args.command == "explain":
+            from repro.obs.explain import explain
 
-        try:
-            text = critical_path(
-                expand_traces(args.trace),
-                limit=args.limit,
-                strict=False,
+            code, text = 0, explain(args.trace, limit=args.limit, on_skip=warn)
+        elif args.update:
+            from repro.obs.check import DEFAULT_HEADROOM, update_baseline
+
+            code, text = update_baseline(
+                args.baseline,
+                metrics_path=args.metrics,
+                trace_paths=args.trace,
+                headroom=(
+                    args.headroom if args.headroom is not None else DEFAULT_HEADROOM
+                ),
                 on_skip=warn,
             )
-        except (OSError, ValueError) as error:
-            parser.exit(1, f"error: {error}\n")
-        print(text, end="")
-        return 0
-    if args.command == "check":
-        from repro.obs.check import DEFAULT_HEADROOM, run_check, update_baseline
+        else:
+            from repro.obs.check import run_check
 
-        try:
-            if args.update:
-                code, text = update_baseline(
-                    args.baseline,
-                    metrics_path=args.metrics,
-                    trace_paths=expand_traces(args.trace),
-                    headroom=(
-                        args.headroom
-                        if args.headroom is not None
-                        else DEFAULT_HEADROOM
-                    ),
-                    strict=False,
-                    on_skip=warn,
-                )
-            else:
-                code, text = run_check(
-                    args.baseline,
-                    metrics_path=args.metrics,
-                    trace_paths=expand_traces(args.trace),
-                    strict=False,
-                    on_skip=warn,
-                )
-        except (OSError, ValueError) as error:
-            parser.exit(1, f"error: {error}\n")
-        print(text, end="")
-        return code
-    if args.command == "explain":
-        from repro.obs.explain import explain
-
-        try:
-            text = explain(
-                expand_traces(args.trace), limit=args.limit, on_skip=warn
+            code, text = run_check(
+                args.baseline,
+                metrics_path=args.metrics,
+                trace_paths=args.trace,
+                on_skip=warn,
             )
-        except (OSError, ValueError) as error:
-            parser.exit(1, f"error: {error}\n")
-        print(text, end="")
-        return 0
-    return 2  # pragma: no cover - argparse enforces the subcommand
+    except (OSError, ValueError) as error:
+        parser.exit(1, f"error: {error}\n")
+    print(text, end="")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -42,6 +42,8 @@ in-flight future raises :class:`BrokenProcessPool`.  :meth:`WorkerPool.respawn`
 rebuilds the executor in place (same spool directory, same merge
 offsets, so no telemetry is lost) and the scheduler re-dispatches or
 resolves the stranded jobs; the pool itself never leaks a hung future.
+The reverse holds too: each worker exits when its parent dies, even by
+a signal that leaves no chance to shut the executor down.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import json
 import multiprocessing
 import os
 import tempfile
+import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -65,8 +68,24 @@ from repro.serve.registry import get_procedure
 __all__ = ["BrokenProcessPool", "InlineRunner", "WorkerPool"]
 
 
+def _exit_with_parent() -> None:
+    """End this worker once its parent process is gone.
+
+    A parent killed by a signal never shuts its executor down, and its
+    workers would stay blocked on the call queue, reparented to init.
+    ``join`` waits on the parent sentinel, a pipe that reads EOF once
+    every holder of its write end has exited, however it died: the
+    parent, and any worker forked after this one (which inherited the
+    parent's end and exits first, the same way).
+    """
+    multiprocessing.parent_process().join()
+    os._exit(1)
+
+
 def _worker_init(spool_dir: str | None, trace: bool, record: bool) -> None:
-    """Per-worker initializer: point the worker's telemetry at its spool."""
+    """Per-worker initializer: exit with the parent, and point the
+    worker's telemetry at its spool."""
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
     spool = None
     if spool_dir is not None:
         # "a": a recycled pid must not truncate lines the parent has

@@ -52,6 +52,7 @@ __all__ = [
     "RETRYABLE_LIMITS",
     "RetryPolicy",
     "WORKER_LOST_DETAIL",
+    "decorrelated_jitter_s",
 ]
 
 #: ``Answer.detail`` of jobs refused by admission control.
@@ -64,6 +65,21 @@ WORKER_LOST_DETAIL = "worker process lost mid-job"
 #: Trip limits a retry can help with.  ``cancelled`` is excluded — the
 #: caller asked for the job to stop; retrying would countermand them.
 RETRYABLE_LIMITS = frozenset({"steps", "deadline", "memory"})
+
+
+def decorrelated_jitter_s(
+    previous_s: float | None, base_s: float, cap_s: float, rng: random.Random
+) -> float:
+    """The next retry wait: ``min(cap, uniform(base, max(base, 3 * previous)))``.
+
+    Lockstep doubling (``base * 2**attempt``) makes processes that failed
+    together retry together and collide again; decorrelated jitter has
+    each draw its own wait from a widening window.  Shared by job retry
+    (:class:`RetryPolicy`) and the store's lock retry
+    (:func:`repro.serve.store.retry_backoff_s`).
+    """
+    span = max(base_s, 3.0 * (previous_s or base_s))
+    return min(cap_s, rng.uniform(base_s, span))
 
 
 @dataclass(frozen=True)
@@ -128,12 +144,10 @@ class RetryPolicy:
         )
 
     def backoff_s(self, previous_s: float | None) -> float:
-        """The next decorrelated-jitter wait given the previous one."""
-        if self.backoff_cap_s == 0:
-            return 0.0
-        floor = self.backoff_base_s
-        span = max(floor, 3.0 * (previous_s if previous_s else floor))
-        return min(self.backoff_cap_s, self.rng.uniform(floor, span))
+        """The next wait given the previous one (:func:`decorrelated_jitter_s`)."""
+        return decorrelated_jitter_s(
+            previous_s, self.backoff_base_s, self.backoff_cap_s, self.rng
+        )
 
 
 class AdmissionControl:

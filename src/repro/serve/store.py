@@ -26,16 +26,13 @@ The store keeps decided answers and dead-letter records, nothing else.
 A YES answer carries its witness, which is all :mod:`repro.delta` needs
 to re-check an edited version in a new process.  The engine's
 intermediates (compiled searchers, symbol quotients) live with their
-automaton and are rebuilt, not loaded, by a new process.
-
-Legacy ``answers.jsonl`` files migrate via :meth:`Store.import_jsonl`
-(the cache calls it automatically on open; re-imports only when the
-file changes, and existing store rows win over imported ones).
+automaton and are rebuilt, not loaded, by a new process.  The schema
+still carries a ``meta`` key/value table that nothing reads or writes
+any more; dropping it needs a schema version bump.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import pickle
@@ -48,7 +45,7 @@ from typing import Any, Callable, Iterator
 from repro import metrics
 from repro.errors import ReproError
 from repro.guard import inject as _inject
-from repro.serve.resilience import DLQRecord
+from repro.serve.resilience import DLQRecord, decorrelated_jitter_s
 
 __all__ = [
     "Store",
@@ -91,18 +88,16 @@ _PRAGMAS = (
 def retry_backoff_s(
     previous_s: float | None, rng: random.Random | None = None
 ) -> float:
-    """The next retry wait: decorrelated jitter, not lockstep doubling.
+    """The next lock-retry wait, between 50 ms and 1 s.
 
-    The old schedule was ``base * 2**attempt`` — deterministic, so N
-    worker processes that hit ``busy_timeout`` on the same contended
-    write retried *in phase* and collided again on every attempt.
-    Decorrelated jitter (``min(cap, uniform(base, 3 * previous))``)
-    spreads the herd: each process draws its own wait from a widening
-    window.  ``rng`` is injectable for deterministic tests.
+    Decorrelated jitter (:func:`~repro.serve.resilience.decorrelated_jitter_s`),
+    so writer processes that hit ``busy_timeout`` together do not retry
+    in phase.  ``rng`` is injectable for deterministic tests.
     """
-    draw = (rng or random).uniform
-    span = max(_RETRY_BASE_SLEEP_S, 3.0 * (previous_s or _RETRY_BASE_SLEEP_S))
-    return min(_RETRY_CAP_SLEEP_S, draw(_RETRY_BASE_SLEEP_S, span))
+    return decorrelated_jitter_s(
+        previous_s, _RETRY_BASE_SLEEP_S, _RETRY_CAP_SLEEP_S, rng or random
+    )
+
 
 _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS schema_version (version INTEGER NOT NULL)",
@@ -446,75 +441,7 @@ class Store:
             lambda: conn.execute("SELECT COUNT(*) FROM dlq").fetchone()
         )[0]
 
-    # -- meta / maintenance ------------------------------------------------------
-
-    def get_meta(self, key: str) -> str | None:
-        conn = self._connection()
-        row = self._retry(
-            lambda: conn.execute(
-                "SELECT value FROM meta WHERE key = ?", (key,)
-            ).fetchone()
-        )
-        return row[0] if row else None
-
-    def set_meta(self, key: str, value: str) -> None:
-        conn = self._connection()
-        self._retry(
-            lambda: conn.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                (key, value),
-            )
-        )
-
-    def import_jsonl(self, path: str, *, replace: bool = False) -> int:
-        """Import a legacy JSONL answer file; returns records imported.
-
-        Unreadable lines and records without a pickle payload are
-        skipped (the JSONL tier always tolerated garbage).  By default
-        existing store rows win (``INSERT OR IGNORE``) — the store is
-        the newer generation; ``replace=True`` inverts that for
-        explicit CLI re-imports.
-        """
-        if not os.path.exists(path):
-            return 0
-        conn = self._connection()
-        action = "REPLACE" if replace else "IGNORE"
-        imported = 0
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                key = record.get("key")
-                encoded = record.get("pickle")
-                if not isinstance(key, str) or not isinstance(encoded, str):
-                    continue
-                try:
-                    payload = base64.b64decode(encoded)
-                    pickle.loads(payload)  # refuse records that cannot load
-                except Exception:  # noqa: BLE001
-                    continue
-                cursor = self._retry(
-                    lambda k=key, p=payload, r=record: conn.execute(
-                        f"INSERT OR {action} INTO answers "
-                        "(fingerprint, procedure, verdict, detail, payload, updated_s) "
-                        "VALUES (?, ?, ?, ?, ?, ?)",
-                        (
-                            k,
-                            r.get("procedure"),
-                            r.get("verdict"),
-                            r.get("detail"),
-                            p,
-                            time.time(),
-                        ),
-                    )
-                )
-                imported += cursor.rowcount if cursor.rowcount > 0 else 0
-        return imported
+    # -- maintenance -------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
         """Counts, schema version, pragmas, and file size — JSON-friendly."""

@@ -8,60 +8,22 @@ trips, and a per-procedure latency table (count, p50, p90, p99, max) —
 the percentiles, not averages, that heavy-tailed solve times demand.
 
 Rendering is a pure function of (current snapshot, previous snapshot),
-so it is testable without a terminal; the loop just tails the file.
+so it is testable without a terminal; the loop re-reads the newest
+whole snapshot (:func:`repro.metrics.last_snapshot`, the reader
+``obs check`` uses too) each interval.
 ``--once`` renders a single frame and exits (what CI smokes).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from typing import Any, Mapping, Sequence
 
 from repro import metrics
-
-#: How many trailing bytes of the snapshot file the tail reader scans.
-TAIL_BYTES = 256 * 1024
-
-
-def tail_snapshot(path: str) -> dict[str, Any] | None:
-    """The last metrics snapshot in ``path``, reading only the tail.
-
-    Snapshot files grow one line per export interval; a long-running
-    soak's file can be large, so seek to the last :data:`TAIL_BYTES`
-    and parse backwards from the end.
-    """
-    try:
-        size = os.path.getsize(path)
-        with open(path, "rb") as handle:
-            handle.seek(max(0, size - TAIL_BYTES))
-            payload = handle.read().decode("utf-8", errors="replace")
-    except OSError:
-        return None
-    for line in reversed(payload.splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # truncated first line of the tail window, mid-write
-        if record.get("event") == "metrics":
-            return record
-    return None
-
-
-def _fmt_seconds(seconds: float | None) -> str:
-    if seconds is None:
-        return "-"
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds * 1e6:.1f}µs"
+from repro.obs.explain import format_seconds
 
 
 def _fmt_count(value: float) -> str:
@@ -219,10 +181,10 @@ def render(
         for procedure, readout in latency_rows:
             lines.append(
                 f"{procedure:<{width}}  {readout['count']:>6}  "
-                f"{_fmt_seconds(readout['p50']):>9}  "
-                f"{_fmt_seconds(readout['p90']):>9}  "
-                f"{_fmt_seconds(readout['p99']):>9}  "
-                f"{_fmt_seconds(readout['max']):>9}"
+                f"{format_seconds(readout['p50']):>9}  "
+                f"{format_seconds(readout['p90']):>9}  "
+                f"{format_seconds(readout['p99']):>9}  "
+                f"{format_seconds(readout['max']):>9}"
             )
     else:
         lines.append("")
@@ -242,7 +204,7 @@ def run_top(
     out = out if out is not None else sys.stdout
     prev: dict[str, Any] | None = None
     while True:
-        snap = tail_snapshot(path)
+        snap = metrics.last_snapshot(path)
         if snap is None:
             if once:
                 print(f"{path}: no metrics snapshot yet", file=sys.stderr)
@@ -301,4 +263,4 @@ def _cmd_top(args: argparse.Namespace) -> int:
     )
 
 
-__all__: Sequence[str] = ["render", "run_top", "tail_snapshot", "add_parser"]
+__all__: Sequence[str] = ["render", "run_top", "add_parser"]

@@ -67,13 +67,13 @@ class TestSpanAttributes:
         assert "tripped" not in spans["nonempty_pl"]["attrs"]
 
     def test_report_aggregates_trips(self, trace):
-        from repro.obs.report import aggregate, render
+        from repro.obs.explain import render
+        from repro.obs.report import aggregate
 
         with injected("afa.search_witness", limit="memory"):
             nonempty_pl(pl_counter_sws(2))
         events = [json.loads(line) for line in trace.getvalue().splitlines()]
         aggregates = aggregate(events)
         assert aggregates["nonempty_pl"].trips == {"memory": 1}
-        text = render(aggregates)
-        assert "guard trips:" in text
-        assert "memory=1" in text
+        trips = render(events).split("== whether and why a budget tripped ==")[1]
+        assert "'nonempty_pl' hit the memory limit 1×" in trips

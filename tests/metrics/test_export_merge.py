@@ -4,8 +4,13 @@ import json
 
 import pytest
 
-from repro import metrics
+from repro import metrics, obs
 from repro.metrics import Registry
+
+
+def _snapshots(path):
+    """Every metrics snapshot line of ``path``, in order."""
+    return [e for e in obs.iter_events(str(path)) if e.get("event") == "metrics"]
 
 
 def _populated_registry() -> Registry:
@@ -47,7 +52,7 @@ class TestExportFiles:
         metrics.write_snapshot()
         metrics.counter("c").inc()
         metrics.write_snapshot()
-        snaps = list(metrics.iter_snapshots(str(path)))
+        snaps = _snapshots(path)
         assert len(snaps) == 2
         assert snaps[0]["counters"]["c"] == 1
         assert snaps[1]["counters"]["c"] == 2
@@ -60,22 +65,32 @@ class TestExportFiles:
         metrics.write_snapshot()
         metrics.counter("c").inc()
         metrics.write_snapshot()
-        snaps = list(metrics.iter_snapshots(str(spool)))
+        snaps = _snapshots(spool)
         assert [snap["counters"]["c"] for snap in snaps] == [1, 2]  # cumulative
 
     def test_write_snapshot_none_when_disabled(self):
         assert metrics.write_snapshot() is None
 
-    def test_iter_snapshots_rejects_malformed_lines(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"event": "metrics"}\nnot json\n')
-        with pytest.raises(ValueError, match="malformed"):
-            list(metrics.iter_snapshots(str(path)))
+    def test_last_snapshot_passes_over_a_cut_final_line(self, tmp_path):
+        path = tmp_path / "cut.jsonl"
+        path.write_text(
+            '{"event": "metrics", "seq": 1}\n{"event": "metrics", "seq": 2}\n'
+            '{"event": "metrics", "se'  # the writer was killed mid-line
+        )
+        assert metrics.last_snapshot(str(path))["seq"] == 2
 
-    def test_iter_snapshots_skips_foreign_events(self, tmp_path):
+    def test_last_snapshot_none_without_a_whole_snapshot(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('not json\n{"event": "metrics", "se')
+        assert metrics.last_snapshot(str(path)) is None
+
+    def test_last_snapshot_skips_foreign_events(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
-        path.write_text('{"event": "span"}\n\n{"event": "metrics", "seq": 1}\n')
-        assert [s["seq"] for s in metrics.iter_snapshots(str(path))] == [1]
+        path.write_text(
+            '{"event": "span"}\n\n{"event": "metrics", "seq": 1}\n'
+            '{"event": "progress"}\n'
+        )
+        assert metrics.last_snapshot(str(path))["seq"] == 1
 
 
 class TestMergeSnapshot:

@@ -245,6 +245,32 @@ class TestRunCheck:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_cli_uses_the_last_whole_snapshot_of_a_cut_file(self, tmp_path, capsys):
+        """A writer killed mid-line leaves a cut final line; ``serve top``
+        reads past it, and so must the tripwire."""
+        from repro.obs.report import main
+
+        baseline = self._write_baseline(
+            tmp_path,
+            [{"name": "hit-rate", "source": "metrics", "stat": "cache_hit_rate", "min": 0.5}],
+        )
+        metrics_path = self._write_snapshot(tmp_path, _snapshot(hits=3, misses=1))
+        whole = json.dumps(_snapshot(hits=0, misses=9))
+        with open(metrics_path, "a") as handle:
+            handle.write(whole[: len(whole) // 2])
+        code = main(["check", "--baseline", baseline, "--metrics", metrics_path])
+        assert code == 0
+        assert "cache_hit_rate=0.75" in capsys.readouterr().out
+
+    def test_cli_without_a_whole_snapshot_exits_one(self, tmp_path, capsys):
+        from repro.obs.report import main
+
+        baseline = self._write_baseline(tmp_path, [])
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text(json.dumps(_snapshot())[:40])
+        assert main(["check", "--baseline", baseline, "--metrics", str(cut)]) == 1
+        assert "no metrics snapshot found" in capsys.readouterr().out
+
     def test_committed_baseline_passes_on_committed_traces(self):
         import pathlib
 

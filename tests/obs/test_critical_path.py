@@ -1,16 +1,12 @@
-"""Critical-path tree building, self-time attribution, and rendering."""
+"""Critical-path tree building, self-time attribution, and the
+"where the time went" section of `obs explain`."""
 
 import json
 
 import pytest
 
-from repro.obs.critical_path import (
-    build_tree,
-    critical_path,
-    dominant_chain,
-    render,
-    self_time_by_name,
-)
+from repro.obs.critical_path import build_tree, dominant_chain, self_time_by_name
+from repro.obs.explain import explain, render
 
 
 def _span(name, elapsed, span_id, parent_id=None, worker_pid=None):
@@ -92,13 +88,16 @@ class TestSelfTime:
 
 class TestRender:
     def test_report_sections(self):
-        text = render(build_tree(_tree_events()))
+        text = render(_tree_events())
         assert "dominant chain" in text
         assert "root" in text and "slow" in text and "leaf" in text
         assert "self time by span name" in text
+        chain = text.split("dominant chain")[1].split("self time")[0]
+        assert chain.index("root") < chain.index("slow") < chain.index("leaf")
+        assert "fast" not in chain  # off the dominant chain
 
     def test_empty_trace(self):
-        assert "no span events" in render([])
+        assert "no span" in render([])
 
 
 class TestCriticalPathFiles:
@@ -109,12 +108,12 @@ class TestCriticalPathFiles:
                 handle.write(
                     json.dumps(_span(name, 1.0 + index, span_id=1)) + "\n"
                 )
-        text = critical_path(
+        text = explain(
             [str(tmp_path / "first.jsonl"), str(tmp_path / "second.jsonl")]
         )
         # Identical span_id=1 in both files: both must survive as roots,
         # with the slower one dominating.
-        assert "second" in text
+        assert "dominant chain (root 'second'" in text
         assert "n=1" in text
 
     def test_cli_subcommand(self, tmp_path, capsys):
@@ -124,6 +123,6 @@ class TestCriticalPathFiles:
         with open(path, "w") as handle:
             for event in _tree_events():
                 handle.write(json.dumps(event) + "\n")
-        assert main(["critical-path", str(path)]) == 0
+        assert main(["explain", str(path)]) == 0
         out = capsys.readouterr().out
         assert "dominant chain" in out

@@ -1,15 +1,16 @@
-"""The `obs explain` diagnosis: findings ranking and lenient parsing."""
+"""The `obs explain` report: its three sections, progress findings, and
+lenient parsing."""
 
-import io
 import json
 import subprocess
 import sys
 
+import pytest
+
 from repro import obs
 from repro.analysis import nonempty_pl
 from repro.guard import Budget
-from repro.obs import explain as explain_mod
-from repro.obs.explain import SiteCurve, explain, split_events
+from repro.obs.explain import SECTIONS, SiteCurve, explain
 from repro.obs import progress
 from repro.workloads.scaling import pl_counter_sws
 
@@ -39,14 +40,19 @@ class TestSiteCurve:
         assert curve.steps == 200
         assert curve.frontier_trend() == (4, 16)
         assert curve.rate_trend() == (1000.0, 400.0)
-        assert curve.tripped is None
+        assert curve.trip("deadline") is None
 
     def test_trip_and_headroom_from_latest_events(self):
         curve = SiteCurve("s")
         curve.add(_progress_event("s", 10, headroom={"steps": 0.9}))
         curve.add(_progress_event("s", 20, tripped="deadline"))
-        assert curve.tripped == "deadline"
-        assert curve.headroom() == {"steps": 0.9}
+        curve.add(_progress_event("s", 5, headroom={"deadline": 0.5}))
+        curve.add(_progress_event("s", 30, tripped="steps"))
+        event, headroom = curve.trip("deadline")
+        assert event["steps"] == 20 and headroom == {"steps": 0.9}
+        # An older trip keeps its own context when a newer one follows.
+        event, headroom = curve.trip("steps")
+        assert event["steps"] == 30 and headroom == {"deadline": 0.5}
 
 
 class TestFindings:
@@ -85,9 +91,10 @@ class TestFindings:
             ),
         ]
         text = explain_from_events(events)
-        assert "guard tripped" in text
-        assert "steps 95% left" in text
-        assert "last progress at 'bfs': 900 steps, frontier 12" in text
+        trips = text.split("== whether and why a budget tripped ==")[1]
+        assert "'nonempty_pl' hit the deadline limit 1×" in trips
+        assert "steps 95% left" in trips
+        assert "last progress at 'bfs': 900 steps, frontier 12" in trips
 
     def test_dominant_phase_and_critical_path(self):
         events = [
@@ -96,7 +103,10 @@ class TestFindings:
         ]
         text = explain_from_events(events)
         assert "dominant phase: 'inner'" in text
-        assert "critical path: root → inner" in text
+        assert "dominant chain (root 'root'" in text
+        assert "└─ inner" in text
+        # The chain prints once, in its section, not again as a finding.
+        assert "critical path:" not in text
 
 
 def explain_from_events(events, tmp_path=None, limit=None):
@@ -112,6 +122,23 @@ def explain_from_events(events, tmp_path=None, limit=None):
         return explain([path], limit=limit)
     finally:
         os.unlink(path)
+
+
+class TestSections:
+    def test_three_sections_in_order(self):
+        text = explain_from_events([_span_event("root", 1, 1.0)])
+        positions = [text.index(f"== {title} ==") for title in SECTIONS]
+        assert positions == sorted(positions)
+        assert "no budget tripped" in text
+
+    def test_no_limit_prints_every_row_and_limit_caps_each_table(self):
+        events = [_span_event(f"proc{i}", i + 1, 0.1 * (i + 1)) for i in range(12)]
+        full = explain_from_events(events)
+        assert all(f"proc{i} " in full for i in range(12))
+        capped = explain_from_events(events, limit=2)
+        _, time, work, _ = capped.split("\n== ")
+        assert time.count("  n=1") == 2  # self time by span name
+        assert work.count("span_id=") == 2  # slowest spans
 
 
 class TestLenientParsing:
@@ -156,6 +183,13 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         assert "dominant phase" in proc.stdout
         assert "warning" in proc.stderr  # the malformed line was reported
+
+    def test_help_lists_only_explain_check_and_guard(self, capsys):
+        from repro.obs.report import main
+
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        assert "{explain,check,guard}" in capsys.readouterr().out
 
 
 def _src_env():

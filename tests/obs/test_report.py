@@ -1,18 +1,18 @@
-"""The trace report: aggregation, rendering, and the CLI entry point."""
+"""Trace loading and aggregation, the work section of `obs explain`, and
+the CLI entry point."""
 
-import io
 import json
 
 import pytest
 
 from repro import obs
+from repro.obs.explain import explain, render
 from repro.obs.report import (
     SpanAggregate,
     aggregate,
     expand_traces,
+    load_events,
     main,
-    render,
-    report,
 )
 from repro.workloads.scaling import pl_counter_sws
 
@@ -34,6 +34,11 @@ def _span(name, elapsed, span_id=1, status="ok", counters=None, attrs=None):
     if attrs:
         event["attrs"] = attrs
     return event
+
+
+def _work_section(text):
+    """The "how much work was done" section of an explain report."""
+    return text.split("== how much work was done ==")[1].split("\n== ")[0]
 
 
 class TestAggregate:
@@ -63,34 +68,34 @@ class TestAggregate:
 
 class TestRender:
     def test_table_contains_rows_and_slowest_section(self):
-        aggs = aggregate(
-            [
-                _span("slow_proc", 2.0, span_id=1, attrs={"subject": "c8"}),
-                _span("fast_proc", 0.001, span_id=2),
-            ]
+        text = _work_section(
+            render(
+                [
+                    _span("slow_proc", 2.0, span_id=1, attrs={"subject": "c8"}),
+                    _span("fast_proc", 0.001, span_id=2),
+                ]
+            )
         )
-        text = render(aggs)
         assert "slow_proc" in text and "fast_proc" in text
         assert "slowest spans:" in text
         assert "subject=c8" in text
-        # total-sort puts the slow procedure first
+        # rows run by total time: the slow procedure first
         assert text.index("slow_proc") < text.index("fast_proc")
 
     def test_sort_and_limit(self):
-        aggs = aggregate(
-            [
-                _span("a", 1.0, span_id=1),
-                _span("b", 2.0, span_id=2),
-                _span("b", 2.0, span_id=3),
-            ]
-        )
-        by_name = render(aggs, sort="name")
-        assert by_name.index("a") < by_name.index("b")
-        limited = render(aggs, sort="count", limit=1)
-        assert "b" in limited and "a  " not in limited
+        events = [
+            _span("a", 1.0, span_id=1),
+            _span("b", 2.0, span_id=2),
+            _span("b", 2.0, span_id=3),
+        ]
+        full = _work_section(render(events))
+        assert full.index("b  ") < full.index("a  ")  # total time, descending
+        limited = render(events, limit=1)
+        assert "b  " in _work_section(limited)
+        assert "a  " not in limited  # --limit caps every section
 
     def test_empty_trace(self):
-        assert "no span events" in render({})
+        assert "no span" in render([])
 
 
 class TestReportEndToEnd:
@@ -103,7 +108,7 @@ class TestReportEndToEnd:
             nonempty_pl(pl_counter_sws(3))
         finally:
             obs.configure(enabled=False)
-        text = report(str(trace))
+        text = _work_section(explain([str(trace)]))
         assert "nonempty_pl" in text
         assert "vectors_explored" in text
 
@@ -112,20 +117,20 @@ class TestReportEndToEnd:
         with open(trace, "w") as handle:
             json.dump(_span("proc", 0.25, counters={"pre_steps": 9}), handle)
             handle.write("\n")
-        assert main(["report", str(trace)]) == 0
+        assert main(["explain", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "proc" in out and "pre_steps=9" in out
 
     def test_cli_missing_file_exits_nonzero(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["report", str(tmp_path / "absent.jsonl")])
+            main(["explain", str(tmp_path / "absent.jsonl")])
         assert excinfo.value.code == 1
 
     def test_cli_malformed_trace_exits_nonzero(self, tmp_path):
         trace = tmp_path / "bad.jsonl"
         trace.write_text("nope\n")
         with pytest.raises(SystemExit) as excinfo:
-            main(["report", str(trace)])
+            main(["explain", str(trace)])
         assert excinfo.value.code == 1
 
 
@@ -138,14 +143,16 @@ class TestMultiTrace:
     def test_report_merges_several_files(self, tmp_path):
         self._write(tmp_path / "a.jsonl", [_span("proc", 1.0, span_id=1)])
         self._write(tmp_path / "b.jsonl", [_span("proc", 2.0, span_id=1)])
-        text = report([str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")])
+        events = load_events([str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")])
+        assert [event["_source"] for event in events] == [0, 1]
+        text = _work_section(render(events))
         assert "proc" in text
         assert "    2" in text  # count column folds both files
 
     def test_report_accepts_a_glob(self, tmp_path):
         self._write(tmp_path / "w-1.jsonl", [_span("proc", 1.0)])
         self._write(tmp_path / "w-2.jsonl", [_span("other", 1.0)])
-        text = report(str(tmp_path / "w-*.jsonl"))
+        text = explain([str(tmp_path / "w-*.jsonl")])
         assert "proc" in text and "other" in text
 
     def test_unmatched_glob_raises(self, tmp_path):
@@ -160,7 +167,7 @@ class TestMultiTrace:
         self._write(tmp_path / "a.jsonl", [_span("proc", 1.0)])
         self._write(tmp_path / "b.jsonl", [_span("proc", 1.0)])
         code = main(
-            ["report", str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
+            ["explain", str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
         )
         assert code == 0
         assert "proc" in capsys.readouterr().out
@@ -174,9 +181,9 @@ class TestLenientParsing:
         with open(trace, "w") as handle:
             handle.write(json.dumps(_span("proc", 0.5)) + "\n")
             handle.write('{"event": "span", "name": "tru')  # mid-write kill
-        assert main(["report", str(trace)]) == 0
+        assert main(["explain", str(trace)]) == 0
         captured = capsys.readouterr()
-        assert "proc" in captured.out
+        assert "proc" in _work_section(captured.out)
         assert "warning" in captured.err
 
     def test_critical_path_cli_skips_truncated_trailing_line(
@@ -186,15 +193,7 @@ class TestLenientParsing:
         with open(trace, "w") as handle:
             handle.write(json.dumps(_span("proc", 0.5, span_id=7)) + "\n")
             handle.write('{"truncated')
-        assert main(["critical-path", str(trace)]) == 0
+        assert main(["explain", str(trace)]) == 0
         captured = capsys.readouterr()
-        assert "proc" in captured.out
+        assert "dominant chain (root 'proc'" in captured.out
         assert "warning" in captured.err
-
-    def test_strict_api_still_raises(self, tmp_path):
-        trace = tmp_path / "t.jsonl"
-        with open(trace, "w") as handle:
-            handle.write(json.dumps(_span("proc", 0.5)) + "\n")
-            handle.write('{"truncated')
-        with pytest.raises(ValueError):
-            report(str(trace))

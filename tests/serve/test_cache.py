@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import threading
 
@@ -76,15 +75,6 @@ def test_disk_tier_roundtrip(tmp_path):
     second.close()
 
 
-def test_disk_tier_tolerates_garbage_legacy_jsonl(tmp_path):
-    d = tmp_path / "cache"
-    d.mkdir()
-    (d / "answers.jsonl").write_text("not json\n\n{\"key\": \"x\"}\n")
-    cache = AnswerCache(directory=str(d))  # must not raise
-    assert cache.get("x") is None  # record without pickle payload ignored
-    cache.close()
-
-
 def test_last_record_wins_on_reload(tmp_path):
     d = str(tmp_path / "cache")
     cache = AnswerCache(directory=d)
@@ -126,39 +116,6 @@ def test_len_counts_disk_resident_keys(tmp_path):
     cache.clear_memory()
     assert len(cache) == 3  # k3 reached disk; nothing was lost
     cache.close()
-
-
-def test_legacy_jsonl_migration_roundtrip(tmp_path):
-    import base64
-    import pickle
-
-    d = tmp_path / "cache"
-    d.mkdir()
-    # A legacy-format JSONL tier, as written before the SQLite store.
-    record = {
-        "key": "legacy-k",
-        "verdict": "yes",
-        "procedure": "nonempty_pl",
-        "pickle": base64.b64encode(pickle.dumps(Answer.yes(detail="legacy"))).decode(
-            "ascii"
-        ),
-    }
-    (d / "answers.jsonl").write_text(json.dumps(record) + "\n")
-
-    cache = AnswerCache(directory=str(d))
-    assert cache.stats.disk_loaded == 1
-    hit = cache.get("legacy-k")
-    assert hit is not None and hit.is_yes and hit.detail == "legacy"
-    cache.close()
-
-    # Import is one-time: a store-side update survives reopening even
-    # though the (unchanged) JSONL file still holds the old record.
-    cache = AnswerCache(directory=str(d))
-    cache.put("legacy-k", Answer.yes(detail="updated"))
-    cache.close()
-    reopened = AnswerCache(directory=str(d))
-    assert reopened.get("legacy-k").detail == "updated"
-    reopened.close()
 
 
 def test_disk_tier_io_errors_degrade_to_misses(tmp_path):

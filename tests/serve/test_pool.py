@@ -10,7 +10,12 @@ from __future__ import annotations
 import io
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
+
+import pytest
 
 from repro import metrics, obs
 from repro.guard import Budget
@@ -143,3 +148,60 @@ def test_respawn_keeps_serving():
         )[0]
         assert answer.is_yes
         assert service.stats()["resilience"]["pool_respawns"] == 1
+
+
+_ORPHAN_PARENT = """
+import multiprocessing, threading, time
+from repro.serve import SolverService
+from repro.workloads.scaling import pl_counter_sws
+
+service = SolverService(workers=2)
+service.submit("nonempty_pl", pl_counter_sws(18))
+threading.Thread(target=service.drain, daemon=True).start()
+while len(multiprocessing.active_children()) < 2:
+    time.sleep(0.01)
+print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie awaiting reaping is not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process state from /proc")
+def test_workers_exit_when_the_parent_is_killed():
+    """A parent killed by SIGKILL cannot shut its pool down; its workers
+    must still go, not linger reparented to init."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_PARENT],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    pids: list[int] = []
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

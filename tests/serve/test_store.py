@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import base64
-import json
 import multiprocessing
 import pickle
 import sqlite3
@@ -73,39 +71,10 @@ def test_corrupt_payload_is_dropped_not_fatal(tmp_path):
 
 def test_meta_roundtrip_and_vacuum(tmp_path):
     store = Store(str(tmp_path / "s.sqlite3"))
-    assert store.get_meta("marker") is None
-    store.set_meta("marker", "v1")
-    store.set_meta("marker", "v2")
-    assert store.get_meta("marker") == "v2"
     store.vacuum()  # must not raise
     store.close()
     with pytest.raises(StoreError):
         store.put_answer("k", Answer.yes())
-
-
-def test_import_jsonl_ignore_vs_replace(tmp_path):
-    def record(key: str, detail: str) -> str:
-        payload = base64.b64encode(pickle.dumps(Answer.yes(detail=detail)))
-        return json.dumps(
-            {"key": key, "verdict": "yes", "pickle": payload.decode("ascii")}
-        )
-
-    legacy = tmp_path / "answers.jsonl"
-    legacy.write_text(
-        "garbage line\n"
-        + record("k1", "from-jsonl")
-        + "\n"
-        + json.dumps({"key": "no-pickle"})
-        + "\n"
-    )
-    store = Store(str(tmp_path / "s.sqlite3"))
-    store.put_answer("k1", Answer.yes(detail="from-store"))
-    assert store.import_jsonl(str(legacy)) == 0  # store row wins by default
-    assert store.get_answer("k1").detail == "from-store"
-    assert store.import_jsonl(str(legacy), replace=True) == 1
-    assert store.get_answer("k1").detail == "from-jsonl"
-    assert store.import_jsonl(str(tmp_path / "missing.jsonl")) == 0
-    store.close()
 
 
 # -- multi-process safety ----------------------------------------------------------

@@ -1,10 +1,10 @@
-"""The `serve top` dashboard: tail reading, pure rendering, CLI."""
+"""The `serve top` dashboard: its snapshot reader, pure rendering, CLI."""
 
 import io
 import json
 
-from repro.metrics import Registry
-from repro.serve.top import render, run_top, tail_snapshot
+from repro.metrics import Registry, last_snapshot
+from repro.serve.top import render, run_top
 
 
 def _snapshot(executed=4, hits=2, misses=2, seq=1, t_wall=1000.0):
@@ -33,7 +33,7 @@ class TestTailSnapshot:
         with open(path, "w") as handle:
             for seq in (1, 2, 3):
                 handle.write(json.dumps(_snapshot(seq=seq)) + "\n")
-        snap = tail_snapshot(str(path))
+        snap = last_snapshot(str(path))
         assert snap["seq"] == 3
 
     def test_skips_trailing_garbage(self, tmp_path):
@@ -41,10 +41,21 @@ class TestTailSnapshot:
         with open(path, "w") as handle:
             handle.write(json.dumps(_snapshot(seq=7)) + "\n")
             handle.write('{"truncated mid-wri')  # crash mid-append
-        assert tail_snapshot(str(path))["seq"] == 7
+        assert last_snapshot(str(path))["seq"] == 7
 
     def test_missing_file_is_none(self, tmp_path):
-        assert tail_snapshot(str(tmp_path / "absent.jsonl")) is None
+        assert last_snapshot(str(tmp_path / "absent.jsonl")) is None
+
+    def test_widens_the_window_until_a_snapshot_fits(self, tmp_path, monkeypatch):
+        from repro.metrics import _core
+
+        monkeypatch.setattr(_core, "TAIL_BYTES", 64)  # shorter than one line
+        path = tmp_path / "metrics.jsonl"
+        with open(path, "w") as handle:
+            for seq in (1, 2):
+                handle.write(json.dumps(_snapshot(seq=seq)) + "\n")
+            handle.write(json.dumps({"event": "span", "name": "x"}) + "\n")
+        assert last_snapshot(str(path))["seq"] == 2
 
 
 class TestRender:
