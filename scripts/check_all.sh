@@ -245,6 +245,9 @@ trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}" "${CHAOS_DIR}" "${METRICS_DIR}
 python -m repro.delta replay \
     --trace repro.workloads.editing:menu_editing_trace \
     --compare --require-warm 3 > /dev/null
+# A long session: 1,500 local edits stay local and never overflow the
+# stack (each engine patches against its root).
+python -m repro.delta replay --trace repro.workloads.editing:menu_editing_trace --arg 8 --arg 4 --arg '"abcd"' --arg 1500 --require-warm 1400 > /dev/null
 python -m repro.delta diff \
     --trace repro.workloads.editing:growing_trace --json \
     | grep -q '"alphabet_changed": true'

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro._stats import STATS
 from repro.automata.dfa import DFA
@@ -292,7 +292,7 @@ def _compile_diff_search(
 
 
 class _LazyRows(dict):
-    """Per-class row closures, each compiled on its first lookup.
+    """Per-class row closures (or row keys), each built on its first lookup.
 
     The generated searchers inline every row, so only single-step users
     (``pre_step``, :func:`patch_engine`, the delta re-check) read these —
@@ -301,11 +301,11 @@ class _LazyRows(dict):
 
     __slots__ = ("_make",)
 
-    def __init__(self, make: Callable[[Symbol], Callable[[int], int]]) -> None:
+    def __init__(self, make: Callable[[Symbol], Any]) -> None:
         super().__init__()
         self._make = make
 
-    def __missing__(self, rep: Symbol) -> Callable[[int], int]:
+    def __missing__(self, rep: Symbol) -> Any:
         row = self[rep] = self._make(rep)
         return row
 
@@ -324,10 +324,15 @@ class _CompiledAFA:
     Built once per automaton and cached on it; holds the state→bit
     mapping, the symbol quotient (``rep_of``: the automaton's class map,
     with representatives whose rows coincide merged), and the per-class
-    transition rows, compiled lazily.
+    transition rows, compiled lazily.  An engine compiled from scratch is
+    a *root* (``root`` is ``None``); :func:`patch_engine` derives engines
+    that record their root, the ``dirty`` states whose formulas may differ
+    from the root's, and ``patch_work``: the sizes of the dirty sets of
+    all patches since the root, summed.
     """
 
     __slots__ = (
+        "states",
         "order",
         "index",
         "final_mask",
@@ -337,9 +342,13 @@ class _CompiledAFA:
         "rep_of",
         "reps",
         "rows",
+        "root",
+        "dirty",
+        "patch_work",
         "_search_fn",
         "_sweep_fn",
         "_diff_cache",
+        "__weakref__",
     )
 
     def __init__(self, afa: "AFA") -> None:
@@ -357,6 +366,7 @@ class _CompiledAFA:
         STATS.afa_compilations += 1
 
     def _layout(self, afa: "AFA", order: tuple[State, ...], index: dict[State, int]) -> None:
+        self.states = afa.states
         self.order = order
         self.index = index
         self.final_mask = 0
@@ -364,6 +374,9 @@ class _CompiledAFA:
             self.final_mask |= 1 << index[state]
         self.initial_fn = pl.compile_mask(afa.initial_condition, index)
         self.alphabet = afa.alphabet
+        self.root: _CompiledAFA | None = None
+        self.dirty: tuple[State, ...] = ()
+        self.patch_work = 0
         self._search_fn: Callable | None = None
         self._sweep_fn: Callable | None = None
         self._diff_cache: dict["_CompiledAFA", tuple[Callable, tuple]] = {}
@@ -433,58 +446,82 @@ class _CompiledAFA:
 def patch_engine(
     base: "_CompiledAFA", afa: "AFA", dirty_states: Iterable[State]
 ) -> "_CompiledAFA | None":
-    """A compiled engine for ``afa`` reusing ``base``'s row closures.
+    """A compiled engine for ``afa`` reusing the row closures of ``base``'s root.
 
-    Applicable when ``afa`` has the same state order and alphabet as the
-    engine ``base`` was compiled for and its transition formulas differ
-    from ``base``'s only on the AFA states in ``dirty_states`` (the
+    The root is ``base`` itself when ``base`` was compiled from scratch,
+    else the root ``base`` was patched against.  Applicable when ``afa``
+    has ``base``'s state order and alphabet and its transition formulas
+    differ from ``base``'s only on the AFA states in ``dirty_states`` (the
     *support* of the edit); returns ``None`` when the layouts diverge.
     Each transition-row bit depends only on its own state's formula, so a
-    patched row is ``(base_row(v) & clean) | patch(v)`` where ``patch``
-    compiles just the dirty states' formulas — per-class compile cost is
-    proportional to the edit, not to the automaton.  The quotient is
-    regrouped over ``afa``'s representatives only, each one's row being
-    its base class's row with the dirty formulas spliced in — exactly the
-    classes a fresh compile of ``afa`` would form.
+    patched row is ``(root_row(v) & clean) | patch(v)`` where ``patch``
+    compiles the formulas of the states made dirty since the root (this
+    edit's and ``base.dirty``): one level however many edits came before,
+    and no engine but the root and the newest stays alive.  Both parts
+    compile lazily, so a replay compiles only the classes its witness
+    visits, and the root's rows are compiled once for all its patches.
+
+    The root compiles each class's row over all states once, and every
+    patch compiles its dirty states' formulas anew.  Once the dirty sets
+    of the patches since the root add up to more states than the
+    automaton has, ``None`` asks for a fresh compile, the next root: the
+    patches between two roots cost no more than one compile.
+
+    An ``afa`` that shares ``base``'s class map object (as
+    :func:`repro.core.pl_semantics.to_afa_incremental` returns it when the
+    edit neither splits nor merges a letter class) keeps ``base``'s
+    quotient.  Otherwise the quotient is regrouped over ``afa``'s
+    representatives, each one's row being its root class's row with the
+    dirty formulas spliced in: exactly the classes a fresh compile of
+    ``afa`` would form.
     """
-    order = tuple(sorted(afa.states))
-    if order != base.order:
+    root = base if base.root is None else base.root
+    order, index = base.order, base.index
+    if afa.states is not base.states and tuple(sorted(afa.states)) != order:
         return None
     if afa.alphabet != base.alphabet:
         return None
-    index = base.index
-    dirty = sorted(set(dirty_states).intersection(order))
+    dirty = sorted(set(base.dirty).union(s for s in dirty_states if s in index))
+    work = base.patch_work + len(dirty)
+    if work > len(order):
+        return None
     dirty_idx = [index[s] for s in dirty]
     clean = (1 << len(order)) - 1
     for i in dirty_idx:
         clean &= ~(1 << i)
+    # The closures read the new automaton's transitions, not the automaton:
+    # an engine cached on its AFA must not point back at it.
+    transitions = afa.transitions
+    root_keys, root_rows, root_rep_of = root.row_keys, root.rows, root.rep_of
 
-    engine = object.__new__(_CompiledAFA)
-    engine._layout(afa, order, index)
-    patches = {}
-    rows = {}
-    for rep in set(afa.classes.values()):
-        patches[rep] = [afa.transition(state, rep) for state in dirty]
-        row = rows[rep] = list(base.row_keys[base.rep_of[rep]])
-        for i, formula in zip(dirty_idx, patches[rep]):
-            row[i] = formula
-    engine._quotient(afa, rows)
-    base_rows, base_rep_of = base.rows, base.rep_of
+    def patch(rep: Symbol) -> list[tuple[int, pl.Formula]]:
+        return [(i, transitions.get((s, rep), pl.FALSE)) for i, s in zip(dirty_idx, dirty)]
+
+    def make_key(rep: Symbol) -> tuple:
+        key = list(root_keys[root_rep_of[rep]])
+        for i, formula in patch(rep):
+            key[i] = formula
+        return tuple(key)
 
     def make_row(rep: Symbol) -> Callable[[int], int]:
         patch_row = pl.compile_row(
-            (
-                (1 << i, formula)
-                for i, formula in zip(dirty_idx, patches[rep])
-                if formula is not pl.FALSE
-            ),
+            ((1 << i, formula) for i, formula in patch(rep) if formula is not pl.FALSE),
             index,
         )
-        base_row = base_rows[base_rep_of[rep]]
-        return lambda v: (base_row(v) & clean) | patch_row(v)
+        root_row = root_rows[root_rep_of[rep]]
+        return lambda v: (root_row(v) & clean) | patch_row(v)
 
-    # Lazy like the base's rows: a replay compiles only the classes its
-    # witness visits, in both this engine and the base.
+    engine = object.__new__(_CompiledAFA)
+    engine._layout(afa, order, index)
+    engine.root, engine.dirty, engine.patch_work = root, tuple(dirty), work
+    if afa.classes is base.rep_of:
+        engine.reps, engine.rep_of = base.reps, base.rep_of
+        engine.row_keys = _LazyRows(make_key)
+        # Counted as `_quotient` counts, so per-job class counts stay exact.
+        STATS.alphabet_symbols += len(engine.alphabet)
+        STATS.symbol_classes += len(engine.reps)
+    else:
+        engine._quotient(afa, {rep: make_key(rep) for rep in set(afa.classes.values())})
     engine.rows = _LazyRows(make_row)
     STATS.afa_engine_patches += 1
     return engine

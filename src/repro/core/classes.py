@@ -68,6 +68,21 @@ def _query_level(query) -> str:
     raise AnalysisError(f"unknown query type {type(query).__name__}")
 
 
+def _recursive_class(sws: SWS) -> SWSClass:
+    """The tightest class admitting recursion that contains ``sws``."""
+    if sws.kind is SWSKind.PL:
+        return SWSClass.PL_PL
+    levels_t = {
+        _query_level(query)
+        for rule in sws.transitions.values()
+        for _target, query in rule.targets
+    }
+    levels_s = {_query_level(rule.query) for rule in sws.synthesis.values()}
+    if levels_t <= {"cq"} and levels_s <= {"cq", "ucq"}:
+        return SWSClass.CQ_UCQ
+    return SWSClass.FO_FO
+
+
 def classify(sws: SWS) -> SWSClass:
     """The tightest class of Section 2 containing ``sws``.
 
@@ -76,19 +91,7 @@ def classify(sws: SWS) -> SWSClass:
     SWS(FO, FO).  The nonrecursive variant is reported when the dependency
     graph is acyclic.
     """
-    if sws.kind is SWSKind.PL:
-        base = SWSClass.PL_PL
-    else:
-        levels_t = {
-            _query_level(query)
-            for rule in sws.transitions.values()
-            for _target, query in rule.targets
-        }
-        levels_s = {_query_level(rule.query) for rule in sws.synthesis.values()}
-        if levels_t <= {"cq"} and levels_s <= {"cq", "ucq"}:
-            base = SWSClass.CQ_UCQ
-        else:
-            base = SWSClass.FO_FO
+    base = _recursive_class(sws)
     if sws.is_recursive():
         return base
     return base.nonrecursive_variant
@@ -110,8 +113,16 @@ _ORDER = {
 
 
 def is_in_class(sws: SWS, cls: SWSClass) -> bool:
-    """Whether ``sws`` belongs to ``cls`` (respecting class inclusions)."""
-    return cls in _ORDER[classify(sws)]
+    """Whether ``sws`` belongs to ``cls`` (respecting class inclusions).
+
+    A class admitting recursion contains its nonrecursive subclass, so the
+    dependency graph is searched for a cycle only when ``cls`` is a
+    nonrecursive class.
+    """
+    base = _recursive_class(sws)
+    if cls.recursive_allowed:
+        return cls in _ORDER[base]
+    return cls in _ORDER[base.nonrecursive_variant] and not sws.is_recursive()
 
 
 def require_class(sws: SWS, cls: SWSClass, procedure: str) -> None:

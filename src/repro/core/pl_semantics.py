@@ -254,7 +254,7 @@ def to_afa_incremental(
     rows become equal); the result is then a scratch ``to_afa``.
     """
     require_class(sws, SWSClass.PL_PL, "to_afa_incremental")
-    if frozenset(sws.states) != frozenset(base.states):
+    if sws.states is not base.states and frozenset(sws.states) != frozenset(base.states):
         return None
     if sws.start != base.start:
         return None

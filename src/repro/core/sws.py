@@ -106,7 +106,11 @@ class SWS:
         output_arity: int | None = None,
         name: str = "τ",
     ) -> None:
-        self.states = tuple(dict.fromkeys(states))
+        # A repeat-free tuple is kept as is, so edited copies of a service
+        # share their base's states (see repro.workloads.editing.replace_rule).
+        if not (type(states) is tuple and len(frozenset(states)) == len(states)):
+            states = tuple(dict.fromkeys(states))
+        self.states = states
         self.start = start
         self.transitions = dict(transitions)
         self.synthesis = dict(synthesis)
@@ -335,20 +339,28 @@ class SWS:
         """For PL services: the input variables the service inspects.
 
         All variables of transition formulas and final synthesis formulas,
-        minus the reserved register name ``Msg``.
+        minus the reserved register name ``Msg``.  Computed once per
+        service: nothing mutates an SWS after construction.
         """
         if self.kind is not SWSKind.PL:
             raise SWSDefinitionError("input_variables() is for PL services")
-        names: set[str] = set()
-        for state, rule in self.transitions.items():
-            for _target, query in rule.targets:
-                assert isinstance(query, pl.Formula)
-                names |= query.variables()
-            if rule.is_final:
-                sigma = self.synthesis[state].query
-                assert isinstance(sigma, pl.Formula)
-                names |= sigma.variables()
-        return frozenset(names) - {MSG}
+        memo = getattr(self, "_input_variables", None)
+        if memo is not None:
+            return memo
+        rules = self.transitions.items()
+        # Interned formulas recur across states: read each one's variables once.
+        formulas = {query for _state, rule in rules for _target, query in rule.targets}
+        formulas.update([self.synthesis[state].query for state, rule in rules if rule.is_final])
+        names = frozenset().union(*[formula.variables() for formula in formulas])
+        self._input_variables = names - {MSG}
+        return self._input_variables
+
+    def __getstate__(self) -> dict:
+        # The memo is rebuilt on demand; leaving it out keeps a service's
+        # pickle (a pool job's payload) the same whether or not it was read.
+        state = self.__dict__.copy()
+        state.pop("_input_variables", None)
+        return state
 
     # -- running (delegates to repro.core.run) ------------------------------------------------
 

@@ -11,12 +11,12 @@ depends on the edit being small, only the cost does:
   still correct rather than assumed.
 * ``warm`` — local edit: the AFA is rebuilt only for the edited states
   (:func:`repro.core.pl_semantics.to_afa_incremental`), the compiled
-  engine is row-patched (:func:`repro.automata.afa.patch_engine` —
-  clean states' row bits reuse the previous closures, and only the
-  class representatives are regrouped), and the BFS runs afresh
-  over the patched rows.  Reached vectors are a whole-instance property,
-  so nothing of the previous search is reused — reusing it would be
-  unsound precisely in the YES→NO flip case.
+  engine is row-patched against its root
+  (:func:`repro.automata.afa.patch_engine` — clean states' row bits
+  reuse the root's closures, and the class quotient carries over), and
+  the BFS runs afresh over the patched rows.  Reached vectors are a
+  whole-instance property, so nothing of the previous search is reused —
+  reusing it would be unsound precisely in the YES→NO flip case.
 * ``full`` — global edit (states added/removed, alphabet grew, start
   moved), or an empty delta over a budget-tripped UNKNOWN: the registry
   procedure runs from scratch.
@@ -44,10 +44,9 @@ from repro.automata.afa import (
 )
 from repro.core.pl_semantics import pair_states, to_afa, to_afa_incremental
 from repro.core.sws import SWS
-from repro.delta.diff import InstanceDelta, compute_delta
+from repro.delta.diff import InstanceDelta
 from repro.errors import ReproError
 from repro.guard import GuardTrip, checkpoint_callable, ensure_guard, register_span
-from repro.serve.fingerprint import SubFingerprints
 
 __all__ = ["DeltaError", "RecheckResult", "SUPPORTED_PROCEDURES", "recheck"]
 
@@ -147,15 +146,14 @@ def recheck(
     procedure_fn: Callable[..., Answer],
     procedure: str,
     base: SWS,
-    base_tree: SubFingerprints,
     base_answer: Answer,
     base_afa: AFA | None,
     new: SWS,
-    new_tree: SubFingerprints,
+    delta: InstanceDelta,
     kwargs: dict,
     budget: Any = None,
 ) -> tuple[RecheckResult, AFA | None]:
-    """Re-check ``new`` given ``base`` and its answer.
+    """Re-check ``new`` given ``base``, its answer and the ``delta`` between them.
 
     Returns the result plus the live AFA of ``new`` for the session to
     adopt (``None`` after a full solve).  ``base_afa`` may be ``None``
@@ -163,7 +161,6 @@ def recheck(
     it once and later edits go incremental.
     """
     t0 = time.perf_counter()
-    delta = compute_delta(base, new, base_tree, new_tree)
     accepting = _accepting_for(procedure, kwargs)
 
     mode = "full"

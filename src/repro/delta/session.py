@@ -28,7 +28,7 @@ from repro.delta.engine import (
     SUPPORTED_PROCEDURES,
     recheck,
 )
-from repro.serve.fingerprint import job_fingerprint, sub_fingerprints
+from repro.serve.fingerprint import SubFingerprints, job_fingerprint, sub_fingerprints
 
 __all__ = ["Session"]
 
@@ -69,8 +69,8 @@ class Session:
         self.fingerprint = job_fingerprint(procedure, (self.tree,), kwargs)
         self.answer: Any = None
         self.afa = None
-        self.pending: SWS | None = None
-        self.pending_tree = None
+        # The staged version with its tree and its delta from ``current``.
+        self.pending: tuple[SWS, SubFingerprints, InstanceDelta] | None = None
         self.rechecks = 0
         self.modes: dict[str, int] = {}
         metrics.counter("delta.sessions.opened").inc()
@@ -99,29 +99,32 @@ class Session:
         """Stage ``new`` as the next version; returns its delta.
 
         Staging is idempotent — a second ``edit`` before ``recheck``
-        replaces the pending version.  The delta is diagnostic here;
-        ``recheck`` recomputes it against whatever is finally staged.
+        replaces the pending version.  The delta is staged with it:
+        ``recheck`` re-checks against exactly this delta, so each edit
+        is diffed once.
         """
-        self.pending_tree = sub_fingerprints(new)
-        delta = compute_delta(self.current, new, self.tree, self.pending_tree)
-        self.pending = new
+        tree = sub_fingerprints(new)
+        delta = compute_delta(self.current, new, self.tree, tree)
+        self.pending = (new, tree, delta)
         return delta
 
     def recheck(self, budget: Any = None) -> RecheckResult:
         """Re-check the staged (or current) version incrementally."""
         if self.answer is None:
             self.check(budget)
-        new = self.pending if self.pending is not None else self.current
-        new_tree = self.pending_tree if self.pending is not None else self.tree
+        new, new_tree, delta = self.pending or (
+            self.current,
+            self.tree,
+            compute_delta(self.current, self.current, self.tree, self.tree),
+        )
         result, self.afa = recheck(
             self.procedure_fn,
             self.procedure,
             self.current,
-            self.tree,
             self.answer,
             self.afa,
             new,
-            new_tree,
+            delta,
             self.kwargs,
             budget if budget is not None else self.budget,
         )
@@ -130,7 +133,6 @@ class Session:
         self.answer = result.answer
         self.fingerprint = job_fingerprint(self.procedure, (new_tree,), self.kwargs)
         self.pending = None
-        self.pending_tree = None
         self.rechecks += 1
         self.modes[result.mode] = self.modes.get(result.mode, 0) + 1
         self._publish()

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.core.classes import SWSClass, classify, is_in_class, require_class
+from repro.analysis import nonempty_pl
+from repro.core.classes import _ORDER, SWSClass, classify, is_in_class, require_class
+from repro.core.sws import SWS
 from repro.errors import AnalysisError
+from repro.workloads.editing import menu_editing_trace
 from repro.workloads.random_sws import random_cq_sws, random_pl_sws
 from repro.workloads.scaling import cq_chain_sws, cq_diamond_sws, pl_counter_sws
 from repro.workloads.travel import recursive_airfare_service, travel_service
@@ -74,3 +77,53 @@ class TestRequire:
                 SWSClass.CQ_UCQ if sws.is_recursive() else SWSClass.CQ_UCQ_NR
             )
             assert classify(sws) is expected
+
+
+#: Services of these tests with their tightest classes.
+SERVICES = {
+    "pl_nr": (lambda: random_pl_sws(0, recursive=False), SWSClass.PL_PL_NR),
+    "pl_counter": (lambda: pl_counter_sws(2), SWSClass.PL_PL),
+    "menu": (lambda: menu_editing_trace(edits=0)[0], SWSClass.PL_PL_NR),
+    "cq_diamond": (lambda: cq_diamond_sws(2), SWSClass.CQ_UCQ_NR),
+    "cq_chain": (lambda: cq_chain_sws(0), SWSClass.CQ_UCQ),
+    "random_cq": (lambda: random_cq_sws(3, recursive=True), SWSClass.CQ_UCQ),
+    "random_cq_nr": (lambda: random_cq_sws(4, recursive=True), SWSClass.CQ_UCQ_NR),
+    "travel": (travel_service, SWSClass.FO_FO_NR),
+    "airfare": (recursive_airfare_service, SWSClass.FO_FO),
+}
+
+
+class TestMembershipWithoutRecursion:
+    """A class admitting recursion contains its nonrecursive subclass, so
+    only a nonrecursive class needs the dependency-graph cycle search."""
+
+    @pytest.fixture
+    def no_cycle_search(self, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("dependency graph searched")
+
+        monkeypatch.setattr(SWS, "is_recursive", refuse)
+
+    def test_recursive_classes_skip_the_search(self, no_cycle_search):
+        menu = menu_editing_trace(edits=0)[0]
+        require_class(menu, SWSClass.PL_PL, "test")
+        assert nonempty_pl(menu).is_yes
+        require_class(cq_diamond_sws(1), SWSClass.CQ_UCQ, "test")
+        assert is_in_class(travel_service(), SWSClass.FO_FO)
+        assert not is_in_class(menu, SWSClass.CQ_UCQ_NR)
+
+    def test_nonrecursive_classes_still_search(self, no_cycle_search):
+        with pytest.raises(RuntimeError, match="searched"):
+            is_in_class(random_pl_sws(0, recursive=False), SWSClass.PL_PL_NR)
+
+    def test_recursive_service_is_not_nonrecursive(self):
+        with pytest.raises(AnalysisError, match="requires"):
+            require_class(pl_counter_sws(3), SWSClass.PL_PL_NR, "test")
+
+    @pytest.mark.parametrize("name", sorted(SERVICES))
+    def test_membership_follows_the_tightest_class(self, name):
+        make, tightest = SERVICES[name]
+        sws = make()
+        assert classify(sws) is tightest
+        for cls in SWSClass:
+            assert is_in_class(sws, cls) is (cls in _ORDER[tightest]), cls

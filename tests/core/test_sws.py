@@ -1,10 +1,13 @@
 """Tests for the SWS data type (Definition 2.1 well-formedness)."""
 
+import pickle
+
 import pytest
 
 from repro.core.sws import SWS, SWSKind, SynthesisRule, TransitionRule
 from repro.errors import SWSDefinitionError
 from repro.logic import pl
+from repro.workloads.editing import menu_editing_trace, replace_rule
 from repro.workloads.random_sws import random_cq_sws, random_pl_sws
 from repro.workloads.travel import recursive_airfare_service, travel_service
 
@@ -156,6 +159,15 @@ class TestIntrospection:
         )
         assert sws.input_variables() == {"y", "Msg"} - {"Msg"}
 
+    def test_input_variables_are_read_once_and_never_pickled(self):
+        sws = menu_editing_trace(edits=0)[0]
+        before = pickle.dumps(sws)
+        names = sws.input_variables()
+        assert sws.input_variables() is names
+        assert names == {"ltr_a", "ltr_b", "ltr_c", "ltr_d", "hash"}
+        assert pickle.dumps(sws) == before
+        assert pickle.loads(before).input_variables() == names
+
     def test_query_constants(self):
         sws = travel_service()
         assert "a" in sws.query_constants()
@@ -164,3 +176,15 @@ class TestIntrospection:
     def test_repr(self):
         assert "nonrecursive" in repr(travel_service())
         assert "recursive" in repr(recursive_airfare_service())
+
+
+class TestSharedStates:
+    def test_edited_copies_share_the_states_tuple(self):
+        base = menu_editing_trace(edits=0)[0]
+        state = next(s for s in base.states if not base.transitions[s].is_final)
+        edited = replace_rule(base, state, rule=base.transitions[state], name="copy")
+        assert edited.states is base.states
+
+    @pytest.mark.parametrize("states", [["q0", "q1", "q0"], ("q0", "q1", "q0"), ["q0", "q1"]])
+    def test_anything_else_is_deduplicated_into_a_tuple(self, states):
+        assert _tiny_pl(states=states).states == ("q0", "q1")

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro._stats import STATS
 from repro.analysis import nonempty_pl, validate_pl
 from repro.automata.afa import patch_engine
 from repro.core.pl_semantics import pair_states, to_afa, to_afa_incremental
 from repro.core.run import run_pl
 from repro.core.sws import MSG, TransitionRule
 from repro.delta import DeltaError, Session, compute_delta
+from repro.delta import engine as engine_mod, session as session_mod
 from repro.delta.engine import _search
 from repro.guard import Budget
 from repro.logic import pl
@@ -127,6 +132,75 @@ class TestRecheckModes:
         assert again.mode == "cached" and again.answer.is_yes
 
 
+class TestOneDeltaPerEdit:
+    def test_edit_then_recheck_diffs_once(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return compute_delta(*args, **kwargs)
+
+        monkeypatch.setattr(session_mod, "compute_delta", spy)
+        # The re-check must take the staged delta, not diff again.
+        monkeypatch.setattr(engine_mod, "compute_delta", spy, raising=False)
+        base, edited = menu_editing_trace(edits=1)
+        session = Session(base)
+        session.check()
+        delta = session.edit(edited)
+        result = session.recheck()
+        assert len(calls) == 1
+        assert result.delta is delta and result.mode in ("replay", "warm")
+
+
+class TestLongSession:
+    def test_a_thousand_local_edits_stay_local(self):
+        """A chain of patched engines nested one row closure per edit, and
+        its stack overflowed near the 995th local re-check of one session."""
+        trace = menu_editing_trace(8, 4, "abcd", 1100)
+        session = Session(trace[0])
+        assert session.check().is_yes
+        for step, version in enumerate(trace[1:], start=1):
+            session.edit(version)
+            result = session.recheck()
+            assert result.delta.is_local, step
+            assert result.mode in ("replay", "warm"), step
+        assert session.answer.verdict is nonempty_pl(trace[-1]).verdict
+
+    def test_only_the_root_and_the_current_engine_stay_alive(self):
+        trace = menu_editing_trace(8, 4, "abcd", 60)
+        session = Session(trace[0])
+        session.check()
+        engines = []
+        for version in trace[1:]:
+            session.edit(version)
+            session.recheck()
+            engine = session.afa._engine()
+            # Patched against a root, never against another patch.
+            assert engine.root is None or engine.root.root is None
+            engines.append((weakref.ref(engine), engine.root is not None))
+        del engine
+        gc.collect()
+        current = session.afa._engine()
+        early, patched = engines[2]
+        assert patched and early() is None
+        alive = [ref() for ref, _ in engines if ref() is not None]
+        assert all(e is current or e is current.root for e in alive)
+
+    def test_the_session_re_roots_once_patches_cost_a_compile(self):
+        trace = menu_editing_trace(8, 4, "abcd", 200)
+        session = Session(trace[0])
+        session.check()
+        STATS.reset()
+        for version in trace[1:]:
+            session.edit(version)
+            session.recheck()
+            engine = session.afa._engine()
+            assert engine.patch_work <= len(engine.order)
+        # The first local edit compiles a root and later ones re-root
+        # now and then, far from once per edit.
+        assert 2 <= STATS.afa_compilations <= len(trace) // 4
+
+
 class TestValidate:
     def test_validate_pl_rechecks_both_polarities(self):
         trace = menu_editing_trace(edits=3)
@@ -229,14 +303,44 @@ class TestIncrementalAFA:
         }
         patched = patch_engine(base_engine, incremental, dirty)
         assert patched is not None
-        full = to_afa(edited)._engine()
-        assert patched.order == full.order
-        assert patched.final_mask == full.final_mask
+        self._assert_same_rows(patched, to_afa(edited)._engine())
+
+    @pytest.mark.parametrize("seed", [5, 6, 18])
+    def test_session_engines_match_full_compiles_edit_after_edit(self, seed):
+        """Rows patched against the root over every state dirtied since it
+        equal a fresh compile, across re-roots and class-map changes."""
+        current = random_pl_sws(seed, n_states=6, n_variables=2)
+        session = Session(current)
+        session.check()
+        kinds = set()
+        for step in range(24):
+            donor = random_pl_sws(seed * 100 + step, n_states=6, n_variables=2)
+            state = sorted(current.states)[1 + step % 5]
+            current = replace_rule(
+                current,
+                state,
+                rule=donor.transitions[state],
+                synthesis=donor.synthesis[state],
+            )
+            session.edit(current)
+            assert session.recheck().mode != "full"
+            engine = session.afa._engine()
+            kinds.add("patched" if engine.root is not None else "root")
+            self._assert_same_rows(engine, to_afa(current)._engine())
+        assert kinds == {"patched", "root"}
+
+    @staticmethod
+    def _assert_same_rows(engine, full):
+        assert engine.order == full.order
+        assert engine.final_mask == full.final_mask
+        assert engine.reps == full.reps
         n = len(full.order)
         masks = [0, (1 << n) - 1, full.final_mask]
         masks += [(0x9E3779B9 * i) & ((1 << n) - 1) for i in range(1, 40)]
-        for symbol in full.reps:
-            f_row = full.rows[full.rep_of[symbol]]
-            p_row = patched.rows[patched.rep_of[symbol]]
+        for symbol in full.alphabet:
+            rep = full.rep_of[symbol]
+            assert engine.rep_of[symbol] == rep
+            assert engine.row_keys[rep] == full.row_keys[rep]
+            f_row, p_row = full.rows[rep], engine.rows[rep]
             for mask in masks:
                 assert p_row(mask) == f_row(mask)
