@@ -63,21 +63,6 @@ def _metrics_context() -> dict | None:
     return metrics.bench_context()
 
 
-def _progress_context() -> dict | None:
-    """The live search-progress context, if telemetry is on.
-
-    ``REPRO_PROGRESS=1`` stamps the run's final frontier size and peak
-    depth into ``_meta.progress`` so a committed number carries the
-    search shape it was measured under.  Disabled (the default) stamps
-    nothing.
-    """
-    try:
-        from repro.obs import progress
-    except ImportError:  # pragma: no cover - src/ not on the path
-        return None
-    return progress.bench_context()
-
-
 def merge_section(
     path: str, section: str, payload: dict, regenerate: str | None = None
 ) -> dict:
@@ -114,9 +99,6 @@ def merge_section(
     context = _metrics_context()
     if context is not None:
         meta.setdefault("metrics", {})[section] = context
-    progress_context = _progress_context()
-    if progress_context is not None:
-        meta.setdefault("progress", {})[section] = progress_context
     data["_meta"] = meta
     with open(path, "w") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)

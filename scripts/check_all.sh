@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Verification sweep: install, tests, benchmarks, examples.
-# Mirrors what EXPERIMENTS.md and test_output.txt/bench_output.txt record.
+# Verification sweep: tests, end-to-end benchmark tests, and the smokes
+# that drive each runtime surface.  CI runs this script as its one step.
 #
 # By default runs the fast tier only (tests not marked `slow`, no
 # benchmarks); pass --all for the full sweep the release records use.
+# Runs from the checkout with src/ on PYTHONPATH, so nothing is
+# installed.  Extra pytest flags go through PYTEST_ADDOPTS.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,8 +17,9 @@ for arg in "$@"; do
     esac
 done
 
-echo "== install =="
-pip install -e . 2>/dev/null || python setup.py develop
+export PYTHONPATH="${PWD}/src${PYTHONPATH:+:${PYTHONPATH}}"
+WORK="$(mktemp -d /tmp/repro_check_all.XXXXXX)"
+trap 'rm -rf "${WORK}"' EXIT
 
 if [[ "${RUN_ALL}" -eq 1 ]]; then
     echo "== tests (full) =="
@@ -36,12 +39,13 @@ else
 fi
 
 echo "== end-to-end benchmark tests (smoke run of every workload) =="
+# layers.py wraps engine entry points by name (to_afa,
+# _compile_searchers, patch_engine, generic_search), so engine changes
+# must keep the traced benchmark runs working.
 python -m pytest benchmarks/e2e -q
 
 echo "== obs smoke (traced analysis + explain CLI) =="
-OBS_TRACE="$(mktemp /tmp/repro_obs_smoke.XXXXXX.jsonl)"
-trap 'rm -f "${OBS_TRACE}"' EXIT
-REPRO_TRACE="${OBS_TRACE}" python - <<'PY'
+REPRO_TRACE="${WORK}/obs-smoke.trace.jsonl" python - <<'PY'
 from repro.analysis import nonempty_pl
 from repro.workloads.scaling import pl_counter_sws
 
@@ -50,8 +54,15 @@ assert answer.is_yes
 assert answer.provenance is not None, "tracing enabled but no provenance"
 assert answer.provenance.counters["vectors_explored"] > 0
 PY
-EXPLAIN_OUT="$(python -m repro.obs explain "${OBS_TRACE}")"
+EXPLAIN_OUT="$(python -m repro.obs explain "${WORK}/obs-smoke.trace.jsonl")"
 printf '%s\n' "${EXPLAIN_OUT}"
+for header in "where the time went" "how much work was done" \
+    "whether and why a budget tripped"; do
+    grep -q "== ${header} ==" <<< "${EXPLAIN_OUT}"
+done
+
+echo "== explain smoke (committed benchmark traces) =="
+EXPLAIN_OUT="$(python -m repro.obs explain 'BENCH_*.trace.jsonl' --limit 8)"
 for header in "where the time went" "how much work was done" \
     "whether and why a budget tripped"; do
     grep -q "== ${header} ==" <<< "${EXPLAIN_OUT}"
@@ -98,15 +109,13 @@ PY
 python -m repro.serve procedures > /dev/null
 
 echo "== store smoke (write, reopen cold, warm-start hit) =="
-STORE_DIR="$(mktemp -d /tmp/repro_store_smoke.XXXXXX)"
-trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}"' EXIT
-REPRO_STORE_SMOKE_DIR="${STORE_DIR}" python - <<'PY'
-import os
+python - "${WORK}/store" <<'PY'
+import sys
 
 from repro.serve import JobSpec, SolverService
 from repro.workloads.scaling import pl_counter_sws
 
-cache_dir = os.environ["REPRO_STORE_SMOKE_DIR"]
+cache_dir = sys.argv[1]
 specs = [JobSpec("nonempty_pl", (pl_counter_sws(8),))]
 
 # Write: a service with a store-backed disk tier solves once.
@@ -124,18 +133,19 @@ with SolverService(cache_dir=cache_dir) as service:
     assert service.jobs_executed == 0, service.stats()  # answer reused
     assert service.cache.stats.hits >= 1
 PY
-python -m repro.serve store stats "${STORE_DIR}" > /dev/null
-python -m repro.serve store vacuum "${STORE_DIR}" > /dev/null
+python -m repro.serve store stats "${WORK}/store" > /dev/null
+python -m repro.serve store vacuum "${WORK}/store" > /dev/null
 
 echo "== chaos smoke (faulted soak + dead-letter CLI round-trip) =="
-CHAOS_DIR="$(mktemp -d /tmp/repro_chaos_smoke.XXXXXX)"
-trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}" "${CHAOS_DIR}"' EXIT
-REPRO_METRICS="${CHAOS_DIR}/chaos-metrics.jsonl" python - <<'PY'
+mkdir "${WORK}/chaos"
+python - <<'PY'
+from repro import metrics
 from repro.analysis import nonempty_pl
 from repro.guard import Budget, inject
 from repro.serve import RetryPolicy, SolverService
 from repro.workloads.scaling import serve_traffic_burst
 
+metrics.configure(enabled=True)
 waves = serve_traffic_burst(
     n_jobs=120, distinct=5, seed=7, min_bits=4, waves=3, burst_every=2,
     burst_factor=3,
@@ -149,8 +159,9 @@ for wave in waves:
 # Rates tuned so this exact seed provably loses a worker: some
 # first-attempt job carries a kill fate, and either it runs (and dies)
 # or an earlier kill stranded it.  Retry counts stay timing-dependent
-# (redispatch shifts attempt numbers), so the retry ladder is asserted
-# on the deterministic starved run below instead.
+# (redispatch shifts attempt numbers), so only "at least one retry" is
+# asserted here; the retry ladder itself is asserted on the
+# deterministic starved run below.
 spec = inject.ChaosSpec(
     kill_rate=0.4, trip_rate=0.7, store_error_rate=0.3, seed=7
 )
@@ -180,65 +191,77 @@ with inject.chaos(spec):
                     contradictions += 1
         lost = service.jobs_worker_lost
         retried = service.jobs_retried
+        resilience = service.stats()["resilience"]
 assert resolved == 120, f"{resolved} of 120 jobs resolved"
 assert contradictions == 0, f"{contradictions} decided answers wrong"
 assert lost >= 1, "chaos smoke never lost a worker"
+assert retried >= 1, "chaos smoke never retried a job"
+
+# Resilience bounds, read from the soak's own metrics snapshot.
+snap = metrics.snapshot()
+counters = snap["counters"]
+assert metrics.counter_total(counters, "serve.retry.scheduled") == retried, counters
+assert metrics.counter_total(counters, "serve.retry.exhausted") <= 10, counters
+assert resilience["dead_lettered"] <= 10, resilience
+assert metrics.counter_total(counters, "serve.dlq.added") <= 10, counters
+assert resilience["dlq_depth"] <= 10, resilience
+backoff = metrics.histogram_readout(snap["histograms"]["serve.retry.backoff_s"])
+assert backoff["p99"] <= 5.0, backoff
 print(
     f"chaos smoke: 120 jobs resolved, {dead} dead-lettered, "
     f"{lost} workers lost, {retried} retried, 0 contradictions"
 )
 PY
-cat > "${CHAOS_DIR}/starved.jsonl" <<'JOBS'
+cat > "${WORK}/chaos/starved.jsonl" <<'JOBS'
 {"procedure": "nonempty_pl", "instances": [{"factory": "repro.workloads.scaling:pl_counter_sws", "args": [12]}], "budget": {"step_budget": 4}, "label": "starved-12"}
 JOBS
 # A hopelessly starved job must dead-letter and fail the run...
-if python -m repro.serve run "${CHAOS_DIR}/starved.jsonl" \
-    --cache-dir "${CHAOS_DIR}/cache" --retries 2 --budget-multiplier 2 \
+if python -m repro.serve run "${WORK}/chaos/starved.jsonl" \
+    --cache-dir "${WORK}/chaos/cache" --retries 2 --budget-multiplier 2 \
     --out /dev/null 2> /dev/null; then
     echo "expected the starved run to exit nonzero" >&2
     exit 1
 fi
-python -m repro.serve dlq list "${CHAOS_DIR}/cache" | grep -q starved-12
+python -m repro.serve dlq list "${WORK}/chaos/cache" | grep -q starved-12
 # The retry ladder provably ran: the record shows both attempts.
-python -m repro.serve dlq list "${CHAOS_DIR}/cache" --json \
+python -m repro.serve dlq list "${WORK}/chaos/cache" --json \
     | grep -q '"attempts": 2'
 # ...and recover through dlq retry with real escalation room.
-python -m repro.serve dlq retry "${CHAOS_DIR}/cache" \
+python -m repro.serve dlq retry "${WORK}/chaos/cache" \
     --retries 3 --budget-multiplier 32 > /dev/null
-python -m repro.serve dlq list "${CHAOS_DIR}/cache" 2>&1 | grep -q "dlq: empty"
+python -m repro.serve dlq list "${WORK}/chaos/cache" 2>&1 | grep -q "dlq: empty"
 
 echo "== metrics smoke (exported snapshot + dashboard frame) =="
-METRICS_DIR="$(mktemp -d /tmp/repro_metrics_smoke.XXXXXX)"
-trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}" "${CHAOS_DIR}" "${METRICS_DIR}"' EXIT
-cat > "${METRICS_DIR}/jobs.jsonl" <<'JOBS'
+mkdir "${WORK}/metrics"
+cat > "${WORK}/metrics/jobs.jsonl" <<'JOBS'
 {"procedure": "nonempty_pl", "instances": [{"factory": "repro.workloads.scaling:pl_counter_sws", "args": [6]}], "label": "c6"}
 {"procedure": "nonempty_pl", "instances": [{"factory": "repro.workloads.scaling:pl_counter_sws", "args": [7]}], "label": "c7"}
 {"procedure": "nonempty_pl", "instances": [{"factory": "repro.workloads.scaling:pl_counter_sws", "args": [8]}], "label": "c8"}
 {"procedure": "nonempty_pl", "instances": [{"factory": "repro.workloads.scaling:pl_counter_sws", "args": [9]}], "label": "c9"}
 JOBS
-python -m repro.serve run "${METRICS_DIR}/jobs.jsonl" \
-    --workers 2 --repeat 2 --metrics "${METRICS_DIR}/metrics.jsonl" \
+python -m repro.serve run "${WORK}/metrics/jobs.jsonl" \
+    --workers 2 --repeat 2 --metrics "${WORK}/metrics/metrics.jsonl" \
     --out /dev/null 2> /dev/null
-REPRO_METRICS_SMOKE="${METRICS_DIR}/metrics.jsonl" python - <<'PY'
-import os
+python - "${WORK}/metrics/metrics.jsonl" <<'PY'
+import sys
 
 from repro import metrics
 
-snap = metrics.last_snapshot(os.environ["REPRO_METRICS_SMOKE"])
+snap = metrics.last_snapshot(sys.argv[1])
 assert snap is not None, "no snapshot exported"
 assert snap["v"] == metrics.METRICS_SCHEMA_VERSION
 counters = snap["counters"]
 assert metrics.counter_total(counters, "serve.jobs.executed") == 4, counters
 latency = snap["histograms"]["serve.job.latency_s{procedure=nonempty_pl}"]
 assert latency["count"] == 4, latency  # worker samples merged up
+assert metrics.histogram_readout(latency)["p99"] <= 5.0, latency
 rate = metrics.cache_hit_rate(counters)
 assert rate is not None and rate >= 0.4, counters  # warm repeat round
 PY
-python -m repro.serve top "${METRICS_DIR}/metrics.jsonl" --once > /dev/null
+python -m repro.serve top "${WORK}/metrics/metrics.jsonl" --once > /dev/null
 
 echo "== delta smoke (incremental re-check CLI + serve --repeat sessions) =="
-DELTA_DIR="$(mktemp -d /tmp/repro_delta_smoke.XXXXXX)"
-trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}" "${CHAOS_DIR}" "${METRICS_DIR}" "${DELTA_DIR}"' EXIT
+mkdir "${WORK}/delta"
 # Replay an edit script through one session: every verdict is
 # cross-checked against a from-scratch solve, and at least 3 re-checks
 # must avoid the full path.
@@ -251,41 +274,37 @@ python -m repro.delta replay --trace repro.workloads.editing:menu_editing_trace 
 python -m repro.delta diff \
     --trace repro.workloads.editing:growing_trace --json \
     | grep -q '"alphabet_changed": true'
-cat > "${DELTA_DIR}/jobs.jsonl" <<'JOBS'
+cat > "${WORK}/delta/jobs.jsonl" <<'JOBS'
 {"procedure": "nonempty_pl", "instances": [{"factory": "repro.workloads.editing:edited_menu", "kwargs": {"step": "@round", "edits": 4}}], "label": "edited-menu"}
 {"procedure": "nonempty_pl", "instances": [{"factory": "repro.workloads.scaling:pl_counter_sws", "args": [5]}], "label": "static-counter"}
 JOBS
 # Repeated rounds reuse one Session per job line: the "@round" spec
 # re-checks incrementally, the static one stays cached.
-python -m repro.serve run "${DELTA_DIR}/jobs.jsonl" --repeat 3 \
-    --metrics "${DELTA_DIR}/delta-metrics.jsonl" --out /dev/null \
-    2> "${DELTA_DIR}/run.err"
-grep -q "delta: 2 session(s), 4 recheck(s)" "${DELTA_DIR}/run.err"
-grep -q "2 cached" "${DELTA_DIR}/run.err"
+python -m repro.serve run "${WORK}/delta/jobs.jsonl" --repeat 3 \
+    --metrics "${WORK}/delta/metrics.jsonl" --out /dev/null \
+    2> "${WORK}/delta/run.err"
+grep -q "delta: 2 session(s), 4 recheck(s)" "${WORK}/delta/run.err"
+grep -q "2 cached" "${WORK}/delta/run.err"
+python - "${WORK}/delta/metrics.jsonl" <<'PY'
+import sys
 
-echo "== perf tripwire (obs check vs committed baselines) =="
-python -m repro.obs check --baseline benchmarks/baselines.json \
-    --metrics "${METRICS_DIR}/metrics.jsonl" --trace 'BENCH_*.trace.jsonl'
-# Second pass with the chaos-smoke snapshot: the resilience bounds
-# (serve.retry.*, serve.dlq.*) only have values there.
-python -m repro.obs check --baseline benchmarks/baselines.json \
-    --metrics "${CHAOS_DIR}/chaos-metrics.jsonl" --trace 'BENCH_*.trace.jsonl'
-# Third pass with the delta-smoke snapshot: the incremental re-check
-# bounds (delta.*) only have values there.
-python -m repro.obs check --baseline benchmarks/baselines.json \
-    --metrics "${DELTA_DIR}/delta-metrics.jsonl" --trace 'BENCH_*.trace.jsonl'
-EXPLAIN_OUT="$(python -m repro.obs explain 'BENCH_*.trace.jsonl' --limit 8)"
-for header in "where the time went" "how much work was done" \
-    "whether and why a budget tripped"; do
-    grep -q "== ${header} ==" <<< "${EXPLAIN_OUT}"
-done
+from repro import metrics
+
+snap = metrics.last_snapshot(sys.argv[1])
+assert snap is not None, "no snapshot exported"
+histograms = snap["histograms"]
+# Edits stay local, and a cached re-check stays far under interactive
+# latency.
+edit_states = metrics.histogram_readout(histograms["delta.edit.states"])
+assert edit_states["p99"] <= 10, edit_states
+cached = histograms["delta.recheck.latency_s{mode=cached}"]
+assert metrics.histogram_readout(cached)["p99"] <= 0.5, cached
+PY
 
 echo "== introspection smoke (progress + explain) =="
-INTROSPECT_DIR="$(mktemp -d /tmp/repro_introspect_smoke.XXXXXX)"
-trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}" "${CHAOS_DIR}" "${METRICS_DIR}" "${DELTA_DIR}" "${INTROSPECT_DIR}"' EXIT
-REPRO_INTROSPECT_DIR="${INTROSPECT_DIR}" python - <<'PY'
+python - "${WORK}/introspect.trace.jsonl" <<'PY'
 import json
-import os
+import sys
 
 from repro import obs
 from repro.analysis import nonempty_pl
@@ -293,7 +312,7 @@ from repro.guard import Budget
 from repro.obs import progress
 from repro.workloads.scaling import pl_counter_sws
 
-trace = os.path.join(os.environ["REPRO_INTROSPECT_DIR"], "introspect.trace.jsonl")
+trace = sys.argv[1]
 obs.configure(path=trace, mode="w")
 progress.configure(enabled=True, interval_s=0.01)
 try:
@@ -312,35 +331,55 @@ assert prog, "no progress events from the AFA search"
 visited = [e["visited"] for e in prog if "visited" in e]
 assert visited == sorted(visited), f"visited not monotone: {visited}"
 PY
-python -m repro.obs explain "${INTROSPECT_DIR}/introspect.trace.jsonl" \
+python -m repro.obs explain "${WORK}/introspect.trace.jsonl" \
     | grep -q "dominant phase"
 
-echo "== telemetry-off guard (disabled-mode solves stay in bounds) =="
-# With progress telemetry OFF (the default), fresh guarded solves must
-# still clear the committed perf tripwire bounds — the telemetry hooks
-# may not tax the disabled path.
-REPRO_INTROSPECT_DIR="${INTROSPECT_DIR}" python - <<'PY'
-import os
+echo "== telemetry-off smoke (untraced solves: exact work, wall clock in bounds) =="
+# With tracing and progress telemetry OFF (the default), the disabled
+# hooks may not tax the solves: each does exactly its work, and the
+# wall-clock bounds hold on plain perf_counter timings.
+python - <<'PY'
+import time
 
 from repro import obs
 from repro.analysis import nonempty_pl, nonempty_pl_nr_sat
+from repro.analysis.stats import stats_delta
 from repro.obs import progress
 from repro.reductions.sat_to_sws import clauses_from_tuples, cnf_to_sws
 from repro.workloads.scaling import pl_counter_sws, random_3cnf
 
-assert not progress.is_enabled()
-trace = os.path.join(os.environ["REPRO_INTROSPECT_DIR"], "overhead.trace.jsonl")
-obs.configure(path=trace, mode="w")
-try:
-    for bits in (8, 9, 10):
-        assert nonempty_pl(pl_counter_sws(bits)).is_yes
-    for seed in (0, 1):
-        sws = cnf_to_sws(clauses_from_tuples(random_3cnf(seed, 8, 24)))
-        nonempty_pl_nr_sat(sws)
-finally:
-    obs.configure(enabled=False)
+assert not obs.is_enabled() and not progress.is_enabled()
+
+
+def solve(procedure, sws):
+    t0 = time.perf_counter()
+    with stats_delta() as work:
+        answer = procedure(sws)
+    return answer, time.perf_counter() - t0, work
+
+
+# The counter family of Theorem 4.1(3): the AFA search explores exactly
+# 2^bits valuation vectors.
+counter_s = []
+for bits in (8, 9, 10):
+    answer, seconds, work = solve(nonempty_pl, pl_counter_sws(bits))
+    assert answer.is_yes, answer
+    assert work["vectors_explored"] == 2**bits, work.nonzero()
+    counter_s.append(seconds)
+assert sum(counter_s) / len(counter_s) <= 0.25, counter_s
+
+# The SAT route on two random 3-CNFs agrees with the AFA route, with
+# the same SAT calls and DPLL decisions every run.
+sat_s = []
+for seed, calls, decisions in ((0, 2, 0), (1, 3, 5)):
+    sws = cnf_to_sws(clauses_from_tuples(random_3cnf(seed, 8, 24)))
+    answer, seconds, work = solve(nonempty_pl_nr_sat, sws)
+    assert not answer.is_unknown, answer
+    assert answer.verdict == nonempty_pl(sws).verdict, (seed, answer)
+    assert work["sat_calls"] == calls, work.nonzero()
+    assert work["dpll_decisions"] == decisions, work.nonzero()
+    sat_s.append(seconds)
+assert max(sat_s) <= 1.0, sat_s
 PY
-python -m repro.obs check --baseline benchmarks/baselines.json \
-    --trace "${INTROSPECT_DIR}/overhead.trace.jsonl"
 
 echo "all green"

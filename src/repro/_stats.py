@@ -67,22 +67,6 @@ class Stats:
         """The counters as a plain dict (for JSON export)."""
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
-    def intern_hit_rate(self) -> float:
-        """Fraction of formula constructions served from the intern table."""
-        total = self.intern_hits + self.intern_misses
-        return self.intern_hits / total if total else 0.0
-
-    def compile_hit_rate(self) -> float:
-        """Fraction of compile_mask calls served from the compile cache."""
-        total = self.compile_cache_hits + self.compile_cache_misses
-        return self.compile_cache_hits / total if total else 0.0
-
-    def symbol_dedup_ratio(self) -> float:
-        """Alphabet compression achieved by transition-row dedup (≤ 1.0)."""
-        if not self.alphabet_symbols:
-            return 1.0
-        return self.symbol_classes / self.alphabet_symbols
-
 
 STATS = Stats()
 

@@ -12,7 +12,6 @@ Public surface:
 * :data:`GUARDED_SPANS` / :func:`iter_guarded_spans` — registry of every
   checkpoint site (span names shared with :mod:`repro.obs`).
 * :mod:`repro.guard.inject` — deterministic fault injection by span name.
-* :func:`batch_run` — per-instance isolation for workload sweeps.
 
 See ``docs/ROBUSTNESS.md`` for the checkpoint placement map and usage.
 """
@@ -34,7 +33,6 @@ from repro.guard._governor import (
     iter_guarded_spans,
     register_span,
 )
-from repro.guard.batch import BatchItem, BatchReport, batch_run
 
 __all__ = [
     "Budget",
@@ -45,9 +43,6 @@ __all__ = [
     "GUARDED_SPANS",
     "LIMITS",
     "Trip",
-    "BatchItem",
-    "BatchReport",
-    "batch_run",
     "checkpoint",
     "checkpoint_callable",
     "current_guard",

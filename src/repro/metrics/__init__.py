@@ -37,7 +37,7 @@ Quickstart::
     print(lat.readout())   # {'count': 3, 'p50': ..., 'p99': ..., ...}
 
 Watch a running batch with ``python -m repro.serve top metrics.jsonl``;
-gate CI on a snapshot with ``python -m repro.obs check``.  See
+read a snapshot file with :func:`last_snapshot`.  See
 ``docs/OBSERVABILITY.md`` for the instrument catalog and snapshot
 schema.
 """

@@ -59,16 +59,14 @@ __all__ = [
     "PROGRESS_ENV_VAR",
     "PROGRESS_SCHEMA_VERSION",
     "ProgressTracker",
-    "bench_context",
     "configure",
     "is_enabled",
     "reset",
-    "summary",
 ]
 
 
 class _SiteState:
-    """Mutable per-(thread, site) accumulator; registered for summaries."""
+    """Mutable per-(thread, site) accumulator."""
 
     __slots__ = (
         "site",
@@ -77,12 +75,9 @@ class _SiteState:
         "peak_frontier",
         "visited",
         "depth",
-        "peak_depth",
         "t0",
         "last_emit_t",
         "last_emit_steps",
-        "events",
-        "tripped",
     )
 
     def __init__(self, site: str, now: float) -> None:
@@ -92,12 +87,9 @@ class _SiteState:
         self.peak_frontier = 0
         self.visited: int | None = None
         self.depth: int | None = None
-        self.peak_depth = 0
         self.t0 = now
         self.last_emit_t = now
         self.last_emit_steps = 0
-        self.events = 0
-        self.tripped: str | None = None
 
 
 def _headroom(guard: "_governor.Guard | None") -> dict[str, float] | None:
@@ -120,16 +112,13 @@ def _headroom(guard: "_governor.Guard | None") -> dict[str, float] | None:
 class ProgressTracker:
     """The object installed as ``_governor._PROGRESS`` while enabled.
 
-    Checkpoint updates touch thread-local site states (no lock on the
-    hot path); a module-level registry of every state — appended under
-    a lock once per (thread, site) — backs :func:`summary`.
+    Checkpoint updates touch thread-local site states, so the hot path
+    takes no lock.
     """
 
     def __init__(self, interval_s: float = DEFAULT_INTERVAL_S) -> None:
         self.interval_s = interval_s
         self._local = threading.local()
-        self._lock = threading.Lock()
-        self._states: list[_SiteState] = []
 
     # -- the checkpoint feed (hot while enabled) -------------------------------
 
@@ -148,8 +137,6 @@ class ProgressTracker:
         now = time.monotonic()
         if state is None:
             state = states[site] = _SiteState(site, now)
-            with self._lock:
-                self._states.append(state)
         state.steps += n
         if frontier is not None:
             state.frontier = frontier
@@ -159,8 +146,6 @@ class ProgressTracker:
             state.visited = visited
         if depth is not None:
             state.depth = depth
-            if depth > state.peak_depth:
-                state.peak_depth = depth
         if now - state.last_emit_t >= self.interval_s:
             self._emit(state, now)
 
@@ -180,24 +165,6 @@ class ProgressTracker:
         if getattr(trip, "injected", False):
             event["injected"] = True
         _tracer.emit_event(event)
-        states = getattr(self._local, "states", None)
-        if states is None:
-            states = self._local.states = {}
-        state = states.get(trip.site)
-        if state is None:
-            # A trip can fire at the very first checkpoint of a site
-            # (e.g. an injected fault with at=1) before note() ever ran.
-            state = states[trip.site] = _SiteState(trip.site, time.monotonic())
-            with self._lock:
-                self._states.append(state)
-        state.tripped = trip.limit
-        state.events += 1
-        # Keep the summary consistent with the trip detail too.
-        state.steps = trip.steps
-        if trip.frontier is not None:
-            state.frontier = trip.frontier
-            if trip.frontier > state.peak_frontier:
-                state.peak_frontier = trip.frontier
 
     def _emit(self, state: _SiteState, now: float) -> None:
         elapsed = now - state.t0
@@ -205,7 +172,6 @@ class ProgressTracker:
         rate = (state.steps - state.last_emit_steps) / dt if dt > 0 else 0.0
         state.last_emit_t = now
         state.last_emit_steps = state.steps
-        state.events += 1
         if _tracer.ENABLED:
             event: dict[str, Any] = {
                 "event": "progress",
@@ -240,36 +206,6 @@ class ProgressTracker:
             # snapshot (throttled) so the parent's merge loop and
             # `serve top` see live numbers before the job ends.
             metrics.maybe_write_snapshot()
-
-    # -- introspection ---------------------------------------------------------
-
-    def summary(self) -> dict[str, dict[str, Any]]:
-        """Per-site final numbers, folded across threads."""
-        out: dict[str, dict[str, Any]] = {}
-        with self._lock:
-            states = list(self._states)
-        for state in states:
-            row = out.setdefault(
-                state.site,
-                {
-                    "steps": 0,
-                    "final_frontier": None,
-                    "peak_frontier": 0,
-                    "peak_depth": 0,
-                    "events": 0,
-                },
-            )
-            row["steps"] += state.steps
-            if state.frontier is not None:
-                row["final_frontier"] = state.frontier
-            row["peak_frontier"] = max(row["peak_frontier"], state.peak_frontier)
-            row["peak_depth"] = max(row["peak_depth"], state.peak_depth)
-            row["events"] += state.events
-            if state.tripped is not None:
-                row["tripped"] = state.tripped
-            if state.visited is not None:
-                row["visited"] = state.visited
-        return out
 
 
 #: The active tracker (``None`` while disabled); mirror of
@@ -310,43 +246,11 @@ def configure(
 def reset() -> None:
     """Drop accumulated state (keeps enablement and interval).
 
-    Called after a pool fork — the child inherits the parent's tracker
-    but the parent owns those numbers — and by benchmarks between
-    sections.
+    Called after a pool fork: the child inherits the parent's tracker,
+    but the parent owns those numbers.
     """
     if _TRACKER is not None:
         configure(enabled=True, interval_s=_TRACKER.interval_s)
-
-
-def summary() -> dict[str, dict[str, Any]]:
-    """Per-site progress totals (empty when disabled)."""
-    return _TRACKER.summary() if _TRACKER is not None else {}
-
-
-def bench_context() -> dict[str, Any] | None:
-    """The ``_meta.progress`` stamp for benchmark emitters.
-
-    ``None`` while disabled (so plain regeneration runs leave the
-    BENCH_*.json files byte-stable); otherwise the final frontier size,
-    peak frontier/depth, step and event totals across all sites.
-    """
-    if _TRACKER is None:
-        return None
-    sites = summary()
-    return {
-        "steps": sum(row["steps"] for row in sites.values()),
-        "events": sum(row["events"] for row in sites.values()),
-        "final_frontier": max(
-            (row["final_frontier"] or 0 for row in sites.values()), default=0
-        ),
-        "peak_frontier": max(
-            (row["peak_frontier"] for row in sites.values()), default=0
-        ),
-        "peak_depth": max(
-            (row["peak_depth"] for row in sites.values()), default=0
-        ),
-        "sites": sites,
-    }
 
 
 # Zero-code activation: REPRO_PROGRESS=1 (or an interval in seconds).

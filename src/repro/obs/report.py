@@ -3,16 +3,14 @@
 CLI::
 
     python -m repro.obs explain TRACE... [--limit N]
-    python -m repro.obs check --baseline B [--metrics SNAP] [--trace TRACE...]
     python -m repro.obs guard
 
-``explain`` (:mod:`repro.obs.explain`) is the human reader of a trace,
-``check`` (:mod:`repro.obs.check`) the CI perf tripwire, and ``guard``
-lists the checkpoint sites fault injection can target.
+``explain`` (:mod:`repro.obs.explain`) is the reader of a trace, and
+``guard`` lists the checkpoint sites fault injection can target.
 
-Both trace consumers read through :func:`load_events`.  ``TRACE``
-arguments may be files or globs (quoted, so the shell does not eat
-them), so per-worker spool files read without hand-merging::
+``explain`` reads through :func:`load_events`.  ``TRACE`` arguments may
+be files or globs (quoted, so the shell does not eat them), so
+per-worker spool files read without hand-merging::
 
     python -m repro.obs explain 'spool/worker-*.jsonl'
 """
@@ -166,35 +164,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     explain_parser.add_argument(
         "--limit", type=int, default=None, help="show at most N rows per table"
     )
-    check_parser = subparsers.add_parser(
-        "check",
-        help="evaluate metrics/trace artifacts against a committed baseline",
-    )
-    check_parser.add_argument(
-        "--baseline",
-        default="benchmarks/baselines.json",
-        help="baseline JSON (default: benchmarks/baselines.json)",
-    )
-    check_parser.add_argument(
-        "--metrics", default=None, help="metrics snapshot JSONL to evaluate"
-    )
-    check_parser.add_argument(
-        "--trace",
-        nargs="*",
-        default=(),
-        help="trace file(s)/glob(s) to evaluate",
-    )
-    check_parser.add_argument(
-        "--update",
-        action="store_true",
-        help="rewrite the baseline's bounds around freshly observed values",
-    )
-    check_parser.add_argument(
-        "--headroom",
-        type=float,
-        default=None,
-        help="bound multiplier for --update (default: 10x)",
-    )
     subparsers.add_parser(
         "guard",
         help="list guarded checkpoint sites (fault-injection span names)",
@@ -204,36 +173,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(render_guard_map(), end="")
         return 0
     warn = lambda message: print(f"warning: {message}", file=_sys.stderr)  # noqa: E731
+    from repro.obs.explain import explain
+
     try:
-        if args.command == "explain":
-            from repro.obs.explain import explain
-
-            code, text = 0, explain(args.trace, limit=args.limit, on_skip=warn)
-        elif args.update:
-            from repro.obs.check import DEFAULT_HEADROOM, update_baseline
-
-            code, text = update_baseline(
-                args.baseline,
-                metrics_path=args.metrics,
-                trace_paths=args.trace,
-                headroom=(
-                    args.headroom if args.headroom is not None else DEFAULT_HEADROOM
-                ),
-                on_skip=warn,
-            )
-        else:
-            from repro.obs.check import run_check
-
-            code, text = run_check(
-                args.baseline,
-                metrics_path=args.metrics,
-                trace_paths=args.trace,
-                on_skip=warn,
-            )
+        text = explain(args.trace, limit=args.limit, on_skip=warn)
     except (OSError, ValueError) as error:
         parser.exit(1, f"error: {error}\n")
     print(text, end="")
-    return code
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

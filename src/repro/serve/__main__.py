@@ -306,7 +306,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if cache is not None:
             cache.close()
         if args.metrics:
-            metrics.write_snapshot()  # final frame for serve top / obs check
+            metrics.write_snapshot()  # final frame for serve top
     elapsed = time.perf_counter() - started
     summary = {"_summary": service.stats(), "elapsed_s": round(elapsed, 6)}
     if sessions:

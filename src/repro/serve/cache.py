@@ -22,7 +22,7 @@ Semantics:
   run decided.
 * Hit/miss/store counters feed both a local :class:`CacheStats` and the
   ``serve.cache.*`` counters of :mod:`repro.metrics`, which ``serve top``
-  and ``obs check`` read.
+  reads.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ the percentiles, not averages, that heavy-tailed solve times demand.
 
 Rendering is a pure function of (current snapshot, previous snapshot),
 so it is testable without a terminal; the loop re-reads the newest
-whole snapshot (:func:`repro.metrics.last_snapshot`, the reader
-``obs check`` uses too) each interval.
+whole snapshot (:func:`repro.metrics.last_snapshot`) each interval.
 ``--once`` renders a single frame and exits (what CI smokes).
 """
 

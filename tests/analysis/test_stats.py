@@ -29,7 +29,6 @@ class TestStatsCounters:
         STATS.reset()
         nonempty_pl(random_pl_sws(3, n_states=4, n_variables=2))
         assert STATS.alphabet_symbols >= STATS.symbol_classes > 0
-        assert 0 < STATS.symbol_dedup_ratio() <= 1.0
 
     def test_sat_path_counts_calls(self):
         STATS.reset()
@@ -51,14 +50,14 @@ class TestStatsCounters:
             nonempty_fo_bounded(travel_service(), budget=50)
         assert work["runs_executed"] > 0
 
-    def test_intern_hit_rate_bounds(self):
+    def test_intern_and_compile_cache_lookups_are_counted(self):
         STATS.reset()
         equivalent_pl(
             random_pl_sws(3, n_states=3, n_variables=2),
             random_pl_sws(4, n_states=3, n_variables=2),
         )
-        assert 0.0 <= STATS.intern_hit_rate() <= 1.0
-        assert 0.0 <= STATS.compile_hit_rate() <= 1.0
+        assert STATS.intern_hits + STATS.intern_misses > 0
+        assert STATS.compile_cache_hits + STATS.compile_cache_misses > 0
 
     def test_snapshot_is_json_ready(self):
         import json

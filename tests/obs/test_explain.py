@@ -184,12 +184,12 @@ class TestCLI:
         assert "dominant phase" in proc.stdout
         assert "warning" in proc.stderr  # the malformed line was reported
 
-    def test_help_lists_only_explain_check_and_guard(self, capsys):
+    def test_help_lists_only_explain_and_guard(self, capsys):
         from repro.obs.report import main
 
         with pytest.raises(SystemExit):
             main(["-h"])
-        assert "{explain,check,guard}" in capsys.readouterr().out
+        assert "{explain,guard}" in capsys.readouterr().out
 
 
 def _src_env():

@@ -1,7 +1,8 @@
-"""Search-progress telemetry: disabled path, events, trips, summaries."""
+"""Search-progress telemetry: disabled path, events, trips, site state."""
 
 import io
 import json
+import time
 
 import pytest
 
@@ -42,9 +43,16 @@ class TestDisabledPath:
         progress.configure(enabled=True)
         assert checkpoint_callable("x") is not _governor._noop_checkpoint
 
-    def test_summary_empty_while_disabled(self):
-        assert progress.summary() == {}
-        assert progress.bench_context() is None
+    def test_no_events_while_disabled(self):
+        buf = io.StringIO()
+        obs.configure(stream=buf)
+        try:
+            assert nonempty_pl(pl_counter_sws(8)).is_yes
+            checkpoint("unit.off", n=5, frontier=3)
+        finally:
+            obs.configure(enabled=False)
+        assert _events(buf), "tracing is on: the solve emits spans"
+        assert _progress_events(buf) == []
 
 
 class TestEvents:
@@ -116,8 +124,6 @@ class TestEvents:
             # the site state; emission (and the gauge refresh) happens on
             # a later note once the interval has elapsed.
             ckpt(200, list(range(5)))
-            import time
-
             time.sleep(0.002)
             ckpt(256, list(range(5)))
             snap = metrics.REGISTRY.snapshot()
@@ -142,16 +148,13 @@ class TestTrips:
         assert answer.verdict.name == "UNKNOWN"
         trip = answer.trip
         assert trip is not None and trip.injected
-        tripped = [e for e in _progress_events(buf) if e.get("tripped")]
-        assert tripped, "expected a trip-consistent final progress event"
-        last = tripped[-1]
+        events = _progress_events(buf)
+        assert events, "expected a trip-consistent final progress event"
+        last = events[-1]
         assert last["site"] == trip.site
         assert last["steps"] == trip.steps
         assert last["tripped"] == trip.limit
         assert last["injected"] is True
-        summary = progress.summary()
-        assert summary[trip.site]["tripped"] == trip.limit
-        assert summary[trip.site]["steps"] == trip.steps
 
     def test_real_budget_trip_is_consistent_too(self):
         buf = io.StringIO()
@@ -170,36 +173,45 @@ class TestTrips:
         assert "injected" not in tripped[-1]
 
 
-class TestSummaryAndBenchContext:
-    def test_summary_folds_sites(self):
-        progress.configure(enabled=True, interval_s=1e9)  # no emission
-        checkpoint("unit.a", n=5, frontier=3, visited=10, depth=2)
-        checkpoint("unit.a", n=5, frontier=1)
-        checkpoint("unit.b", n=7)
-        summary = progress.summary()
-        assert summary["unit.a"]["steps"] == 10
-        assert summary["unit.a"]["final_frontier"] == 1
-        assert summary["unit.a"]["peak_frontier"] == 3
-        assert summary["unit.a"]["peak_depth"] == 2
-        assert summary["unit.a"]["visited"] == 10
-        assert summary["unit.b"]["steps"] == 7
-
-    def test_bench_context_totals(self):
-        progress.configure(enabled=True, interval_s=1e9)
-        checkpoint("unit.a", n=5, frontier=3, depth=4)
-        context = progress.bench_context()
-        assert context["steps"] == 5
-        assert context["peak_frontier"] == 3
-        assert context["peak_depth"] == 4
-        assert "unit.a" in context["sites"]
+class TestSiteState:
+    def test_events_fold_steps_per_site(self):
+        buf = io.StringIO()
+        obs.configure(stream=buf)
+        progress.configure(enabled=True, interval_s=1e-9)
+        try:
+            # A site's first checkpoint starts its clock; a later one emits.
+            checkpoint("unit.a", n=5, frontier=3, visited=10, depth=2)
+            time.sleep(0.001)
+            checkpoint("unit.a", n=5, frontier=1)
+            checkpoint("unit.b", n=7)
+            time.sleep(0.001)
+            checkpoint("unit.b", n=0)
+        finally:
+            obs.configure(enabled=False)
+        last = {e["site"]: e for e in _progress_events(buf)}
+        assert last["unit.a"]["steps"] == 10
+        assert last["unit.a"]["frontier"] == 1
+        assert last["unit.a"]["peak_frontier"] == 3
+        assert last["unit.a"]["visited"] == 10
+        assert last["unit.a"]["depth"] == 2
+        assert last["unit.b"]["steps"] == 7
 
     def test_reset_drops_state_keeps_interval(self):
-        progress.configure(enabled=True, interval_s=0.125)
-        checkpoint("unit.a", n=5)
-        progress.reset()
+        buf = io.StringIO()
+        obs.configure(stream=buf)
+        progress.configure(enabled=True, interval_s=1e-9)
+        try:
+            checkpoint("unit.a", n=5)
+            progress.reset()
+            checkpoint("unit.a", n=3)
+            time.sleep(0.001)
+            checkpoint("unit.a", n=4)
+        finally:
+            obs.configure(enabled=False)
         assert progress.is_enabled()
-        assert progress.summary() == {}
-        assert progress._TRACKER.interval_s == 0.125
+        assert progress._TRACKER.interval_s == 1e-9
+        # The 5 steps noted before the reset are gone: 3 + 4, not 12.
+        assert [e["steps"] for e in _progress_events(buf)] == [7]
 
     def test_depth_iteration_sites_report_depth(self):
         """Analysis loops with a session-length bound stamp it as depth."""

@@ -154,6 +154,23 @@ def test_budget_trips_to_unknown_and_is_not_cached():
     assert service.cache.stats.rejected_unknown >= 1
 
 
+@pytest.mark.parametrize("workers", [0, 1])
+def test_run_batch_budgets_apply_per_job(workers):
+    """Every job of a batch runs under its own guard.
+
+    The three 4-step jobs would exhaust one shared 10-step guard; each
+    gets its own and decides, and the 50-step job trips alone."""
+    budget = Budget(step_budget=10)
+    specs = [
+        JobSpec("test_slow", (tag,), {"steps": steps}, budget=budget)
+        for tag, steps in (("a", 4), ("b", 4), ("hog", 50), ("c", 4))
+    ]
+    with SolverService(workers=workers) as service:
+        answers = service.run_batch(specs)
+    assert [a.verdict.value for a in answers] == ["yes", "yes", "unknown", "yes"]
+    assert answers[2].trip is not None and answers[2].trip.limit == "steps"
+
+
 def test_budget_not_part_of_cache_key():
     service = SolverService()
     h1 = service.submit("test_counting", "k", budget=Budget(step_budget=100))
