@@ -269,8 +269,10 @@ python -m repro.delta replay \
     --trace repro.workloads.editing:menu_editing_trace \
     --compare --require-warm 3 > /dev/null
 # A long session: 1,500 local edits stay local and never overflow the
-# stack (each engine patches against its root).
-python -m repro.delta replay --trace repro.workloads.editing:menu_editing_trace --arg 8 --arg 4 --arg '"abcd"' --arg 1500 --require-warm 1400 > /dev/null
+# stack (each engine patches against its root), and every edit's delta
+# is derived from the previous version's (none is diffed in full).
+python -m repro.delta replay --trace repro.workloads.editing:menu_editing_trace --arg 8 --arg 4 --arg '"abcd"' --arg 1500 --require-warm 1400 > "${WORK}/delta/long.out"
+tail -n 1 "${WORK}/delta/long.out" | grep -q "; edits: 1500 derived, 0 diffed$"
 python -m repro.delta diff \
     --trace repro.workloads.editing:growing_trace --json \
     | grep -q '"alphabet_changed": true'

@@ -27,6 +27,7 @@ import itertools
 from typing import Any, Sequence
 
 from repro.analysis.verdict import Answer, Verdict
+from repro.automata.afa import AFA
 from repro.core.classes import SWSClass, classify, is_in_class, require_class
 from repro.guard import checkpoint, ensure_guard, guarded, register_span
 from repro.obs import traced
@@ -51,7 +52,16 @@ from repro.logic.terms import Variable
 def nonempty_pl(sws: SWS) -> Answer:
     """Exact non-emptiness for SWS(PL, PL) via the AFA vector search."""
     require_class(sws, SWSClass.PL_PL, "nonempty_pl")
-    witness = to_afa(sws).accepting_witness()
+    return nonempty_answer(to_afa(sws))
+
+
+def nonempty_answer(afa: AFA) -> Answer:
+    """:func:`nonempty_pl`'s answer for the service whose :func:`to_afa` is ``afa``.
+
+    The vector search and its verdict, apart from the translation:
+    :mod:`repro.delta` answers from an automaton it keeps.
+    """
+    witness = afa.accepting_witness()
     if witness is None:
         return Answer.no(detail="vector space exhausted")
     return Answer.yes(witness=list(witness), detail="AFA vector search")

@@ -27,6 +27,7 @@ import itertools
 from typing import Any, Iterable, Sequence
 
 from repro.analysis.verdict import Answer, Verdict
+from repro.automata.afa import AFA
 from repro.core.classes import SWSClass, classify, require_class
 from repro.guard import checkpoint, ensure_guard, guarded, register_span
 from repro.obs import traced
@@ -89,7 +90,15 @@ def validate_pl(sws: SWS, output: bool) -> Answer:
     output value; BFS yields a shortest witness.
     """
     require_class(sws, SWSClass.PL_PL, "validate_pl")
-    afa = to_afa(sws)
+    return validation_answer(to_afa(sws), output)
+
+
+def validation_answer(afa: AFA, output: bool) -> Answer:
+    """:func:`validate_pl`'s answer for the service whose :func:`to_afa` is ``afa``.
+
+    The vector search and its verdict, apart from the translation:
+    :mod:`repro.delta` answers from an automaton it keeps.
+    """
     if output:
         witness = afa.accepting_witness()
         if witness is None:

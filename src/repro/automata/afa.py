@@ -593,7 +593,7 @@ class AFA:
         cls,
         states: frozenset,
         alphabet: frozenset,
-        transitions: dict,
+        transitions: Mapping[tuple[State, Symbol], pl.Formula],
         initial_condition: pl.Formula,
         finals: frozenset,
         classes: dict,
@@ -603,9 +603,9 @@ class AFA:
         ``__init__`` checks every transition formula against the state
         set — linear in the whole automaton, which defeats incremental
         construction (:func:`repro.core.pl_semantics.to_afa_incremental`
-        splices a few recomputed rows into an already-validated base).
+        patches a few recomputed rows over an already-validated root).
         Callers own the arguments: all six must already satisfy the
-        ``__init__`` invariants, and the dicts/frozensets are stored
+        ``__init__`` invariants, and the mappings/frozensets are stored
         as-is, not copied.
         """
         afa = object.__new__(cls)

@@ -31,7 +31,7 @@ decision procedure for the PL classes reduces to the AFA engine of
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.automata.afa import AFA, symbol_sort_key
 from repro.core.classes import SWSClass, require_class
@@ -231,6 +231,55 @@ def pair_states(state: str) -> tuple[str, str]:
     return _state_var(state, True), _state_var(state, False)
 
 
+class _PatchedRows(Mapping):
+    """The transitions of an automaton patched against a root automaton.
+
+    The rows of the ``dirty`` pair states (every state edited since the
+    root) come from ``rows``; every other row is read from the ``root``
+    automaton's transitions in place.  An edit therefore copies the patch,
+    never the root.  ``work`` sums the dirty-set sizes of the patches
+    since the root, as :func:`repro.automata.afa.patch_engine` does, and
+    ``separators`` is shared by all patches of one root: for a pair of
+    class representatives, a state outside the dirty set on which their
+    root rows differ, or ``None`` when only dirty states can separate them
+    (the dirty set only grows until the next root).  ``items()`` is an
+    iterator over the rows, read once by each caller.
+    """
+
+    __slots__ = ("root", "dirty", "rows", "work", "separators")
+
+    def __init__(
+        self,
+        root: Mapping[tuple[str, Assignment], pl.Formula],
+        dirty: frozenset[str],
+        rows: dict[tuple[str, Assignment], pl.Formula],
+        work: int,
+        separators: dict[tuple[Assignment, Assignment], str | None],
+    ) -> None:
+        self.root = root
+        self.dirty = dirty
+        self.rows = rows
+        self.work = work
+        self.separators = separators
+
+    def __getitem__(self, key: tuple[str, Assignment]) -> pl.Formula:
+        return (self.rows if key[0] in self.dirty else self.root)[key]
+
+    def get(self, key: tuple[str, Assignment], default=None):
+        return (self.rows if key[0] in self.dirty else self.root).get(key, default)
+
+    def __iter__(self) -> Iterator[tuple[str, Assignment]]:
+        return (key for key, _formula in self.items())
+
+    def __len__(self) -> int:
+        return sum(1 for _key in self)
+
+    def items(self) -> Iterator[tuple[tuple[str, Assignment], pl.Formula]]:
+        dirty = self.dirty
+        clean = (item for item in self.root.items() if item[0][0] not in dirty)
+        return itertools.chain(clean, self.rows.items())
+
+
 def to_afa_incremental(
     sws: SWS,
     base: SWS,
@@ -241,13 +290,21 @@ def to_afa_incremental(
     """Rebuild ``to_afa(sws)`` from ``base_afa`` re-deriving only edits.
 
     ``sws`` must differ from ``base`` (for which ``base_afa`` was built by
-    :func:`to_afa` or by this function) only in the transition/synthesis
-    rules of ``changed_states``: same state set, same start, same input
-    variables.  Returns ``None`` when those layout preconditions fail —
-    alphabet-growing or state-adding edits fall back to the full
-    construction.  Per-state locality of :func:`_pair_rows` makes the
-    result identical to a scratch ``to_afa(sws)``, class map included;
-    cost is proportional to the edited states.
+    :func:`to_afa` or by this function, over the same ``variables``) only
+    in the transition/synthesis rules of ``changed_states``: same state
+    set, same start, same input variables.  Returns ``None`` when those
+    layout preconditions fail — alphabet-growing or state-adding edits
+    fall back to the full construction.  Per-state locality of
+    :func:`_pair_rows` makes the result equal to a scratch
+    ``to_afa(sws)``, class map included; cost is proportional to the
+    edited states.
+
+    The result's transitions are patched against a *root*, the last
+    automaton whose transitions are a plain dict (a scratch ``to_afa``):
+    the rows of the states edited since the root are the patch's own, the
+    others are read from the root (:class:`_PatchedRows`).  Once the
+    patches since the root have cost more than one copy of it, the result
+    is copied into a plain dict, the next root.
 
     The base's class map carries over unless the edit splits a class (an
     edited formula separates two of its assignments) or merges two (their
@@ -258,8 +315,8 @@ def to_afa_incremental(
         return None
     if sws.start != base.start:
         return None
-    symbols = alphabet_for(sws, variables)
-    if frozenset(symbols) != base_afa.alphabet:
+    # Same variables, same alphabet: compared without enumerating it.
+    if variables is None and sws.input_variables() != base.input_variables():
         return None
     changed = set(changed_states)
     classes = base_afa.classes
@@ -269,42 +326,61 @@ def to_afa_incremental(
         if seen.setdefault(rep, edited[symbol]) is not edited[symbol]:
             return to_afa(sws, variables)
     reps = list(dict.fromkeys(classes.values()))
-    dirty_pairs = [pair for state in changed for pair in pair_states(state)]
+    edit_pairs = {pair for state in changed for pair in pair_states(state)}
     new_finals, columns = _pair_rows(sws, changed, reps)
-    # Base classes have distinct rows, so two merge only if the edit
-    # equalizes the edited pairs where they differed and the others agree.
-    old = base_afa.transition
+    old = base_afa.transitions
+    if isinstance(old, _PatchedRows):
+        root, separators = old.root, old.separators
+        dirty, work = old.dirty | edit_pairs, old.work
+        rows = {key: formula for key, formula in old.rows.items() if key[0] not in edit_pairs}
+    else:
+        root, separators = old, {}
+        dirty, work, rows = frozenset(edit_pairs), 0, {}
+    # Base classes have distinct rows, so two merge only if the edit makes
+    # their rows agree on the edited pairs and they agree elsewhere: on the
+    # other states patched since the root, and on the root's rows outside.
+    false = pl.FALSE
+    states = base_afa.states
+
+    def separated(a: Assignment, b: Assignment) -> bool:
+        key = (a, b)
+        if key not in separators or separators[key] in dirty:
+            separators[key] = next(
+                (
+                    p
+                    for p in states
+                    if p not in dirty and root.get((p, a), false) is not root.get((p, b), false)
+                ),
+                None,
+            )
+        return separators[key] is not None or any(
+            rows.get((p, a), false) is not rows.get((p, b), false) for p in dirty - edit_pairs
+        )
+
     groups: dict[tuple, list[Assignment]] = {}
     for j, rep in enumerate(reps):
-        key = tuple([id(columns[p][j] if p in columns else pl.FALSE) for p in dirty_pairs])
+        key = tuple([id(column[j]) for column in columns.values()])
         groups.setdefault(key, []).append(rep)
-    clean = base_afa.states.difference(dirty_pairs)
-    if any(
-        any(old(p, a) is not old(p, b) for p in dirty_pairs)
-        and all(old(p, a) is old(p, b) for p in clean)
-        for group in groups.values()
-        for a, b in itertools.combinations(group, 2)
-    ):
-        return to_afa(sws, variables)
-    # Bulk-copy then evict the edited pairs' rows: the C-level dict copy
-    # beats a filtering comprehension, and eviction is O(edit × classes).
-    transitions = dict(base_afa.transitions)
-    for pair in dirty_pairs:
-        for rep in reps:
-            transitions.pop((pair, rep), None)
+    for group in groups.values():
+        for a, b in itertools.combinations(group, 2):
+            if not separated(a, b):
+                return to_afa(sws, variables)
     for pair, column in columns.items():
         for rep, formula in zip(reps, column):
-            if formula is not pl.FALSE:
-                transitions[(pair, rep)] = formula
-    # The spliced parts are the already-validated base plus rows from the
-    # same `_pair_rows` a scratch `to_afa` would run, over an identical
+            if formula is not false:
+                rows[(pair, rep)] = formula
+    transitions: Mapping = _PatchedRows(root, dirty, rows, work + len(dirty), separators)
+    if transitions.work > len(states):
+        transitions = dict(transitions.items())
+    # The rows are the already-validated root's plus rows from the same
+    # `_pair_rows` a scratch `to_afa` would run, over an identical
     # state/alphabet/class layout — skip `AFA.__init__`'s full re-validation.
     return AFA._from_validated(
-        base_afa.states,
+        states,
         base_afa.alphabet,
         transitions,
         pl.Var(_state_var(sws.start, False)),
-        base_afa.finals.difference(dirty_pairs) | new_finals,
+        base_afa.finals.difference(edit_pairs) | new_finals,
         classes,
     )
 

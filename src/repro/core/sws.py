@@ -34,6 +34,9 @@ Two query regimes share this one data type:
 
 from __future__ import annotations
 
+import functools
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Union
@@ -51,6 +54,12 @@ IN = "In"
 
 RelationalQuery = Union[ConjunctiveQuery, UnionQuery, FOQuery]
 Query = Union[pl.Formula, RelationalQuery]
+
+
+@functools.lru_cache(maxsize=256)
+def _positional_registers(k: int) -> frozenset[str]:
+    """``A1, ..., Ak``: the register names of ``k`` successors."""
+    return frozenset(f"A{i + 1}" for i in range(k))
 
 
 class SWSKind(Enum):
@@ -91,7 +100,13 @@ class SynthesisRule:
 
 
 class SWS:
-    """A synthesized Web service (Definition 2.1)."""
+    """A synthesized Web service (Definition 2.1).
+
+    An SWS is immutable: no code assigns into or mutates its
+    ``transitions`` or ``synthesis`` map after construction.  Edited
+    copies rely on this: :meth:`replace` shares every rule map it leaves
+    alone, and the ``states`` tuple and schemas, with its base.
+    """
 
     def __init__(
         self,
@@ -106,8 +121,8 @@ class SWS:
         output_arity: int | None = None,
         name: str = "τ",
     ) -> None:
-        # A repeat-free tuple is kept as is, so edited copies of a service
-        # share their base's states (see repro.workloads.editing.replace_rule).
+        # A repeat-free tuple is kept as is, so copies of a service can
+        # share their base's states.
         if not (type(states) is tuple and len(frozenset(states)) == len(states)):
             states = tuple(dict.fromkeys(states))
         self.states = states
@@ -120,6 +135,54 @@ class SWS:
         self.input_schema = input_schema
         self.output_arity = output_arity
         self._validate()
+
+    # -- editing -------------------------------------------------------------------------
+
+    def replace(
+        self,
+        state: str,
+        rule: TransitionRule | None = None,
+        synthesis: SynthesisRule | None = None,
+        name: str | None = None,
+    ) -> "SWS":
+        """A copy with ``state``'s transition and/or synthesis rule (and/or the name) replaced.
+
+        Only ``state`` is validated, by the same per-state checks (and
+        with the same messages) as a service built with ``SWS(...)``: the
+        rules of the other states are the base's, already validated.  The
+        copy shares ``states``, the schemas and each rule map it leaves
+        alone with ``self``.  It records a weak reference to ``self`` and
+        the replaced state (:meth:`replaced_states`), which pickles drop.
+        """
+        edited = None if rule is None and synthesis is None else state
+        if edited is not None and edited not in self.transitions:
+            raise SWSDefinitionError(f"rules for unknown states: {[edited]}")
+        transitions, synthesis_map = self.transitions, self.synthesis
+        if rule is not None:
+            transitions = {**transitions, state: rule}
+        if synthesis is not None:
+            synthesis_map = {**synthesis_map, state: synthesis}
+        new = object.__new__(SWS)
+        new.__dict__.update(self.__getstate__())
+        new.transitions = transitions
+        new.synthesis = synthesis_map
+        if name is not None:
+            new.name = name
+        if edited is not None:
+            new._validate_state(edited)
+        new._edited_from = (weakref.ref(self), edited)
+        return new
+
+    def replaced_states(self, base: "SWS") -> frozenset[str] | None:
+        """The states whose rules :meth:`replace` swapped to make ``self`` from ``base``.
+
+        Empty for a rename, and ``None`` for any other pair of services:
+        ``self`` was built otherwise, or from another version.
+        """
+        record = self.__dict__.get("_edited_from")
+        if record is None or record[0]() is not base:
+            return None
+        return frozenset() if record[1] is None else frozenset({record[1]})
 
     # -- validation (Definition 2.1 well-formedness) ------------------------------------
 
@@ -142,82 +205,80 @@ class SWS:
         extra = (set(self.transitions) | set(self.synthesis)) - state_set
         if extra:
             raise SWSDefinitionError(f"rules for unknown states: {sorted(extra)}")
-        for state, rule in self.transitions.items():
-            for target, _query in rule.targets:
-                if target not in state_set:
-                    raise SWSDefinitionError(
-                        f"transition of {state!r} targets unknown state {target!r}"
-                    )
-                if target == self.start:
-                    raise SWSDefinitionError(
-                        "the start state must not appear on any rule's rhs "
-                        f"(found in δ({state!r}))"
-                    )
-        if self.kind is SWSKind.RELATIONAL:
-            self._validate_relational()
-        else:
-            self._validate_pl()
-
-    def _validate_relational(self) -> None:
-        if self.input_schema is None or self.output_arity is None:
+        if self.kind is SWSKind.RELATIONAL and (
+            self.input_schema is None or self.output_arity is None
+        ):
             raise SWSDefinitionError(
                 "relational SWS's need an input payload schema and output arity"
             )
+        for state in self.states:
+            self._validate_state(state)
+
+    def _validate_state(self, state: str) -> None:
+        """The checks of one state's rules; the rule maps cover exactly the states."""
+        rule = self.transitions[state]
+        for target, _query in rule.targets:
+            if target not in self.transitions:
+                raise SWSDefinitionError(
+                    f"transition of {state!r} targets unknown state {target!r}"
+                )
+            if target == self.start:
+                raise SWSDefinitionError(
+                    "the start state must not appear on any rule's rhs "
+                    f"(found in δ({state!r}))"
+                )
+        if self.kind is SWSKind.RELATIONAL:
+            self._validate_relational(state, rule)
+        else:
+            self._validate_pl(state, rule)
+
+    def _validate_relational(self, state: str, rule: TransitionRule) -> None:
         payload_arity = self.input_schema.arity
-        for state, rule in self.transitions.items():
-            for target, query in rule.targets:
-                if isinstance(query, pl.Formula):
-                    raise SWSDefinitionError(
-                        f"δ({state!r}) uses a PL formula in a relational SWS"
-                    )
-                if query.arity != payload_arity:
-                    raise SWSDefinitionError(
-                        f"δ({state!r})→{target!r} query has arity {query.arity}, "
-                        f"Msg registers need {payload_arity}"
-                    )
-        for state, rule in self.synthesis.items():
-            query = rule.query
+        for target, query in rule.targets:
             if isinstance(query, pl.Formula):
                 raise SWSDefinitionError(
-                    f"σ({state!r}) uses a PL formula in a relational SWS"
+                    f"δ({state!r}) uses a PL formula in a relational SWS"
                 )
-            if query.arity != self.output_arity:
+            if query.arity != payload_arity:
                 raise SWSDefinitionError(
-                    f"σ({state!r}) has arity {query.arity}, "
-                    f"Act registers need {self.output_arity}"
+                    f"δ({state!r})→{target!r} query has arity {query.arity}, "
+                    f"Msg registers need {payload_arity}"
                 )
+        query = self.synthesis[state].query
+        if isinstance(query, pl.Formula):
+            raise SWSDefinitionError(
+                f"σ({state!r}) uses a PL formula in a relational SWS"
+            )
+        if query.arity != self.output_arity:
+            raise SWSDefinitionError(
+                f"σ({state!r}) has arity {query.arity}, "
+                f"Act registers need {self.output_arity}"
+            )
 
-    def _validate_pl(self) -> None:
-        for state, rule in self.transitions.items():
-            for _target, query in rule.targets:
-                if not isinstance(query, pl.Formula):
-                    raise SWSDefinitionError(
-                        f"δ({state!r}) must use PL formulas in a PL SWS"
-                    )
-        for state, rule in self.synthesis.items():
-            if not isinstance(rule.query, pl.Formula):
+    def _validate_pl(self, state: str, rule: TransitionRule) -> None:
+        for _target, query in rule.targets:
+            if not isinstance(query, pl.Formula):
                 raise SWSDefinitionError(
-                    f"σ({state!r}) must use a PL formula in a PL SWS"
+                    f"δ({state!r}) must use PL formulas in a PL SWS"
                 )
-            if not self.transitions[state].is_final:
-                k = len(self.transitions[state])
-                allowed = self._internal_synthesis_names(state)
-                stray = rule.query.variables() - allowed
-                if stray:
-                    raise SWSDefinitionError(
-                        f"σ({state!r}) mentions {sorted(stray)}; internal "
-                        f"synthesis formulas may only use A1..A{k} "
-                        "(or unambiguous Act_<state> aliases)"
-                    )
-
-    def _internal_synthesis_names(self, state: str) -> frozenset[str]:
-        rule = self.transitions[state]
-        names = {f"A{i + 1}" for i in range(len(rule))}
-        successors = rule.successor_states
-        for target in successors:
-            if successors.count(target) == 1:
-                names.add(f"Act_{target}")
-        return frozenset(names)
+        query = self.synthesis[state].query
+        if not isinstance(query, pl.Formula):
+            raise SWSDefinitionError(
+                f"σ({state!r}) must use a PL formula in a PL SWS"
+            )
+        if rule.is_final:
+            return
+        k = len(rule)
+        stray = query.variables() - _positional_registers(k)
+        if stray:  # what is left must be unambiguous Act_<state> aliases
+            repeats = Counter(rule.successor_states)
+            stray -= {f"Act_{target}" for target, n in repeats.items() if n == 1}
+        if stray:
+            raise SWSDefinitionError(
+                f"σ({state!r}) mentions {sorted(stray)}; internal "
+                f"synthesis formulas may only use A1..A{k} "
+                "(or unambiguous Act_<state> aliases)"
+            )
 
     def successor_register_aliases(self, state: str) -> dict[str, int]:
         """Map internal-synthesis register names to successor positions.
@@ -340,26 +401,77 @@ class SWS:
 
         All variables of transition formulas and final synthesis formulas,
         minus the reserved register name ``Msg``.  Computed once per
-        service: nothing mutates an SWS after construction.
+        service: nothing mutates an SWS after construction.  An edited
+        copy can derive its set from its base's instead
+        (:meth:`_inherit_input_variables`).
         """
         if self.kind is not SWSKind.PL:
             raise SWSDefinitionError("input_variables() is for PL services")
-        memo = getattr(self, "_input_variables", None)
-        if memo is not None:
-            return memo
+        memo = self.__dict__.get("_input_variables")
+        if memo is None:
+            # Interned formulas recur across states: read each one's variables once.
+            formulas = set(self._input_formula_slots())
+            memo = frozenset().union(*[formula.variables() for formula in formulas]) - {MSG}
+            self._input_variables = memo
+        return memo
+
+    def _variable_counts(self) -> dict[str, int]:
+        """Per variable (``Msg`` included), how many input formula slots mention it.
+
+        Computed once per service, from which edited copies derive their
+        input variables (:meth:`_inherit_input_variables`).
+        """
+        counts = self.__dict__.get("_var_counts")
+        if counts is None:
+            counts = {}
+            for formula, n in Counter(self._input_formula_slots()).items():
+                for name in formula.variables():
+                    counts[name] = counts.get(name, 0) + n
+            self._var_counts = counts
+        return counts
+
+    def _input_formula_slots(self) -> list[pl.Formula]:
+        """Every state's :meth:`_input_formulas`, concatenated: the one pass over the service."""
         rules = self.transitions.items()
-        # Interned formulas recur across states: read each one's variables once.
-        formulas = {query for _state, rule in rules for _target, query in rule.targets}
-        formulas.update([self.synthesis[state].query for state, rule in rules if rule.is_final])
-        names = frozenset().union(*[formula.variables() for formula in formulas])
-        self._input_variables = names - {MSG}
-        return self._input_variables
+        slots = [query for _state, rule in rules for _target, query in rule.targets]
+        slots += [self.synthesis[state].query for state, rule in rules if rule.is_final]
+        return slots
+
+    def _input_formulas(self, state: str) -> list[pl.Formula]:
+        """The formulas of ``state`` that read input: its transition formulas, or its synthesis formula when it is final."""
+        rule = self.transitions[state]
+        if rule.is_final:
+            return [self.synthesis[state].query]
+        return [query for _target, query in rule.targets]
+
+    def _inherit_input_variables(self, base: "SWS", states: Iterable[str]) -> None:
+        """Memoize :meth:`input_variables` of a copy of ``base`` that differs in ``states`` only.
+
+        ``base``'s variable counts, less the old formulas of ``states``
+        plus their new ones: no pass over the service once ``base`` has
+        its counts.  The copy shares ``base``'s counts and set when the
+        edit leaves every count as it was.
+        """
+        counts = base._variable_counts()
+        change: Counter[str] = Counter()
+        for state in states:
+            change.subtract(v for f in base._input_formulas(state) for v in f.variables())
+            change.update(v for f in self._input_formulas(state) for v in f.variables())
+        names = base.__dict__.get("_input_variables")
+        if any(change.values()):
+            counts = {v: n for v in counts.keys() | change.keys() if (n := counts.get(v, 0) + change[v])}
+            names = None
+        self._var_counts = counts
+        self._input_variables = frozenset(counts) - {MSG} if names is None else names
 
     def __getstate__(self) -> dict:
-        # The memo is rebuilt on demand; leaving it out keeps a service's
-        # pickle (a pool job's payload) the same whether or not it was read.
+        # The memos are rebuilt on demand; leaving them out keeps a
+        # service's pickle (a pool job's payload) the same whether or not
+        # they were read.  The edit record is a weak reference, meaningful
+        # in this process only.
         state = self.__dict__.copy()
-        state.pop("_input_variables", None)
+        for key in ("_input_variables", "_var_counts", "_edited_from"):
+            state.pop(key, None)
         return state
 
     # -- running (delegates to repro.core.run) ------------------------------------------------

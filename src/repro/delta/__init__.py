@@ -6,7 +6,8 @@ changes most of it, so a re-check should cost what the *edit* costs, not
 what the *service* costs:
 
 * :mod:`repro.delta.diff` — structural deltas from per-state
-  sub-fingerprint Merkle trees (:func:`repro.serve.fingerprint.sub_fingerprints`).
+  sub-fingerprint Merkle trees (:func:`repro.serve.fingerprint.sub_fingerprints`),
+  derived from the base's for a :meth:`repro.core.sws.SWS.replace` copy.
 * :mod:`repro.delta.engine` — the re-check itself: cached / replay /
   warm / full, cheapest sound mode first.
 * :mod:`repro.delta.session` — :class:`Session`: ``open → edit →
@@ -18,7 +19,7 @@ what the *service* costs:
 See ``docs/INCREMENTAL.md`` for the soundness argument per mode.
 """
 
-from repro.delta.diff import InstanceDelta, compute_delta
+from repro.delta.diff import InstanceDelta, compute_delta, derive_delta
 from repro.delta.engine import DeltaError, RecheckResult, SUPPORTED_PROCEDURES
 from repro.delta.session import Session
 
@@ -29,4 +30,5 @@ __all__ = [
     "SUPPORTED_PROCEDURES",
     "Session",
     "compute_delta",
+    "derive_delta",
 ]

@@ -12,11 +12,13 @@ Subcommands:
   replay the trace through one :class:`repro.delta.Session`:
   check version 0 from scratch, then ``edit``/``recheck`` each
   successive version and report the re-check mode, latency, and
-  verdict per step.  ``--compare`` also solves every version from
-  scratch and fails on any verdict mismatch (the incremental ==
-  from-scratch contract); ``--require-warm N`` fails unless at least
-  ``N`` re-checks avoided the full path — the CI smoke uses it to
-  assert the delta machinery actually engaged.
+  verdict per step, then a summary: the re-checks per mode, and how
+  many edits had their delta derived from the previous version
+  (``SWS.replace`` copies) or diffed in full.  ``--compare`` also
+  solves every version from scratch and fails on any verdict mismatch
+  (the incremental == from-scratch contract); ``--require-warm N``
+  fails unless at least ``N`` re-checks avoided the full path — the CI
+  smoke uses it to assert the delta machinery actually engaged.
 
 Trace factories live in :mod:`repro.workloads.editing`, e.g.::
 
@@ -121,7 +123,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             "modes: "
             + ", ".join(f"{n} {m}" for m, n in stats["modes"].items())
             + f"; {stats['incremental_rechecks']} incremental "
-            f"of {stats['rechecks']} rechecks",
+            f"of {stats['rechecks']} rechecks"
+            f"; edits: {stats['edits']['derived']} derived, "
+            f"{stats['edits']['diffed']} diffed",
         )
     finally:
         if cache is not None:

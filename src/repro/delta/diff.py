@@ -3,11 +3,12 @@
 The diff is layered on the serve-tier fingerprints: each version gets a
 per-state Merkle tree (:func:`repro.serve.fingerprint.sub_fingerprints`)
 whose leaves hash one state's transition + synthesis rules and whose
-root is the service's job key.  Because edited copies of a service
-share the rules of untouched states, the leaf digests of unchanged
-regions come out of a memo keyed on rule values without
-re-canonicalizing anything — a diff costs time proportional to the
-edit, not to the service.
+root is the service's job key.  A version made by
+:meth:`repro.core.sws.SWS.replace` records its base and the states it
+replaced, so :func:`derive_delta` derives its tree, input variables and
+delta from the base's in time proportional to the edit.  Any other pair
+of versions goes through :func:`compute_delta`, which visits every
+state (unchanged rules are leaf-memo hits, not re-canonicalized).
 
 The delta classifies an edit for :mod:`repro.delta.engine`:
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from repro.core.sws import SWS, SWSKind
 from repro.serve.fingerprint import SubFingerprints, sub_fingerprints
 
-__all__ = ["InstanceDelta", "compute_delta"]
+__all__ = ["InstanceDelta", "compute_delta", "derive_delta"]
 
 
 @dataclass(frozen=True)
@@ -108,3 +109,33 @@ def compute_delta(
         globals_changed=base_tree.globals_digest != new_tree.globals_digest,
         alphabet_changed=alphabet_changed,
     )
+
+
+def derive_delta(
+    base: SWS, base_tree: SubFingerprints, new: SWS
+) -> tuple[SubFingerprints, InstanceDelta] | None:
+    """``new``'s tree and its delta from ``base``, without a pass over either.
+
+    Applies when ``new`` is :meth:`~repro.core.sws.SWS.replace`'s copy of
+    ``base`` (whose tree is ``base_tree``); returns ``None`` for any other
+    version.  The tree and the delta equal ``sub_fingerprints(new)`` and
+    ``compute_delta(base, new)``: only the replaced states' leaves are
+    hashed, and ``new``'s input variables are derived from ``base``'s.
+    """
+    replaced = new.replaced_states(base)
+    if replaced is None:
+        return None
+    tree = base_tree.replaced(new, replaced)
+    alphabet_changed = False
+    if new.kind is SWSKind.PL:
+        new._inherit_input_variables(base, replaced)
+        alphabet_changed = base.input_variables() != new.input_variables()
+    delta = InstanceDelta(
+        base_root=base_tree.root,
+        new_root=tree.root,
+        changed_states=frozenset(
+            state for state in replaced if tree.states[state] != base_tree.states[state]
+        ),
+        alphabet_changed=alphabet_changed,
+    )
+    return tree, delta

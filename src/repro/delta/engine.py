@@ -18,8 +18,9 @@ depends on the edit being small, only the cost does:
   whole-instance property, so nothing of the previous search is reused —
   reusing it would be unsound precisely in the YES→NO flip case.
 * ``full`` — global edit (states added/removed, alphabet grew, start
-  moved), or an empty delta over a budget-tripped UNKNOWN: the registry
-  procedure runs from scratch.
+  moved), or an empty delta over a budget-tripped UNKNOWN: the version
+  is translated and searched from scratch (:func:`solve`, the registry
+  procedure's answer), and its automaton is kept for the next edit.
 
 The warm search checkpoints through the ordinary guard site
 ``delta.recheck``, so budgets, fault injection, and progress telemetry
@@ -34,6 +35,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro import metrics
+from repro.analysis.nonemptiness import nonempty_answer
+from repro.analysis.validation import validation_answer
 from repro.analysis.verdict import Answer
 from repro.automata.afa import (
     AFA,
@@ -42,13 +45,14 @@ from repro.automata.afa import (
     generic_search,
     patch_engine,
 )
+from repro.core.classes import SWSClass, require_class
 from repro.core.pl_semantics import pair_states, to_afa, to_afa_incremental
 from repro.core.sws import SWS
 from repro.delta.diff import InstanceDelta
 from repro.errors import ReproError
 from repro.guard import GuardTrip, checkpoint_callable, ensure_guard, register_span
 
-__all__ = ["DeltaError", "RecheckResult", "SUPPORTED_PROCEDURES", "recheck"]
+__all__ = ["DeltaError", "RecheckResult", "SUPPORTED_PROCEDURES", "recheck", "solve"]
 
 register_span(
     "delta.recheck",
@@ -72,9 +76,14 @@ def _accepting_for(procedure: str, kwargs: dict) -> bool:
     )
 
 
-#: Procedures the engine can re-check incrementally.  Both reduce to one
-#: AFA witness search; ``accepting`` is the polarity of the search.
-SUPPORTED_PROCEDURES = frozenset({"nonempty_pl", "validate_pl"})
+#: Procedures the engine can re-check incrementally, each with its answer
+#: for the AFA of a version.  Both reduce to one AFA witness search;
+#: ``accepting`` is the polarity of the search.
+_ANSWERS: dict[str, Callable[..., Answer]] = {
+    "nonempty_pl": nonempty_answer,
+    "validate_pl": validation_answer,
+}
+SUPPORTED_PROCEDURES = frozenset(_ANSWERS)
 
 
 @dataclass
@@ -142,8 +151,31 @@ def _search(engine: _CompiledAFA, accepting: bool, budget: Any) -> tuple[Answer,
     return Answer.no(detail="vector space exhausted (delta search)"), pops
 
 
+def solve(
+    procedure: str, sws: SWS, kwargs: dict, budget: Any = None
+) -> tuple[Answer, AFA | None]:
+    """The registry procedure's answer on ``sws``, plus the automaton it searched.
+
+    The answer equals ``PROCEDURES[procedure](sws, guard=budget, **kwargs)``
+    in verdict, witness, detail and trip: the same translation and search,
+    and a guard trip becomes the UNKNOWN answer of the procedure's guard
+    boundary.  The AFA is returned for the session to keep (``None`` if
+    the translation tripped), so the next local edit patches it instead
+    of translating ``sws`` again.
+    """
+    require_class(sws, SWSClass.PL_PL, procedure)
+    afa = None
+    guard = ensure_guard(budget) if budget is not None else None
+    try:
+        with guard.activate() if guard is not None else nullcontext():
+            afa = to_afa(sws)
+            answer = _ANSWERS[procedure](afa, **kwargs)
+    except GuardTrip as error:
+        answer = Answer.unknown(detail=error.trip.describe(), trip=error.trip)
+    return answer, afa
+
+
 def recheck(
-    procedure_fn: Callable[..., Answer],
     procedure: str,
     base: SWS,
     base_answer: Answer,
@@ -156,9 +188,9 @@ def recheck(
     """Re-check ``new`` given ``base``, its answer and the ``delta`` between them.
 
     Returns the result plus the live AFA of ``new`` for the session to
-    adopt (``None`` after a full solve).  ``base_afa`` may be ``None``
-    (a session reopened on a cached answer); the local path then builds
-    it once and later edits go incremental.
+    adopt.  ``base_afa`` may be ``None`` (a session reopened on a cached
+    answer); the local path then builds it once and later edits go
+    incremental.
     """
     t0 = time.perf_counter()
     accepting = _accepting_for(procedure, kwargs)
@@ -204,8 +236,7 @@ def recheck(
                 mode = "warm"
                 answer, pops = _search(engine, accepting, budget)
     if answer is None:  # global delta, tripped answer, or no incremental AFA
-        answer = procedure_fn(new, guard=budget, **kwargs)
-        next_afa = None
+        answer, next_afa = solve(procedure, new, kwargs, budget)
 
     elapsed = time.perf_counter() - t0
     metrics.counter("delta.recheck", mode=mode).inc()

@@ -3,7 +3,8 @@
 A :class:`Session` owns one evolving instance for one procedure and
 keeps what a re-check can reuse: the current version's sub-fingerprint
 tree, its answer (a YES carries the witness a later edit replays), and
-the live (incrementally rebuilt) AFA with its patched engine.  Decided
+the live AFA with its compiled engine (kept from the last full solve,
+then rebuilt incrementally and row-patched edit by edit).  Decided
 answers flow into the serve-tier answer cache under the same job
 fingerprints the scheduler uses, so an edited spec that later arrives
 through ``serve run`` hits the cache, and a session reopened in a *new
@@ -17,29 +18,32 @@ service's cache in).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro import metrics
-from repro.core.sws import SWS
-from repro.delta.diff import InstanceDelta, compute_delta
+from repro.core.sws import SWS, SWSKind
+from repro.delta.diff import InstanceDelta, compute_delta, derive_delta
 from repro.delta.engine import (
     DeltaError,
     RecheckResult,
     SUPPORTED_PROCEDURES,
     recheck,
+    solve,
 )
 from repro.serve.fingerprint import SubFingerprints, job_fingerprint, sub_fingerprints
 
 __all__ = ["Session"]
 
 
-def _resolve_procedure(procedure: str) -> Callable[..., Any]:
-    from repro.serve.registry import PROCEDURES
+def _walk(sws: SWS) -> SubFingerprints:
+    """The tree of a version the session cannot derive from the previous one.
 
-    try:
-        return PROCEDURES[procedure]
-    except KeyError:
-        raise DeltaError(f"unknown procedure {procedure!r}") from None
+    Also counts the version's input variables (of a PL service), so that
+    the edited copies made from it derive theirs without a pass.
+    """
+    if sws.kind is SWSKind.PL:
+        sws._variable_counts()
+    return sub_fingerprints(sws)
 
 
 class Session:
@@ -60,12 +64,11 @@ class Session:
                 f"(supported: {', '.join(sorted(SUPPORTED_PROCEDURES))})"
             )
         self.procedure = procedure
-        self.procedure_fn = _resolve_procedure(procedure)
         self.kwargs = kwargs
         self.cache = cache
         self.budget = budget
         self.current = sws
-        self.tree = sub_fingerprints(sws)
+        self.tree = _walk(sws)
         self.fingerprint = job_fingerprint(procedure, (self.tree,), kwargs)
         self.answer: Any = None
         self.afa = None
@@ -73,6 +76,9 @@ class Session:
         self.pending: tuple[SWS, SubFingerprints, InstanceDelta] | None = None
         self.rechecks = 0
         self.modes: dict[str, int] = {}
+        # Edits whose delta was derived from the current version's, and
+        # edits that had to be hashed and diffed in full.
+        self.edits = {"derived": 0, "diffed": 0}
         metrics.counter("delta.sessions.opened").inc()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -81,16 +87,17 @@ class Session:
         """The current version's answer, solving if needed.
 
         Tries, in order: the session's own answer, the answer cache,
-        then a fresh solve.
+        then a fresh solve, whose automaton the session keeps.
         """
         if self.answer is not None:
             return self.answer
         self.answer = self._cache_get()
         if self.answer is None:
-            self.answer = self.procedure_fn(
+            self.answer, self.afa = solve(
+                self.procedure,
                 self.current,
-                guard=budget if budget is not None else self.budget,
-                **self.kwargs,
+                self.kwargs,
+                budget if budget is not None else self.budget,
             )
             self._publish()
         return self.answer
@@ -98,13 +105,22 @@ class Session:
     def edit(self, new: SWS) -> InstanceDelta:
         """Stage ``new`` as the next version; returns its delta.
 
-        Staging is idempotent — a second ``edit`` before ``recheck``
-        replaces the pending version.  The delta is staged with it:
-        ``recheck`` re-checks against exactly this delta, so each edit
-        is diffed once.
+        A version :meth:`repro.core.sws.SWS.replace` made from the
+        current one gets its tree, input variables and delta derived from
+        the current one's, in time proportional to the edit; any other
+        version is hashed and diffed in full.  Staging is idempotent — a
+        second ``edit`` before ``recheck`` replaces the pending version.
+        The delta is staged with it: ``recheck`` re-checks against
+        exactly this delta.
         """
-        tree = sub_fingerprints(new)
-        delta = compute_delta(self.current, new, self.tree, tree)
+        derived = derive_delta(self.current, self.tree, new)
+        if derived is None:
+            tree = _walk(new)
+            derived = tree, compute_delta(self.current, new, self.tree, tree)
+            self.edits["diffed"] += 1
+        else:
+            self.edits["derived"] += 1
+        tree, delta = derived
         self.pending = (new, tree, delta)
         return delta
 
@@ -115,10 +131,9 @@ class Session:
         new, new_tree, delta = self.pending or (
             self.current,
             self.tree,
-            compute_delta(self.current, self.current, self.tree, self.tree),
+            InstanceDelta(self.tree.root, self.tree.root),
         )
         result, self.afa = recheck(
-            self.procedure_fn,
             self.procedure,
             self.current,
             self.answer,
@@ -168,5 +183,6 @@ class Session:
             "rechecks": self.rechecks,
             "modes": dict(sorted(self.modes.items())),
             "incremental_rechecks": warm_modes,
+            "edits": dict(self.edits),
             "states": len(self.current.states),
         }

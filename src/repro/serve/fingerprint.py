@@ -386,6 +386,22 @@ class SubFingerprints:
         """The canonical form of the service this tree was built from."""
         return ("sws", self.root)
 
+    def replaced(self, sws: SWS, states: Iterable[str]) -> "SubFingerprints":
+        """The tree of ``sws``, a copy of this tree's service with only ``states``' rules replaced.
+
+        What :func:`sub_fingerprints` returns for ``sws``, byte for byte,
+        without visiting the other states: their leaves and the globals
+        carry over, the replaced states' leaves are hashed anew, and the
+        root is recomputed from the leaves.  ``sws`` must share the state
+        set, start, kind and schemas of this tree's service, as every
+        :meth:`repro.core.sws.SWS.replace` copy does.
+        """
+        leaves = dict(self.states)
+        leaf = _pl_state_digest if sws.kind is SWSKind.PL else _state_digest
+        for state in states:
+            leaves[state] = leaf(sws.transitions[state], sws.synthesis[state])
+        return SubFingerprints(_root_digest(self.globals_digest, leaves), self.globals_digest, leaves)
+
     def changed_states(self, other: "SubFingerprints") -> frozenset[str]:
         """States whose local digest differs (or exists on one side only)."""
         mine, theirs = self.states, other.states
@@ -422,12 +438,16 @@ def sub_fingerprints(sws: SWS) -> SubFingerprints:
             )
         ).encode("utf-8")
     ).hexdigest()
-    # The globals fix the sorted state list, and every leaf digest has
-    # the same length, so the concatenation pins each state's leaf.
-    root = hashlib.sha256(
-        (globals_digest + "".join(states.values())).encode("ascii")
+    return SubFingerprints(_root_digest(globals_digest, states), globals_digest, states)
+
+
+def _root_digest(globals_digest: str, leaves: Mapping[str, str]) -> str:
+    # The globals fix the sorted state list, the leaves are in that order,
+    # and every leaf digest has the same length, so the concatenation pins
+    # each state's leaf.
+    return hashlib.sha256(
+        (globals_digest + "".join(leaves.values())).encode("ascii")
     ).hexdigest()
-    return SubFingerprints(root, globals_digest, states)
 
 
 def job_fingerprint(

@@ -1,11 +1,12 @@
 """Edit-script traces: sequences of instance versions for repro.delta.
 
 An *edit script* is a list of SWS versions, each obtained from its
-predecessor by a small designer-style edit.  Crucially, every edit
-constructs the successor by **sharing the untouched rule objects** —
-exactly what an editor front-end holding an in-memory model would do —
-so the sub-fingerprint Merkle memo recognizes unchanged states without
-re-canonicalizing them.
+predecessor by a small designer-style edit.  Crucially, every edit is
+:meth:`repro.core.sws.SWS.replace`, which **shares the untouched rules**
+with the predecessor and records which states it replaced — exactly
+what an editor front-end holding an in-memory model would do — so a
+:class:`repro.delta.Session` derives each version's delta from its
+predecessor's without a pass over the service.
 
 Families (all deterministic in their parameters — the traces are also
 benchmark inputs):
@@ -62,26 +63,10 @@ def replace_rule(
 ) -> SWS:
     """A copy of ``sws`` with one state's rules (and/or the name) replaced.
 
-    All other rule objects are shared with ``sws`` — the single-row edit
-    primitive every trace is built from.
+    The single-row edit primitive every trace is built from; see
+    :meth:`repro.core.sws.SWS.replace`.
     """
-    transitions = dict(sws.transitions)
-    synthesis_map = dict(sws.synthesis)
-    if rule is not None:
-        transitions[state] = rule
-    if synthesis is not None:
-        synthesis_map[state] = synthesis
-    return SWS(
-        sws.states,
-        sws.start,
-        transitions,
-        synthesis_map,
-        kind=sws.kind,
-        db_schema=sws.db_schema,
-        input_schema=sws.input_schema,
-        output_arity=sws.output_arity,
-        name=name if name is not None else sws.name,
-    )
+    return sws.replace(state, rule=rule, synthesis=synthesis, name=name)
 
 
 def menu_words(

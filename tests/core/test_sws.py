@@ -188,3 +188,98 @@ class TestSharedStates:
     @pytest.mark.parametrize("states", [["q0", "q1", "q0"], ("q0", "q1", "q0"), ["q0", "q1"]])
     def test_anything_else_is_deduplicated_into_a_tuple(self, states):
         assert _tiny_pl(states=states).states == ("q0", "q1")
+
+
+def _built(sws, state=None, rule=None, synthesis=None, name=None):
+    """``sws`` with ``state``'s rules replaced, built and validated in full."""
+    transitions, synth = dict(sws.transitions), dict(sws.synthesis)
+    if rule is not None:
+        transitions[state] = rule
+    if synthesis is not None:
+        synth[state] = synthesis
+    return SWS(
+        sws.states,
+        sws.start,
+        transitions,
+        synth,
+        kind=sws.kind,
+        db_schema=sws.db_schema,
+        input_schema=sws.input_schema,
+        output_arity=sws.output_arity,
+        name=sws.name if name is None else name,
+    )
+
+
+def _travel_queries():
+    travel = travel_service()
+    msg_query = travel.transitions["q0"].targets[0][1]  # arity 2
+    act_query = travel.synthesis["qa"].query  # arity 4
+    return travel, msg_query, act_query
+
+
+def _invalid_replacements():
+    tiny = _tiny_pl()
+    travel, msg_query, act_query = _travel_queries()
+    return {
+        "unknown state": (tiny, "q9", TransitionRule(), None),
+        "unknown target": (tiny, "q0", TransitionRule([("q9", pl.Var("x"))]), None),
+        "start on a rhs": (tiny, "q1", TransitionRule([("q0", pl.Var("x"))]), None),
+        "stray synthesis name": (tiny, "q0", None, SynthesisRule(pl.Var("A2"))),
+        "non-PL formula": (tiny, "q0", TransitionRule([("q1", msg_query)]), None),
+        "transition arity": (travel, "q0", TransitionRule([("qa", act_query)]), None),
+        "synthesis arity": (travel, "qa", None, SynthesisRule(msg_query)),
+    }
+
+
+class TestReplace:
+    @pytest.mark.parametrize("case", sorted(_invalid_replacements()))
+    def test_invalid_replacements_fail_as_a_build_does(self, case):
+        sws, state, rule, synthesis = _invalid_replacements()[case]
+        with pytest.raises(SWSDefinitionError) as built:
+            _built(sws, state, rule, synthesis)
+        with pytest.raises(SWSDefinitionError) as replaced:
+            sws.replace(state, rule=rule, synthesis=synthesis)
+        assert str(replaced.value) == str(built.value)
+
+    def test_copies_share_every_map_they_leave_alone(self):
+        base = menu_editing_trace(edits=0)[0]
+        state = next(s for s in base.states if not base.transitions[s].is_final)
+        rule = TransitionRule(base.transitions[state].targets)
+        new_rule = base.replace(state, rule=rule)
+        assert new_rule.synthesis is base.synthesis
+        assert new_rule.transitions[state] is rule
+        new_synth = base.replace(state, synthesis=SynthesisRule(pl.Var("A1")))
+        assert new_synth.transitions is base.transitions
+        renamed = base.replace(state, name="renamed")
+        assert renamed.transitions is base.transitions and renamed.synthesis is base.synthesis
+        for copy in (new_rule, new_synth, renamed):
+            assert copy.states is base.states
+            assert copy.db_schema is base.db_schema
+            assert copy.replaced_states(base) is not None
+        assert new_rule.replaced_states(base) == {state}
+        assert renamed.replaced_states(base) == frozenset()
+        assert new_rule.replaced_states(new_synth) is None
+
+    @pytest.mark.parametrize("family", ["menu", "counter", "travel"])
+    def test_copies_pickle_like_built_services(self, family):
+        if family == "menu":
+            base = menu_editing_trace(edits=0)[0]
+            state = "b0_w1"
+            target, _ = base.transitions[state].targets[0]
+            edit = {"rule": TransitionRule([(target, pl.FALSE)])}
+        elif family == "counter":
+            from repro.workloads.scaling import pl_counter_sws
+
+            base, state = pl_counter_sws(4), "root"
+            edit = {"synthesis": SynthesisRule(pl.Not(pl.Var("A1")))}
+        else:
+            base, msg_query, _ = _travel_queries()
+            state = "q0"
+            edit = {"rule": TransitionRule([("qa", msg_query), ("qh", msg_query)])}
+        copy = base.replace(state, name="edited", **edit)
+        expected = pickle.dumps(_built(base, state, name="edited", **edit))
+        assert pickle.dumps(copy) == expected
+        if copy.kind is SWSKind.PL:  # memos stay out of the pickle
+            copy._inherit_input_variables(base, {state})
+            assert pickle.dumps(copy) == expected
+        assert pickle.loads(expected).replaced_states(base) is None

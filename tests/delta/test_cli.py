@@ -45,6 +45,8 @@ def test_replay_menu_is_fully_incremental(capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     summary = lines[-1]["_summary"]
     assert summary["incremental_rechecks"] == summary["rechecks"]
+    # Every version of the trace is an edited copy of the one before.
+    assert summary["edits"] == {"derived": summary["rechecks"], "diffed": 0}
     steps = [r for r in lines if "mode" in r and r["step"] > 0]
     assert all(r["mode"] in ("replay", "warm", "cached") for r in steps)
     assert all(r["verdict"] == r["expected"] for r in steps if "expected" in r)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import importlib
+import random
 import weakref
 
 import pytest
@@ -12,7 +15,7 @@ from repro.analysis import nonempty_pl, validate_pl
 from repro.automata.afa import patch_engine
 from repro.core.pl_semantics import pair_states, to_afa, to_afa_incremental
 from repro.core.run import run_pl
-from repro.core.sws import MSG, TransitionRule
+from repro.core.sws import MSG, SWS, TransitionRule
 from repro.delta import DeltaError, Session, compute_delta
 from repro.delta import engine as engine_mod, session as session_mod
 from repro.delta.engine import _search
@@ -29,9 +32,30 @@ from repro.workloads.pl_services import HASH, exactly, union_word_service
 from repro.workloads.random_sws import random_pl_sws
 from repro.workloads.scaling import pl_counter_sws
 
+# `repro.serve` re-exports the `fingerprint` *function*, which shadows the
+# submodule on attribute-style imports.
+fingerprint_mod = importlib.import_module("repro.serve.fingerprint")
+
 
 def _scratch_verdicts(trace):
     return [nonempty_pl(sws).verdict for sws in trace]
+
+
+def _next_version(sws, rng, alphabet="abcd"):
+    """``sws``, a menu, with one interior guard retargeted by ``SWS.replace``.
+
+    Unlike ``menu_editing_trace``, nothing but the caller holds the
+    versions this makes.
+    """
+    interior = [s for s in sws.states if s != sws.start and not sws.transitions[s].is_final]
+    state = rng.choice(interior)
+    (target, _), *rest = sws.transitions[state].targets
+    guard = (pl.Var(MSG) & exactly(rng.choice(alphabet), alphabet)).simplify()
+    return sws.replace(state, rule=TransitionRule([(target, guard), *rest]))
+
+
+def _whole_service_pass(*args, **kwargs):
+    raise AssertionError("a pass over the whole service")
 
 
 class TestRecheckModes:
@@ -134,6 +158,8 @@ class TestRecheckModes:
 
 class TestOneDeltaPerEdit:
     def test_edit_then_recheck_diffs_once(self, monkeypatch):
+        """An edited copy's delta is derived (no diff), an unrelated version
+        is diffed once, and the re-check never diffs again."""
         calls = []
 
         def spy(*args, **kwargs):
@@ -144,12 +170,23 @@ class TestOneDeltaPerEdit:
         # The re-check must take the staged delta, not diff again.
         monkeypatch.setattr(engine_mod, "compute_delta", spy, raising=False)
         base, edited = menu_editing_trace(edits=1)
-        session = Session(base)
-        session.check()
-        delta = session.edit(edited)
-        result = session.recheck()
-        assert len(calls) == 1
-        assert result.delta is delta and result.mode in ("replay", "warm")
+        # The same version, built without a record of its base.
+        rebuilt = SWS(
+            edited.states,
+            edited.start,
+            edited.transitions,
+            edited.synthesis,
+            kind=edited.kind,
+            name=edited.name,
+        )
+        for version, diffs in ((edited, 0), (rebuilt, 1)):
+            session = Session(base)
+            session.check()
+            calls.clear()
+            delta = session.edit(version)
+            result = session.recheck()
+            assert len(calls) == diffs
+            assert result.delta is delta and result.mode in ("replay", "warm")
 
 
 class TestLongSession:
@@ -186,6 +223,20 @@ class TestLongSession:
         alive = [ref() for ref, _ in engines if ref() is not None]
         assert all(e is current or e is current.root for e in alive)
 
+    def test_a_session_pins_no_old_version(self):
+        rng = random.Random(0)
+        session = Session(menu_editing_trace(8, 4, "abcd", 0)[0])
+        session.check()
+        versions = []
+        for _ in range(200):
+            version = _next_version(session.current, rng)
+            versions.append(weakref.ref(version))
+            session.edit(version)
+            session.recheck()
+        del version
+        gc.collect()
+        assert [ref() for ref in versions if ref() is not None] == [session.current]
+
     def test_the_session_re_roots_once_patches_cost_a_compile(self):
         trace = menu_editing_trace(8, 4, "abcd", 200)
         session = Session(trace[0])
@@ -199,6 +250,67 @@ class TestLongSession:
         # The first local edit compiles a root and later ones re-root
         # now and then, far from once per edit.
         assert 2 <= STATS.afa_compilations <= len(trace) // 4
+
+
+class TestFullRecheck:
+    @pytest.mark.parametrize(
+        "procedure, kwargs",
+        [("nonempty_pl", {}), ("validate_pl", {"output": True}), ("validate_pl", {"output": False})],
+    )
+    def test_full_recheck_answers_as_the_procedure_and_keeps_its_automaton(
+        self, procedure, kwargs, monkeypatch
+    ):
+        from repro.serve.registry import PROCEDURES
+
+        base, grown = growing_trace()
+        session = Session(base, procedure, **kwargs)
+        session.check()
+        session.edit(grown)
+        result = session.recheck()
+        assert result.mode == "full"
+        assert result.answer == PROCEDURES[procedure](grown, **kwargs)
+        # The next local edit patches the kept automaton: no translation.
+        monkeypatch.setattr(engine_mod, "to_afa", _whole_service_pass)
+        (target, guard), = grown.transitions["w1"].targets
+        edited = grown.replace("w1", rule=TransitionRule([(target, pl.Not(guard))]))
+        assert session.edit(edited).is_local
+        result = session.recheck()
+        assert result.mode in ("replay", "warm")
+        assert result.answer.verdict is PROCEDURES[procedure](edited, **kwargs).verdict
+
+    def test_tripped_solve_answers_as_the_procedure(self):
+        sws = pl_counter_sws(10)
+        first = Session(sws, budget=30).check()
+        expected = nonempty_pl(sws, guard=30)
+        assert first.is_unknown
+        assert (first.verdict, first.witness) == (expected.verdict, expected.witness)
+        # The detail describes the trip, elapsed time included.
+        assert all(a.detail == a.trip.describe() for a in (first, expected))
+        untimed = [dataclasses.replace(a.trip, elapsed_s=0.0) for a in (first, expected)]
+        assert untimed[0] == untimed[1]
+
+
+class TestDerivedEdits:
+    def test_derived_edits_pass_over_no_service(self, monkeypatch):
+        """Edits of versions made by ``SWS.replace`` hash, diff, scan and
+        translate nothing but the edited states."""
+        rng = random.Random(1)
+        session = Session(menu_editing_trace(16, 4, "abcd", 0)[0])
+        session.check()
+        for owner, name in (
+            (session_mod, "sub_fingerprints"),
+            (session_mod, "compute_delta"),
+            (fingerprint_mod, "sub_fingerprints"),
+            (SWS, "_input_formula_slots"),
+            (engine_mod, "to_afa"),
+        ):
+            monkeypatch.setattr(owner, name, _whole_service_pass)
+        modes = set()
+        for _ in range(60):
+            session.edit(_next_version(session.current, rng))
+            modes.add(session.recheck().mode)
+        assert {"replay", "warm"} <= modes <= {"replay", "warm", "cached"}
+        assert session.stats()["edits"] == {"derived": 60, "diffed": 0}
 
 
 class TestValidate:
@@ -308,11 +420,13 @@ class TestIncrementalAFA:
     @pytest.mark.parametrize("seed", [5, 6, 18])
     def test_session_engines_match_full_compiles_edit_after_edit(self, seed):
         """Rows patched against the root over every state dirtied since it
-        equal a fresh compile, across re-roots and class-map changes."""
+        equal a fresh compile, across re-roots and class-map changes; so
+        do the automata patched against their root automaton."""
         current = random_pl_sws(seed, n_states=6, n_variables=2)
         session = Session(current)
         session.check()
         kinds = set()
+        afa_kinds = set()
         for step in range(24):
             donor = random_pl_sws(seed * 100 + step, n_states=6, n_variables=2)
             state = sorted(current.states)[1 + step % 5]
@@ -326,8 +440,14 @@ class TestIncrementalAFA:
             assert session.recheck().mode != "full"
             engine = session.afa._engine()
             kinds.add("patched" if engine.root is not None else "root")
-            self._assert_same_rows(engine, to_afa(current)._engine())
+            scratch = to_afa(current)
+            self._assert_same_rows(engine, scratch._engine())
+            afa = session.afa
+            afa_kinds.add("root" if type(afa.transitions) is dict else "patched")
+            assert dict(afa.transitions.items()) == scratch.transitions
+            assert (afa.classes, afa.finals) == (scratch.classes, scratch.finals)
         assert kinds == {"patched", "root"}
+        assert afa_kinds == {"patched", "root"}
 
     @staticmethod
     def _assert_same_rows(engine, full):
