@@ -40,8 +40,8 @@ fi
 
 echo "== end-to-end benchmark tests (smoke run of every workload) =="
 # layers.py wraps engine entry points by name (to_afa,
-# _compile_searchers, patch_engine, generic_search), so engine changes
-# must keep the traced benchmark runs working.
+# to_afa_incremental, _compile_searchers, generic_search), so engine
+# changes must keep the traced benchmark runs working.
 python -m pytest benchmarks/e2e -q
 
 echo "== obs smoke (traced analysis + explain CLI) =="

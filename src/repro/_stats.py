@@ -34,7 +34,6 @@ class Stats:
     vectors_explored: int = 0
     pre_steps: int = 0
     afa_compilations: int = 0
-    afa_engine_patches: int = 0
     alphabet_symbols: int = 0
     symbol_classes: int = 0
 

@@ -30,7 +30,9 @@ still coincide merged.  Code is generated only when it is about to run:
 the witness search and the sweep BFS (each with every class row inlined)
 on their first call, and a class's stand-alone row closure
 (:func:`repro.logic.pl.compile_row`) on its first single-step use.
-Generated code lives on its engine and dies with its automaton.  Public
+Generated code lives on its engine and dies with its automaton.  An
+automaton patched against a root automaton (:class:`_PatchedRows`) gets
+the root's engine with its dirty rows patched in.  Public
 results (vectors, witnesses) are unchanged; the :func:`ast_fallback`
 context restores the interpreted AST path for cross-validation and
 before/after benchmarks.
@@ -43,6 +45,7 @@ made witness words differ across interpreter runs.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -324,15 +327,12 @@ class _CompiledAFA:
     Built once per automaton and cached on it; holds the state→bit
     mapping, the symbol quotient (``rep_of``: the automaton's class map,
     with representatives whose rows coincide merged), and the per-class
-    transition rows, compiled lazily.  An engine compiled from scratch is
-    a *root* (``root`` is ``None``); :func:`patch_engine` derives engines
-    that record their root, the ``dirty`` states whose formulas may differ
-    from the root's, and ``patch_work``: the sizes of the dirty sets of
-    all patches since the root, summed.
+    transition rows, compiled lazily.  A root automaton's engine is
+    compiled from scratch; a patched automaton's is its root's engine
+    with the dirty rows patched in (:func:`patch_engine`).
     """
 
     __slots__ = (
-        "states",
         "order",
         "index",
         "final_mask",
@@ -342,9 +342,6 @@ class _CompiledAFA:
         "rep_of",
         "reps",
         "rows",
-        "root",
-        "dirty",
-        "patch_work",
         "_search_fn",
         "_sweep_fn",
         "_diff_cache",
@@ -366,7 +363,6 @@ class _CompiledAFA:
         STATS.afa_compilations += 1
 
     def _layout(self, afa: "AFA", order: tuple[State, ...], index: dict[State, int]) -> None:
-        self.states = afa.states
         self.order = order
         self.index = index
         self.final_mask = 0
@@ -374,9 +370,6 @@ class _CompiledAFA:
             self.final_mask |= 1 << index[state]
         self.initial_fn = pl.compile_mask(afa.initial_condition, index)
         self.alphabet = afa.alphabet
-        self.root: _CompiledAFA | None = None
-        self.dirty: tuple[State, ...] = ()
-        self.patch_work = 0
         self._search_fn: Callable | None = None
         self._sweep_fn: Callable | None = None
         self._diff_cache: dict["_CompiledAFA", tuple[Callable, tuple]] = {}
@@ -443,62 +436,93 @@ class _CompiledAFA:
         return mask
 
 
-def patch_engine(
-    base: "_CompiledAFA", afa: "AFA", dirty_states: Iterable[State]
-) -> "_CompiledAFA | None":
-    """A compiled engine for ``afa`` reusing the row closures of ``base``'s root.
+class _PatchedRows(Mapping):
+    """The transitions of an automaton patched against a root automaton.
 
-    The root is ``base`` itself when ``base`` was compiled from scratch,
-    else the root ``base`` was patched against.  Applicable when ``afa``
-    has ``base``'s state order and alphabet and its transition formulas
-    differ from ``base``'s only on the AFA states in ``dirty_states`` (the
-    *support* of the edit); returns ``None`` when the layouts diverge.
-    Each transition-row bit depends only on its own state's formula, so a
-    patched row is ``(root_row(v) & clean) | patch(v)`` where ``patch``
-    compiles the formulas of the states made dirty since the root (this
-    edit's and ``base.dirty``): one level however many edits came before,
-    and no engine but the root and the newest stays alive.  Both parts
-    compile lazily, so a replay compiles only the classes its witness
-    visits, and the root's rows are compiled once for all its patches.
+    A *root* is an automaton whose transitions are a plain dict: a scratch
+    :func:`repro.core.pl_semantics.to_afa`, or a patched automaton copied
+    into a dict.  The rows of the ``dirty`` states (every state edited
+    since the root) come from ``rows``; every other row is read from the
+    ``root`` automaton's transitions in place.  An edit therefore copies
+    the patch, never the root.  ``work`` sums the dirty-set sizes of the
+    patches since the root, and ``separators`` is shared by all patches
+    of one root: for a pair of class representatives, a state outside the
+    dirty set on which their root rows differ, or ``None`` when only dirty
+    states can separate them (the dirty set only grows until the next
+    root).  ``items()`` is an iterator over the rows, read once by each
+    caller.
 
-    The root compiles each class's row over all states once, and every
-    patch compiles its dirty states' formulas anew.  Once the dirty sets
-    of the patches since the root add up to more states than the
-    automaton has, ``None`` asks for a fresh compile, the next root: the
-    patches between two roots cost no more than one compile.
-
-    An ``afa`` that shares ``base``'s class map object (as
-    :func:`repro.core.pl_semantics.to_afa_incremental` returns it when the
-    edit neither splits nor merges a letter class) keeps ``base``'s
-    quotient.  Otherwise the quotient is regrouped over ``afa``'s
-    representatives, each one's row being its root class's row with the
-    dirty formulas spliced in: exactly the classes a fresh compile of
-    ``afa`` would form.
+    Only :func:`repro.core.pl_semantics.to_afa_incremental` builds one,
+    and it decides when the next root is due.  A patched automaton keeps
+    its root's states, alphabet and class map; its engine is the root's
+    engine with the dirty rows patched in (:func:`patch_engine`).
     """
-    root = base if base.root is None else base.root
-    order, index = base.order, base.index
-    if afa.states is not base.states and tuple(sorted(afa.states)) != order:
-        return None
-    if afa.alphabet != base.alphabet:
-        return None
-    dirty = sorted(set(base.dirty).union(s for s in dirty_states if s in index))
-    work = base.patch_work + len(dirty)
-    if work > len(order):
-        return None
+
+    __slots__ = ("root", "dirty", "rows", "work", "separators")
+
+    def __init__(
+        self,
+        root: "AFA",
+        dirty: frozenset[State],
+        rows: dict[tuple[State, Symbol], pl.Formula],
+        work: int,
+        separators: dict[tuple[Symbol, Symbol], State | None],
+    ) -> None:
+        self.root = root
+        self.dirty = dirty
+        self.rows = rows
+        self.work = work
+        self.separators = separators
+
+    def __getitem__(self, key: tuple[State, Symbol]) -> pl.Formula:
+        return (self.rows if key[0] in self.dirty else self.root.transitions)[key]
+
+    def __iter__(self) -> Iterator[tuple[State, Symbol]]:
+        return (key for key, _formula in self.items())
+
+    def __len__(self) -> int:
+        return sum(1 for _key in self)
+
+    def items(self) -> Iterator[tuple[tuple[State, Symbol], pl.Formula]]:
+        dirty = self.dirty
+        clean = (item for item in self.root.transitions.items() if item[0][0] not in dirty)
+        return itertools.chain(clean, self.rows.items())
+
+
+def patch_engine(root: _CompiledAFA, afa: "AFA") -> _CompiledAFA:
+    """The engine of the patched automaton ``afa``, from its root's engine ``root``.
+
+    Each transition-row bit depends only on its own state's formula, so a
+    patched row is ``(root_row(v) & clean) | patch(v)``, where ``patch``
+    compiles the formulas of the states dirtied since the root: one level
+    however many edits came before, and no engine but the root's and the
+    newest stays alive.  Both parts compile lazily, so a replay compiles
+    only the classes its witness visits, and the root's rows are compiled
+    once for all its patches.
+
+    The engine shares the root engine's state order and class quotient.
+    That is sound because a patched automaton keeps its root's states and
+    class map, and the class map stays the row-equality quotient of its
+    rows: ``to_afa_incremental`` falls back to a scratch ``to_afa`` when an
+    edit splits or merges a class.
+    """
+    overlay = afa.transitions
+    index = root.index
+    dirty = sorted(overlay.dirty)
     dirty_idx = [index[s] for s in dirty]
-    clean = (1 << len(order)) - 1
+    clean = (1 << len(root.order)) - 1
     for i in dirty_idx:
         clean &= ~(1 << i)
-    # The closures read the new automaton's transitions, not the automaton:
-    # an engine cached on its AFA must not point back at it.
-    transitions = afa.transitions
-    root_keys, root_rows, root_rep_of = root.row_keys, root.rows, root.rep_of
+    # The closures read the patch, not the automaton: an engine cached on
+    # its AFA must not point back at it.
+    rows = overlay.rows
+    root_keys, root_rows = root.row_keys, root.rows
 
     def patch(rep: Symbol) -> list[tuple[int, pl.Formula]]:
-        return [(i, transitions.get((s, rep), pl.FALSE)) for i, s in zip(dirty_idx, dirty)]
+        return [(i, rows.get((s, rep), pl.FALSE)) for i, s in zip(dirty_idx, dirty)]
 
     def make_key(rep: Symbol) -> tuple:
-        key = list(root_keys[root_rep_of[rep]])
+        key = list(root_keys[rep])
         for i, formula in patch(rep):
             key[i] = formula
         return tuple(key)
@@ -508,22 +532,17 @@ def patch_engine(
             ((1 << i, formula) for i, formula in patch(rep) if formula is not pl.FALSE),
             index,
         )
-        root_row = root_rows[root_rep_of[rep]]
+        root_row = root_rows[rep]
         return lambda v: (root_row(v) & clean) | patch_row(v)
 
     engine = object.__new__(_CompiledAFA)
-    engine._layout(afa, order, index)
-    engine.root, engine.dirty, engine.patch_work = root, tuple(dirty), work
-    if afa.classes is base.rep_of:
-        engine.reps, engine.rep_of = base.reps, base.rep_of
-        engine.row_keys = _LazyRows(make_key)
-        # Counted as `_quotient` counts, so per-job class counts stay exact.
-        STATS.alphabet_symbols += len(engine.alphabet)
-        STATS.symbol_classes += len(engine.reps)
-    else:
-        engine._quotient(afa, {rep: make_key(rep) for rep in set(afa.classes.values())})
+    engine._layout(afa, root.order, index)
+    engine.reps, engine.rep_of = root.reps, root.rep_of
+    engine.row_keys = _LazyRows(make_key)
     engine.rows = _LazyRows(make_row)
-    STATS.afa_engine_patches += 1
+    # Counted as `_quotient` counts, so per-job class counts stay exact.
+    STATS.alphabet_symbols += len(engine.alphabet)
+    STATS.symbol_classes += len(engine.reps)
     return engine
 
 
@@ -633,16 +652,19 @@ class AFA:
         return state
 
     def _engine(self) -> _CompiledAFA:
-        """The compiled engine, built on first use."""
+        """The compiled engine, built on first use (a patched automaton's from its root's)."""
         engine = self._engine_cache
         if engine is None:
-            with span(
-                "afa.compile",
-                states=len(self.states),
-                alphabet=len(self.alphabet),
-            ) as sp:
-                engine = _CompiledAFA(self)
-                sp.set(symbol_classes=len(engine.reps))
+            if isinstance(self.transitions, _PatchedRows):
+                engine = patch_engine(self.transitions.root._engine(), self)
+            else:
+                with span(
+                    "afa.compile",
+                    states=len(self.states),
+                    alphabet=len(self.alphabet),
+                ) as sp:
+                    engine = _CompiledAFA(self)
+                    sp.set(symbol_classes=len(engine.reps))
             self._engine_cache = engine
         return engine
 

@@ -31,9 +31,9 @@ decision procedure for the PL classes reduces to the AFA engine of
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from repro.automata.afa import AFA, symbol_sort_key
+from repro.automata.afa import AFA, _PatchedRows, symbol_sort_key
 from repro.core.classes import SWSClass, require_class
 from repro.core.sws import MSG, SWS, SWSKind
 from repro.errors import AnalysisError
@@ -226,60 +226,6 @@ def _pair_rows(
     return finals, columns
 
 
-def pair_states(state: str) -> tuple[str, str]:
-    """The two AFA pair-state names of an SWS state (``msg`` true/false)."""
-    return _state_var(state, True), _state_var(state, False)
-
-
-class _PatchedRows(Mapping):
-    """The transitions of an automaton patched against a root automaton.
-
-    The rows of the ``dirty`` pair states (every state edited since the
-    root) come from ``rows``; every other row is read from the ``root``
-    automaton's transitions in place.  An edit therefore copies the patch,
-    never the root.  ``work`` sums the dirty-set sizes of the patches
-    since the root, as :func:`repro.automata.afa.patch_engine` does, and
-    ``separators`` is shared by all patches of one root: for a pair of
-    class representatives, a state outside the dirty set on which their
-    root rows differ, or ``None`` when only dirty states can separate them
-    (the dirty set only grows until the next root).  ``items()`` is an
-    iterator over the rows, read once by each caller.
-    """
-
-    __slots__ = ("root", "dirty", "rows", "work", "separators")
-
-    def __init__(
-        self,
-        root: Mapping[tuple[str, Assignment], pl.Formula],
-        dirty: frozenset[str],
-        rows: dict[tuple[str, Assignment], pl.Formula],
-        work: int,
-        separators: dict[tuple[Assignment, Assignment], str | None],
-    ) -> None:
-        self.root = root
-        self.dirty = dirty
-        self.rows = rows
-        self.work = work
-        self.separators = separators
-
-    def __getitem__(self, key: tuple[str, Assignment]) -> pl.Formula:
-        return (self.rows if key[0] in self.dirty else self.root)[key]
-
-    def get(self, key: tuple[str, Assignment], default=None):
-        return (self.rows if key[0] in self.dirty else self.root).get(key, default)
-
-    def __iter__(self) -> Iterator[tuple[str, Assignment]]:
-        return (key for key, _formula in self.items())
-
-    def __len__(self) -> int:
-        return sum(1 for _key in self)
-
-    def items(self) -> Iterator[tuple[tuple[str, Assignment], pl.Formula]]:
-        dirty = self.dirty
-        clean = (item for item in self.root.items() if item[0][0] not in dirty)
-        return itertools.chain(clean, self.rows.items())
-
-
 def to_afa_incremental(
     sws: SWS,
     base: SWS,
@@ -302,9 +248,11 @@ def to_afa_incremental(
     The result's transitions are patched against a *root*, the last
     automaton whose transitions are a plain dict (a scratch ``to_afa``):
     the rows of the states edited since the root are the patch's own, the
-    others are read from the root (:class:`_PatchedRows`).  Once the
-    patches since the root have cost more than one copy of it, the result
-    is copied into a plain dict, the next root.
+    others are read from the root automaton
+    (:class:`repro.automata.afa._PatchedRows`), whose engine the result's
+    engine patches.  Once the patches since the root have cost more than
+    one copy of it, the result is copied into a plain dict, the next
+    root, and its engine compiles from scratch.
 
     The base's class map carries over unless the edit splits a class (an
     edited formula separates two of its assignments) or merges two (their
@@ -326,7 +274,7 @@ def to_afa_incremental(
         if seen.setdefault(rep, edited[symbol]) is not edited[symbol]:
             return to_afa(sws, variables)
     reps = list(dict.fromkeys(classes.values()))
-    edit_pairs = {pair for state in changed for pair in pair_states(state)}
+    edit_pairs = {_state_var(state, msg) for state in changed for msg in (True, False)}
     new_finals, columns = _pair_rows(sws, changed, reps)
     old = base_afa.transitions
     if isinstance(old, _PatchedRows):
@@ -334,8 +282,9 @@ def to_afa_incremental(
         dirty, work = old.dirty | edit_pairs, old.work
         rows = {key: formula for key, formula in old.rows.items() if key[0] not in edit_pairs}
     else:
-        root, separators = old, {}
+        root, separators = base_afa, {}
         dirty, work, rows = frozenset(edit_pairs), 0, {}
+    root_rows = root.transitions
     # Base classes have distinct rows, so two merge only if the edit makes
     # their rows agree on the edited pairs and they agree elsewhere: on the
     # other states patched since the root, and on the root's rows outside.
@@ -349,7 +298,8 @@ def to_afa_incremental(
                 (
                     p
                     for p in states
-                    if p not in dirty and root.get((p, a), false) is not root.get((p, b), false)
+                    if p not in dirty
+                    and root_rows.get((p, a), false) is not root_rows.get((p, b), false)
                 ),
                 None,
             )

@@ -10,11 +10,10 @@ depends on the edit being small, only the cost does:
   O(|witness| · |classes|) pre-steps, so the old answer is *proved*
   still correct rather than assumed.
 * ``warm`` — local edit: the AFA is rebuilt only for the edited states
-  (:func:`repro.core.pl_semantics.to_afa_incremental`), the compiled
-  engine is row-patched against its root
-  (:func:`repro.automata.afa.patch_engine` — clean states' row bits
-  reuse the root's closures, and the class quotient carries over), and
-  the BFS runs afresh over the patched rows.  Reached vectors are a
+  (:func:`repro.core.pl_semantics.to_afa_incremental`), patched against
+  a root automaton, so its engine is the root's with the edited rows
+  patched in (:func:`repro.automata.afa.patch_engine`), and the BFS
+  runs afresh over the patched rows.  Reached vectors are a
   whole-instance property, so nothing of the previous search is reused —
   reusing it would be unsound precisely in the YES→NO flip case.
 * ``full`` — global edit (states added/removed, alphabet grew, start
@@ -38,15 +37,9 @@ from repro import metrics
 from repro.analysis.nonemptiness import nonempty_answer
 from repro.analysis.validation import validation_answer
 from repro.analysis.verdict import Answer
-from repro.automata.afa import (
-    AFA,
-    _CompiledAFA,
-    _reconstruct,
-    generic_search,
-    patch_engine,
-)
+from repro.automata.afa import AFA, _CompiledAFA, _reconstruct, generic_search
 from repro.core.classes import SWSClass, require_class
-from repro.core.pl_semantics import pair_states, to_afa, to_afa_incremental
+from repro.core.pl_semantics import to_afa, to_afa_incremental
 from repro.core.sws import SWS
 from repro.delta.diff import InstanceDelta
 from repro.errors import ReproError
@@ -95,8 +88,6 @@ class RecheckResult:
     delta: InstanceDelta
     elapsed_s: float
     pops: int = 0
-    rows_patched: int = 0
-    rows_reused: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -104,8 +95,6 @@ class RecheckResult:
             "mode": self.mode,
             "elapsed_s": self.elapsed_s,
             "pops": self.pops,
-            "rows_patched": self.rows_patched,
-            "rows_reused": self.rows_reused,
             "delta": self.delta.as_dict(),
         }
 
@@ -198,8 +187,6 @@ def recheck(
     mode = "full"
     answer: Answer | None = None
     pops = 0
-    rows_patched = 0
-    rows_reused = 0
     next_afa = base_afa
 
     if delta.is_empty and not base_answer.is_unknown:
@@ -208,19 +195,9 @@ def recheck(
     elif delta.is_local:
         if next_afa is None:
             next_afa = to_afa(base)
-        base_engine = next_afa._engine()
         next_afa = to_afa_incremental(new, base, next_afa, delta.changed_states)
         if next_afa is not None:
-            dirty_pairs = {
-                pair for state in delta.changed_states for pair in pair_states(state)
-            }
-            engine = patch_engine(base_engine, next_afa, dirty_pairs)
-            if engine is None:
-                engine = next_afa._engine()
-            else:
-                next_afa._engine_cache = engine
-                rows_patched = len(engine.reps)
-                rows_reused = len(engine.order) - len(dirty_pairs)
+            engine = next_afa._engine()
             witness = base_answer.witness
             if (
                 base_answer.is_yes
@@ -242,15 +219,5 @@ def recheck(
     metrics.counter("delta.recheck", mode=mode).inc()
     metrics.histogram("delta.recheck.latency_s", mode=mode).observe(elapsed)
     metrics.histogram("delta.edit.states").observe(len(delta.changed_states))
-    if rows_reused:
-        metrics.counter("delta.rows.reused").inc(rows_reused)
-    result = RecheckResult(
-        answer=answer,
-        mode=mode,
-        delta=delta,
-        elapsed_s=elapsed,
-        pops=pops,
-        rows_patched=rows_patched,
-        rows_reused=rows_reused,
-    )
+    result = RecheckResult(answer=answer, mode=mode, delta=delta, elapsed_s=elapsed, pops=pops)
     return result, next_afa

@@ -68,7 +68,7 @@ from typing import Any
 from repro import metrics
 from repro.guard import Budget
 from repro.serve import top as _top
-from repro.serve.cache import AnswerCache
+from repro.serve.cache import STORE_FILE, AnswerCache
 from repro.serve.fingerprint import job_fingerprint
 from repro.serve.registry import procedure_names, resolve_factory
 from repro.serve.resilience import AdmissionControl, DeadLetterQueue, RetryPolicy
@@ -395,7 +395,7 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
 
 
 def _open_store(args: argparse.Namespace) -> Store:
-    path = os.path.join(args.cache_dir, f"{args.namespace}.sqlite3")
+    path = os.path.join(args.cache_dir, STORE_FILE)
     if not os.path.exists(path):
         raise SystemExit(f"{path}: no store file")
     return Store(path)
@@ -442,7 +442,7 @@ def _cmd_dlq_retry(args: argparse.Namespace) -> int:
     ``(args, kwargs)``).  Each retry starts from the record's last
     escalated budget — optionally re-escalated ``--retries`` more times.
     """
-    cache = AnswerCache(directory=args.cache_dir, namespace=args.namespace)
+    cache = AnswerCache(directory=args.cache_dir)
     retry_policy = (
         RetryPolicy(
             max_attempts=args.retries, budget_multiplier=args.budget_multiplier
@@ -591,9 +591,6 @@ def main(argv: list[str] | None = None) -> int:
 
     def _store_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("cache_dir", help="cache directory holding the store")
-        p.add_argument(
-            "--namespace", default="answers", help="store namespace (file stem)"
-        )
 
     st = store_sub.add_parser("stats", help="print a JSON store summary")
     _store_common(st)

@@ -40,6 +40,9 @@ from repro.serve.store import Store, StoreError
 #: Environment variable naming the on-disk cache directory.
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 
+#: The store file of the disk tier, under its cache directory.
+STORE_FILE = "answers.sqlite3"
+
 
 def _verdict_name(result: Any) -> str | None:
     verdict = getattr(result, "verdict", None)
@@ -101,12 +104,7 @@ class AnswerCache:
     directory.
     """
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        directory: str | None = None,
-        namespace: str = "answers",
-    ) -> None:
+    def __init__(self, capacity: int = 4096, directory: str | None = None) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
@@ -116,7 +114,7 @@ class AnswerCache:
         self.store: Store | None = None
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
-            self.store = Store(os.path.join(directory, f"{namespace}.sqlite3"))
+            self.store = Store(os.path.join(directory, STORE_FILE))
             self.stats.disk_loaded = self.store.answer_count()
 
     # -- the two tiers -----------------------------------------------------------

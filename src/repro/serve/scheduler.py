@@ -339,7 +339,6 @@ class SolverService:
         workers: int = 0,
         cache: AnswerCache | None = None,
         cache_dir: str | None = None,
-        cache_capacity: int = 4096,
         retry_policy: RetryPolicy | None = None,
         admission: AdmissionControl | None = None,
         dlq: DeadLetterQueue | None = None,
@@ -353,8 +352,7 @@ class SolverService:
         self._owns_cache = cache is None
         if cache is None:
             cache = AnswerCache(
-                capacity=cache_capacity,
-                directory=cache_dir if cache_dir is not None else default_cache_directory(),
+                directory=cache_dir if cache_dir is not None else default_cache_directory()
             )
         self.cache = cache
         self.retry_policy = retry_policy

@@ -2,8 +2,8 @@
 
 A non-emptiness check needs the generated witness search and nothing
 else: per-class row closures are compiled on first lookup (``pre_step``,
-``patch_engine``, delta replay) and the sweep BFS on first sweep.  The
-work counters must not depend on any of this.
+a patched automaton's engine, delta replay) and the sweep BFS on first
+sweep.  The work counters must not depend on any of this.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import pytest
 from repro._stats import STATS
 from repro.analysis import nonempty_pl
 from repro.automata import afa as afa_mod
-from repro.automata.afa import patch_engine, symbol_sort_key
-from repro.core.pl_semantics import pair_states, to_afa, to_afa_incremental
+from repro.automata.afa import symbol_sort_key
+from repro.core.pl_semantics import to_afa, to_afa_incremental
 from repro.delta import Session, compute_delta
 from repro.logic import pl
 from repro.serve import JobSpec, SolverService
@@ -89,12 +89,15 @@ class TestOnDemandCompilation:
         base, edited = trace
         delta = compute_delta(base, edited)
         base_afa = to_afa(base)
-        base_engine = base_afa._engine()
-        assert len(base_engine.rows) == 0
         incremental = to_afa_incremental(edited, base, base_afa, delta.changed_states)
-        dirty = {pair for s in delta.changed_states for pair in pair_states(s)}
-        patched = patch_engine(base_engine, incremental, dirty)
-        assert patched is not None and len(patched.rows) == 0
+        assert incremental.transitions.root is base_afa
+        assert base_afa._engine_cache is None
+        # The patched automaton's engine compiles its root's, and neither
+        # compiles a row before one is looked up.
+        patched = incremental._engine()
+        base_engine = base_afa._engine_cache
+        assert base_engine is not None and len(base_engine.rows) == 0
+        assert len(patched.rows) == 0
         full = to_afa(edited)._engine()
         n = len(full.order)
         masks = [0, (1 << n) - 1, full.final_mask]

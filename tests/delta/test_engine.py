@@ -12,8 +12,8 @@ import pytest
 
 from repro._stats import STATS
 from repro.analysis import nonempty_pl, validate_pl
-from repro.automata.afa import patch_engine
-from repro.core.pl_semantics import pair_states, to_afa, to_afa_incremental
+from repro.automata.afa import _PatchedRows
+from repro.core.pl_semantics import to_afa, to_afa_incremental
 from repro.core.run import run_pl
 from repro.core.sws import MSG, SWS, TransitionRule
 from repro.delta import DeltaError, Session, compute_delta
@@ -203,6 +203,13 @@ class TestLongSession:
             assert result.mode in ("replay", "warm"), step
         assert session.answer.verdict is nonempty_pl(trace[-1]).verdict
 
+    @staticmethod
+    def _engines_of(afa):
+        """The engines of ``afa`` and of its root automaton."""
+        transitions = afa.transitions
+        root = transitions.root if isinstance(transitions, _PatchedRows) else afa
+        return afa._engine_cache, root._engine_cache
+
     def test_only_the_root_and_the_current_engine_stay_alive(self):
         trace = menu_editing_trace(8, 4, "abcd", 60)
         session = Session(trace[0])
@@ -212,16 +219,43 @@ class TestLongSession:
             session.edit(version)
             session.recheck()
             engine = session.afa._engine()
-            # Patched against a root, never against another patch.
-            assert engine.root is None or engine.root.root is None
-            engines.append((weakref.ref(engine), engine.root is not None))
+            transitions = session.afa.transitions
+            patched = isinstance(transitions, _PatchedRows)
+            if patched:
+                # Patched against a root, never against another patch,
+                # and derived from the root's engine.
+                assert type(transitions.root.transitions) is dict
+                assert engine.reps is transitions.root._engine_cache.reps
+            engines.append((weakref.ref(engine), patched))
         del engine
         gc.collect()
-        current = session.afa._engine()
         early, patched = engines[2]
         assert patched and early() is None
         alive = [ref() for ref, _ in engines if ref() is not None]
-        assert all(e is current or e is current.root for e in alive)
+        assert all(any(e is kept for kept in self._engines_of(session.afa)) for e in alive)
+
+    def test_a_re_rooted_session_frees_the_old_root_engine(self):
+        """``flip_trace``'s first edit splits a letter class, so its re-check
+        leaves a plain-dict automaton: from then on the version-0 engine is
+        garbage, and every live engine is the current automaton's or its
+        root automaton's."""
+        trace = flip_trace()
+        session = Session(trace[0])
+        session.check()
+        engines = [weakref.ref(session.afa._engine())]
+        re_rooted = False
+        for version in trace[1:]:
+            session.edit(version)
+            session.recheck()
+            engines.append(weakref.ref(session.afa._engine()))
+            re_rooted = re_rooted or type(session.afa.transitions) is dict
+            gc.collect()
+            if re_rooted:
+                assert engines[0]() is None
+            kept = self._engines_of(session.afa)
+            assert all(ref() is None or any(ref() is e for e in kept) for ref in engines)
+            del kept
+        assert re_rooted
 
     def test_a_session_pins_no_old_version(self):
         rng = random.Random(0)
@@ -245,8 +279,9 @@ class TestLongSession:
         for version in trace[1:]:
             session.edit(version)
             session.recheck()
-            engine = session.afa._engine()
-            assert engine.patch_work <= len(engine.order)
+            transitions = session.afa.transitions
+            if isinstance(transitions, _PatchedRows):
+                assert transitions.work <= len(session.afa.states)
         # The first local edit compiles a root and later ones re-root
         # now and then, far from once per edit.
         assert 2 <= STATS.afa_compilations <= len(trace) // 4
@@ -400,34 +435,44 @@ class TestIncrementalAFA:
         )
 
     def test_patched_engine_rows_match_full_compile(self):
-        base, edited, state = self._edited_pair(seed=23)
-        delta = compute_delta(base, edited)
-        if not delta.is_local:
-            pytest.skip("donor edit changed the alphabet for this seed")
-        base_afa = to_afa(base)
-        base_engine = base_afa._engine()
-        incremental = to_afa_incremental(
-            edited, base, base_afa, delta.changed_states
-        )
-        assert incremental is not None
-        dirty = {
-            pair for s in delta.changed_states for pair in pair_states(s)
-        }
-        patched = patch_engine(base_engine, incremental, dirty)
-        assert patched is not None
-        self._assert_same_rows(patched, to_afa(edited)._engine())
+        """Seed 21's edit keeps the class map: the edited automaton is
+        patched against the base, and its engine derived from the base's.
+        Seed 23's splits a class: the edited automaton is a root, and its
+        engine compiles from scratch."""
+        for seed, patched in ((21, True), (23, False)):
+            base, edited, state = self._edited_pair(seed=seed)
+            delta = compute_delta(base, edited)
+            assert delta.is_local
+            base_afa = to_afa(base)
+            base_engine = base_afa._engine()
+            incremental = to_afa_incremental(
+                edited, base, base_afa, delta.changed_states
+            )
+            assert (getattr(incremental.transitions, "root", None) is base_afa) is patched
+            engine = incremental._engine()
+            assert (engine.reps is base_engine.reps) is patched
+            self._assert_same_rows(engine, to_afa(edited)._engine())
+
+    #: How each seed's edits re-root: ``copied`` once the patches since the
+    #: root cost a copy, ``rebuilt`` (a scratch ``to_afa``) when an edit
+    #: changes the class map.
+    _KINDS = {
+        5: {"patched", "copied"},
+        6: {"patched", "copied", "rebuilt"},
+        18: {"patched", "rebuilt"},
+    }
 
     @pytest.mark.parametrize("seed", [5, 6, 18])
     def test_session_engines_match_full_compiles_edit_after_edit(self, seed):
-        """Rows patched against the root over every state dirtied since it
-        equal a fresh compile, across re-roots and class-map changes; so
-        do the automata patched against their root automaton."""
+        """Automata patched against their root automaton, and their engines'
+        rows patched over every state dirtied since the root, equal a fresh
+        translation and compile, across re-roots and class-map changes."""
         current = random_pl_sws(seed, n_states=6, n_variables=2)
         session = Session(current)
         session.check()
         kinds = set()
-        afa_kinds = set()
         for step in range(24):
+            classes = session.afa.classes
             donor = random_pl_sws(seed * 100 + step, n_states=6, n_variables=2)
             state = sorted(current.states)[1 + step % 5]
             current = replace_rule(
@@ -438,16 +483,19 @@ class TestIncrementalAFA:
             )
             session.edit(current)
             assert session.recheck().mode != "full"
-            engine = session.afa._engine()
-            kinds.add("patched" if engine.root is not None else "root")
-            scratch = to_afa(current)
-            self._assert_same_rows(engine, scratch._engine())
             afa = session.afa
-            afa_kinds.add("root" if type(afa.transitions) is dict else "patched")
+            if afa.classes != classes:
+                kinds.add("rebuilt")
+            elif type(afa.transitions) is dict:
+                kinds.add("copied")
+            else:
+                kinds.add("patched")
+                assert afa.classes is afa.transitions.root.classes
+            scratch = to_afa(current)
+            self._assert_same_rows(afa._engine(), scratch._engine())
             assert dict(afa.transitions.items()) == scratch.transitions
             assert (afa.classes, afa.finals) == (scratch.classes, scratch.finals)
-        assert kinds == {"patched", "root"}
-        assert afa_kinds == {"patched", "root"}
+        assert kinds == self._KINDS[seed]
 
     @staticmethod
     def _assert_same_rows(engine, full):
