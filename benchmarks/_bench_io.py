@@ -47,27 +47,13 @@ def timed(func: Callable[[], Any], repeats: int = 3) -> tuple[float, Any]:
     return best, result
 
 
-def _metrics_context() -> dict | None:
-    """The active :mod:`repro.metrics` snapshot context, if enabled.
-
-    ``REPRO_METRICS=... python benchmarks/bench_*.py`` stamps the run's
-    cache hit rate and per-histogram count/p99 into the emitted
-    ``_meta`` block, tying the committed numbers to the serving-layer
-    conditions they were measured under.  Disabled (the default) stamps
-    nothing, so plain regeneration runs leave the files byte-stable.
-    """
-    try:
-        from repro import metrics
-    except ImportError:  # pragma: no cover - src/ not on the path
-        return None
-    return metrics.bench_context()
-
-
 def merge_section(
     path: str, section: str, payload: dict, regenerate: str | None = None
 ) -> dict:
     """Write ``payload`` under ``section`` in the JSON file at ``path``.
 
+    A relative ``path`` is resolved against the repository root, so
+    every BENCH file lands in one place whatever the working directory.
     Other sections are preserved, so several bench emitters can each
     write their own section independently and in either order.  The
     ``_meta`` block is derived from the arguments — the file name from
@@ -76,6 +62,7 @@ def merge_section(
     can detect layout changes.  Section-specific context (what "before"
     and "after" mean, notes) belongs in the section payload itself.
     """
+    path = os.path.join(_REPO_ROOT, path)
     data: dict = {}
     if os.path.exists(path):
         with open(path) as handle:
@@ -96,9 +83,6 @@ def merge_section(
     if regenerate:
         commands[section] = regenerate
     meta["regenerate"] = commands
-    context = _metrics_context()
-    if context is not None:
-        meta.setdefault("metrics", {})[section] = context
     data["_meta"] = meta
     with open(path, "w") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)

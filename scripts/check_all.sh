@@ -231,7 +231,7 @@ python -m repro.serve dlq retry "${WORK}/chaos/cache" \
     --retries 3 --budget-multiplier 32 > /dev/null
 python -m repro.serve dlq list "${WORK}/chaos/cache" 2>&1 | grep -q "dlq: empty"
 
-echo "== metrics smoke (exported snapshot + dashboard frame) =="
+echo "== metrics smoke (one trace: snapshots, dashboard frame, explain) =="
 mkdir "${WORK}/metrics"
 cat > "${WORK}/metrics/jobs.jsonl" <<'JOBS'
 {"procedure": "nonempty_pl", "instances": [{"factory": "repro.workloads.scaling:pl_counter_sws", "args": [6]}], "label": "c6"}
@@ -240,9 +240,9 @@ cat > "${WORK}/metrics/jobs.jsonl" <<'JOBS'
 {"procedure": "nonempty_pl", "instances": [{"factory": "repro.workloads.scaling:pl_counter_sws", "args": [9]}], "label": "c9"}
 JOBS
 python -m repro.serve run "${WORK}/metrics/jobs.jsonl" \
-    --workers 2 --repeat 2 --metrics "${WORK}/metrics/metrics.jsonl" \
+    --workers 2 --repeat 2 --trace "${WORK}/metrics/trace.jsonl" \
     --out /dev/null 2> /dev/null
-python - "${WORK}/metrics/metrics.jsonl" <<'PY'
+python - "${WORK}/metrics/trace.jsonl" <<'PY'
 import sys
 
 from repro import metrics
@@ -258,7 +258,12 @@ assert metrics.histogram_readout(latency)["p99"] <= 5.0, latency
 rate = metrics.cache_hit_rate(counters)
 assert rate is not None and rate >= 0.4, counters  # warm repeat round
 PY
-python -m repro.serve top "${WORK}/metrics/metrics.jsonl" --once > /dev/null
+python -m repro.serve top "${WORK}/metrics/trace.jsonl" --once > /dev/null
+EXPLAIN_OUT="$(python -m repro.obs explain "${WORK}/metrics/trace.jsonl")"
+for header in "where the time went" "how much work was done" \
+    "whether and why a budget tripped"; do
+    grep -q "== ${header} ==" <<< "${EXPLAIN_OUT}"
+done
 
 echo "== delta smoke (incremental re-check CLI + serve --repeat sessions) =="
 mkdir "${WORK}/delta"
@@ -283,11 +288,11 @@ JOBS
 # Repeated rounds reuse one Session per job line: the "@round" spec
 # re-checks incrementally, the static one stays cached.
 python -m repro.serve run "${WORK}/delta/jobs.jsonl" --repeat 3 \
-    --metrics "${WORK}/delta/metrics.jsonl" --out /dev/null \
+    --trace "${WORK}/delta/trace.jsonl" --out /dev/null \
     2> "${WORK}/delta/run.err"
 grep -q "delta: 2 session(s), 4 recheck(s)" "${WORK}/delta/run.err"
 grep -q "2 cached" "${WORK}/delta/run.err"
-python - "${WORK}/delta/metrics.jsonl" <<'PY'
+python - "${WORK}/delta/trace.jsonl" <<'PY'
 import sys
 
 from repro import metrics
@@ -315,12 +320,11 @@ from repro.obs import progress
 from repro.workloads.scaling import pl_counter_sws
 
 trace = sys.argv[1]
+progress.DEFAULT_INTERVAL_S = 0.01
 obs.configure(path=trace, mode="w")
-progress.configure(enabled=True, interval_s=0.01)
 try:
     answer = nonempty_pl(pl_counter_sws(15), guard=Budget(deadline_s=120))
 finally:
-    progress.configure(enabled=False)
     obs.configure(enabled=False)
 assert answer.is_yes, answer
 
@@ -337,20 +341,21 @@ python -m repro.obs explain "${WORK}/introspect.trace.jsonl" \
     | grep -q "dominant phase"
 
 echo "== telemetry-off smoke (untraced solves: exact work, wall clock in bounds) =="
-# With tracing and progress telemetry OFF (the default), the disabled
-# hooks may not tax the solves: each does exactly its work, and the
-# wall-clock bounds hold on plain perf_counter timings.
+# With the telemetry sink OFF (the default), tracing and progress are
+# off and the disabled hooks may not tax the solves: each does exactly
+# its work, and the wall-clock bounds hold on plain perf_counter timings.
 python - <<'PY'
 import time
 
-from repro import obs
+from repro import metrics, obs
 from repro.analysis import nonempty_pl, nonempty_pl_nr_sat
 from repro.analysis.stats import stats_delta
-from repro.obs import progress
+from repro.guard import _governor
 from repro.reductions.sat_to_sws import clauses_from_tuples, cnf_to_sws
 from repro.workloads.scaling import pl_counter_sws, random_3cnf
 
-assert not obs.is_enabled() and not progress.is_enabled()
+assert not obs.is_enabled() and not metrics.is_enabled()
+assert _governor._PROGRESS is None, "progress tracked with no sink"
 
 
 def solve(procedure, sws):

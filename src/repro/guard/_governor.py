@@ -388,9 +388,9 @@ _local = threading.local()
 #: Installed by :mod:`repro.guard.inject`; ``None`` means no injection.
 _INJECT_HOOK: Callable[[str], None] | None = None
 
-#: Installed by :mod:`repro.obs.progress` while progress telemetry is
-#: enabled; ``None`` (the default) keeps the checkpoint's disabled path
-#: at one extra global read.
+#: Installed by :mod:`repro.obs.progress` while the :mod:`repro.obs`
+#: sink is set; ``None`` (the default) keeps the checkpoint's disabled
+#: path at one extra global read.
 _PROGRESS: Any | None = None
 
 

@@ -106,10 +106,6 @@ def remove() -> None:
     _governor._INJECT_HOOK = None
 
 
-# Backwards-friendly alias: tests often pair install()/reset().
-reset = remove
-
-
 @contextmanager
 def injected(span: str, at: int = 1, limit: str = "steps") -> Iterator[FaultPlan]:
     """Context manager installing a :class:`FaultPlan` for its extent."""

@@ -13,9 +13,11 @@ tuned against:
   shared no-op instrument after one flag check — the instrumented serve
   and guard paths cost nothing measurable, exactly like ``repro.obs``
   spans.
-* :func:`configure` / ``REPRO_METRICS=metrics.jsonl`` — enable
-  recording and append one cumulative JSONL snapshot per second (plus a
-  final one at exit), mirroring ``REPRO_TRACE``.
+* :func:`configure` — the one switch: instrument recording on or off.
+  :func:`write_snapshot` appends one cumulative JSONL snapshot to the
+  :mod:`repro.obs` sink, beside spans and progress events;
+  ``REPRO_TRACE=trace.jsonl`` sets that sink, turns recording on and
+  writes a final snapshot at exit.
 * **Cross-process merging** — pool workers record into their own
   registry, spool cumulative snapshots, and the parent folds them in
   delta-wise (:meth:`Registry.merge_snapshot`), so parent-side
@@ -23,8 +25,9 @@ tuned against:
 
 Quickstart::
 
-    from repro import metrics
-    metrics.configure(path="metrics.jsonl", mode="w")
+    from repro import metrics, obs
+    obs.configure(path="trace.jsonl", mode="w")
+    metrics.configure(enabled=True)
 
     from repro.serve import JobSpec, SolverService
     from repro.workloads.scaling import pl_counter_sws
@@ -35,9 +38,10 @@ Quickstart::
         )
     lat = metrics.histogram("serve.job.latency_s", procedure="nonempty_pl")
     print(lat.readout())   # {'count': 3, 'p50': ..., 'p99': ..., ...}
+    obs.configure(enabled=False)   # writes the final snapshot
 
-Watch a running batch with ``python -m repro.serve top metrics.jsonl``;
-read a snapshot file with :func:`last_snapshot`.  See
+Watch a running batch with ``python -m repro.serve top trace.jsonl``;
+read a trace's newest snapshot with :func:`last_snapshot`.  See
 ``docs/OBSERVABILITY.md`` for the instrument catalog and snapshot
 schema.
 """
@@ -47,12 +51,10 @@ from repro.metrics._core import (
     Counter,
     Gauge,
     Histogram,
-    METRICS_ENV_VAR,
     METRICS_SCHEMA_VERSION,
     NOOP_INSTRUMENT,
     REGISTRY,
     Registry,
-    bench_context,
     bucket_bounds,
     bucket_index,
     cache_hit_rate,
@@ -67,7 +69,6 @@ from repro.metrics._core import (
     is_enabled,
     last_snapshot,
     observe,
-    reset_after_fork,
     snapshot,
     maybe_write_snapshot,
     write_snapshot,
@@ -78,12 +79,10 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "METRICS_ENV_VAR",
     "METRICS_SCHEMA_VERSION",
     "NOOP_INSTRUMENT",
     "REGISTRY",
     "Registry",
-    "bench_context",
     "bucket_bounds",
     "bucket_index",
     "cache_hit_rate",
@@ -98,7 +97,6 @@ __all__ = [
     "is_enabled",
     "last_snapshot",
     "observe",
-    "reset_after_fork",
     "snapshot",
     "maybe_write_snapshot",
     "write_snapshot",

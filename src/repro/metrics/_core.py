@@ -16,13 +16,18 @@ Design constraints, mirroring :mod:`repro.obs._tracer`:
 
 3. **Cross-process mergeable.**  Worker processes record into their own
    registry and append *cumulative* snapshots to their spool (see
-   :func:`reset_after_fork`); the parent folds them in with
+   :mod:`repro.serve.pool`); the parent folds them in with
    :meth:`Registry.merge_snapshot`, which applies only the delta since
    the last merge per source — merging is idempotent and counters are
    never double-counted however often the spool is polled.
 
-This module is import-light on purpose (stdlib only), so the guard and
-the lowest serving layers can record without import cycles.
+4. **No sink of its own.**  :func:`write_snapshot` writes into the
+   :mod:`repro.obs` sink, beside spans and progress events; this module
+   opens no file and starts no thread.
+
+This module is import-light on purpose (stdlib only at import), so the
+guard, the tracer and the lowest serving layers can record without
+import cycles.
 """
 
 from __future__ import annotations
@@ -32,9 +37,7 @@ import math
 import os
 import threading
 import time
-from typing import Any, IO, Mapping
-
-METRICS_ENV_VAR = "REPRO_METRICS"
+from typing import Any, Mapping
 
 #: Snapshot format version, stamped into every exported snapshot.
 METRICS_SCHEMA_VERSION = 1
@@ -42,9 +45,6 @@ METRICS_SCHEMA_VERSION = 1
 #: Hot-path flag.  Read directly by the instrument accessors; mutate
 #: only through :func:`configure`.
 ENABLED = False
-
-#: Default seconds between periodic snapshot lines.
-DEFAULT_EXPORT_INTERVAL_S = 1.0
 
 # -- histogram bucket layout ---------------------------------------------------
 #
@@ -443,52 +443,30 @@ def snapshot() -> dict[str, Any]:
     return REGISTRY.snapshot()
 
 
-# -- export --------------------------------------------------------------------
+def configure(enabled: bool) -> None:
+    """Turn instrument recording on or off.
 
-_export_lock = threading.Lock()
-_stream: IO[str] | None = None
-_exporter: "_Exporter | None" = None
-_atexit_registered = False
-
-
-class _Exporter(threading.Thread):
-    """Daemon thread appending one snapshot line per interval."""
-
-    def __init__(self, interval_s: float) -> None:
-        super().__init__(name="repro-metrics-exporter", daemon=True)
-        self.interval_s = interval_s
-        # Not named _stop: threading.Thread owns that attribute.
-        self._halt = threading.Event()
-
-    def run(self) -> None:  # pragma: no cover - timing-dependent loop
-        while not self._halt.wait(self.interval_s):
-            try:
-                write_snapshot()
-            except Exception:
-                return
-
-    def stop(self) -> None:
-        self._halt.set()
+    The only metrics switch: where snapshots go is the :mod:`repro.obs`
+    sink's business (``obs.configure`` or ``REPRO_TRACE``, which also
+    turns recording on).  Turning recording off writes nothing.
+    """
+    global ENABLED
+    ENABLED = bool(enabled)
 
 
 def write_snapshot() -> dict[str, Any] | None:
-    """Append one snapshot line to the configured sink; returns it.
+    """Write one cumulative snapshot into the :mod:`repro.obs` sink.
 
-    The sink is the export file, or a worker's spool (see
-    :func:`reset_after_fork`).  Returns None while metrics are disabled;
-    with no sink configured the snapshot is only returned.
+    The sink is the trace (a pool worker's is its spool).  Returns the
+    snapshot, or ``None`` while metrics are disabled; with no sink set
+    the snapshot is only returned.
     """
     if not ENABLED:
         return None
     snap = REGISTRY.snapshot()
-    line = json.dumps(snap, sort_keys=True)
-    with _export_lock:
-        if _stream is not None:
-            _stream.write(line + "\n")
-            try:
-                _stream.flush()
-            except OSError:  # pragma: no cover - sink went away
-                pass
+    from repro.obs import _tracer  # the tracer imports this module
+
+    _tracer.emit_event(snap)
     return snap
 
 
@@ -498,118 +476,23 @@ MIN_SNAPSHOT_INTERVAL_S = 0.5
 _last_snapshot_write = 0.0
 
 
-def maybe_write_snapshot(
-    min_interval_s: float = MIN_SNAPSHOT_INTERVAL_S,
-) -> dict[str, Any] | None:
+def maybe_write_snapshot() -> dict[str, Any] | None:
     """Throttled :func:`write_snapshot` for in-band callers.
 
-    The progress tracker calls this on every emitted progress event so a
-    long-running worker job appends snapshots to its spool *mid-job*
-    (the normal per-job write in the pool only lands when the job
-    finishes).  The throttle makes it safe to call at event rate;
-    returns the snapshot when one was written, else ``None``.
+    The scheduler calls this after every job it awaits, and the progress
+    tracker on every emitted progress event, so a long batch or a
+    long-running worker job appends snapshots as it goes.  At most one
+    write per :data:`MIN_SNAPSHOT_INTERVAL_S`; returns the snapshot when
+    one was written, else ``None``.
     """
     global _last_snapshot_write
     if not ENABLED:
         return None
     now = time.monotonic()
-    if now - _last_snapshot_write < min_interval_s:
+    if now - _last_snapshot_write < MIN_SNAPSHOT_INTERVAL_S:
         return None
     _last_snapshot_write = now
     return write_snapshot()
-
-
-def _close_stream() -> None:
-    global _stream
-    if _stream is not None:
-        try:
-            _stream.close()
-        except OSError:  # pragma: no cover - best-effort close
-            pass
-    _stream = None
-
-
-def _stop_exporter() -> None:
-    global _exporter
-    if _exporter is not None:
-        _exporter.stop()
-        _exporter = None
-
-
-def _atexit_flush() -> None:  # pragma: no cover - interpreter shutdown
-    try:
-        write_snapshot()
-    except Exception:
-        pass
-
-
-def configure(
-    path: str | None = None,
-    enabled: bool | None = None,
-    interval_s: float | None = None,
-    mode: str = "a",
-) -> None:
-    """(Re)configure metrics recording and snapshot export.
-
-    * ``configure(path="metrics.jsonl")`` — enable recording and start a
-      daemon exporter appending one cumulative snapshot per
-      ``interval_s`` (default :data:`DEFAULT_EXPORT_INTERVAL_S`), plus a
-      final snapshot at interpreter exit.  ``mode="w"`` truncates the
-      file first.
-    * ``configure(enabled=True)`` — recording on with no sink (snapshots
-      via :func:`snapshot` only — what tests use).
-    * ``configure(enabled=False)`` — flush a final snapshot, stop the
-      exporter, close the sink, disable recording.
-
-    ``REPRO_METRICS=metrics.jsonl`` in the environment is the zero-code
-    entry point, mirroring ``REPRO_TRACE``.
-    """
-    global ENABLED, _stream, _atexit_registered, _exporter
-    if path is not None:
-        with _export_lock:
-            _stop_exporter()
-            _close_stream()
-            _stream = open(path, mode, encoding="utf-8")
-        ENABLED = True
-        _exporter = _Exporter(
-            DEFAULT_EXPORT_INTERVAL_S if interval_s is None else interval_s
-        )
-        _exporter.start()
-        if not _atexit_registered:
-            import atexit
-
-            atexit.register(_atexit_flush)
-            _atexit_registered = True
-    if enabled is not None:
-        if enabled:
-            ENABLED = True
-        else:
-            if ENABLED:
-                write_snapshot()
-            ENABLED = False
-            with _export_lock:
-                _stop_exporter()
-                _close_stream()
-
-
-def reset_after_fork(spool: IO[str] | None) -> None:
-    """Re-arm metrics inside a freshly forked worker process.
-
-    The child inherits the parent's registry contents, an exporter
-    thread that did not survive the fork, and an open sink it must not
-    write to (two processes appending would interleave).  Zero the
-    registry (the parent already owns those counts — spooling them again
-    would double-count on merge) and detach the parent's sink.  With a
-    ``spool`` stream, recording stays on and each :func:`write_snapshot`
-    appends one cumulative line to it for the parent to merge (no
-    periodic thread); without one, recording is disabled.
-    """
-    global ENABLED, _stream, _exporter
-    with _export_lock:
-        _exporter = None  # thread object is dead in the child
-        _stream = spool  # never the parent's handle
-    REGISTRY.reset()
-    ENABLED = spool is not None
 
 
 # -- snapshot files ------------------------------------------------------------
@@ -622,12 +505,12 @@ TAIL_BYTES = 256 * 1024
 def last_snapshot(path: str) -> dict[str, Any] | None:
     """The newest whole metrics snapshot in ``path``, or ``None``.
 
-    Snapshot files grow one line per export interval, so a soak's file
-    can be large: read the last :data:`TAIL_BYTES` and parse its lines
-    from the end, widening the window only if it holds no snapshot.
-    Lines that do not parse are passed over: the first line of a window
-    that starts mid-file, and a final line a killed writer cut off.
-    A missing file reads as ``None``.
+    A trace holds spans and progress events between its snapshots, so a
+    soak's file can be large: read the last :data:`TAIL_BYTES` and parse
+    its lines from the end, widening the window only if it holds no
+    snapshot.  Lines that do not parse are passed over: the first line
+    of a window that starts mid-file, and a final line a killed writer
+    cut off.  A missing file reads as ``None``.
     """
     try:
         with open(path, "rb") as handle:
@@ -680,38 +563,3 @@ def cache_hit_rate(counters: Mapping[str, float]) -> float | None:
     misses = counter_total(counters, "serve.cache.misses")
     total = hits + misses
     return hits / total if total else None
-
-
-def bench_context() -> dict[str, Any] | None:
-    """A compact observability stamp for BENCH ``_meta`` blocks.
-
-    ``None`` while metrics are disabled.  Otherwise: the serve cache hit
-    rate (when the cache counters have moved) and the p99/count of every
-    live histogram — enough for a benchmark JSON to carry the cache and
-    latency context it was measured under.
-    """
-    if not ENABLED:
-        return None
-    instruments = REGISTRY.instruments()
-    context: dict[str, Any] = {}
-    rate = cache_hit_rate(
-        {k: i.value for k, i in instruments.items() if i.kind == "counter"}
-    )
-    if rate is not None:
-        context["cache_hit_rate"] = round(rate, 4)
-    histograms = {}
-    for key, instrument in sorted(instruments.items()):
-        if instrument.kind == "histogram" and instrument.count:
-            histograms[key] = {
-                "count": instrument.count,
-                "p99_s": round(instrument.quantile(0.99), 6),
-            }
-    if histograms:
-        context["histograms"] = histograms
-    return context
-
-
-# Zero-code activation: REPRO_METRICS=metrics.jsonl exports at import.
-_env_path = os.environ.get(METRICS_ENV_VAR)
-if _env_path:
-    configure(path=_env_path, mode="a")

@@ -14,10 +14,12 @@ instrumented with:
   it opens a span and attaches a :class:`Provenance` (span id, elapsed
   seconds, counter deltas) to returned
   :class:`~repro.analysis.verdict.Answer` objects.
-* :func:`configure` / ``REPRO_TRACE=trace.jsonl`` — sink selection.
-  With no sink configured, tracing is **off** and every instrumented
-  path degrades to a single flag check (the compiled AFA/PL hot path
-  keeps its speedup).
+* :func:`configure` / ``REPRO_TRACE=trace.jsonl`` — the one telemetry
+  sink: spans, :mod:`repro.obs.progress` events and
+  :mod:`repro.metrics` snapshots are lines of one JSONL stream.  With no
+  sink configured, tracing and progress are **off** and every
+  instrumented path degrades to a single flag check (the compiled
+  AFA/PL hot path keeps its speedup).
 * ``python -m repro.obs explain TRACE...`` — the one reader of a trace
   (files or globs): where the time went (dominant chain, self time by
   span name), how much work was done (per-procedure counts, times,
@@ -56,9 +58,6 @@ from repro.obs._tracer import (
     traced,
 )
 
-# Imported for its side effect too: REPRO_PROGRESS environment
-# activation happens here, mirroring REPRO_TRACE above.  It is
-# import-light and costs nothing while disabled.
 from repro.obs import progress  # noqa: E402  (after _tracer)
 
 __all__ = [

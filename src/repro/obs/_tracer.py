@@ -19,18 +19,22 @@ Design constraints, in order:
 3. **One JSONL event per span**, emitted at span *exit* (children before
    parents; the tree is reconstructed from ``parent_id``).  The sink is a
    file path (``REPRO_TRACE=trace.jsonl`` or ``configure(path=...)``) or
-   any writable stream (``configure(stream=...)``).
+   any writable stream (``configure(stream=...)``).  It is the one
+   telemetry sink: :mod:`repro.obs.progress` events and
+   :mod:`repro.metrics` snapshots are lines of the same stream.
 
-This module is import-light on purpose: it depends only on the stdlib and
-:mod:`repro._stats`, so the lowest layers (``repro.logic.pl``,
-``repro.automata.afa``, ``repro.logic.sat``) can trace without import
-cycles.  Provenance attachment is duck-typed — any frozen-dataclass
-result with a ``provenance`` field (i.e. :class:`repro.analysis.verdict.Answer`)
+This module is import-light on purpose: it depends only on the stdlib,
+:mod:`repro._stats` and the stdlib-only :mod:`repro.metrics`, so the
+lowest layers (``repro.logic.pl``, ``repro.automata.afa``,
+``repro.logic.sat``) can trace without import cycles.  Provenance
+attachment is duck-typed — any frozen-dataclass result with a
+``provenance`` field (i.e. :class:`repro.analysis.verdict.Answer`)
 gains one, without this module importing :mod:`repro.analysis`.
 """
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import itertools
 import json
@@ -40,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, IO, Iterator, Mapping
 
+from repro import metrics
 from repro._stats import STATS
 
 TRACE_ENV_VAR = "REPRO_TRACE"
@@ -53,7 +58,6 @@ ENABLED = False
 
 _stream: IO[str] | None = None
 _stream_owned = False
-_path: str | None = None
 _emit_lock = threading.Lock()
 _span_ids = itertools.count(1)
 _local = threading.local()
@@ -247,32 +251,42 @@ def configure(
     enabled: bool | None = None,
     mode: str = "a",
 ) -> None:
-    """(Re)configure the trace sink.
+    """(Re)configure the telemetry sink.
 
     * ``configure(path="trace.jsonl")`` — enable, append JSONL events to
       the file (``mode="w"`` truncates first).
     * ``configure(stream=buf)`` — enable, write to any ``.write()``-able.
-    * ``configure(enabled=False)`` — disable and close an owned file.
+    * ``configure(enabled=False)`` — disable and close an owned file;
+      while metrics are recording, one last metrics snapshot is written
+      into the sink first.
     * ``configure(enabled=True)`` — re-enable the previous sink (or the
       ``REPRO_TRACE`` path if none was ever set).
 
+    Spans, :mod:`repro.obs.progress` events and
+    :func:`repro.metrics.write_snapshot` snapshots all go to this sink,
+    and progress is tracked exactly while it is set.  Metrics recording
+    has its own switch, :func:`repro.metrics.configure`, which this
+    function never flips.
+
     The ``REPRO_TRACE`` environment variable is the zero-code entry
     point: importing :mod:`repro.obs` with it set is equivalent to
-    ``configure(path=os.environ["REPRO_TRACE"])``.
+    ``configure(path=os.environ["REPRO_TRACE"])`` plus
+    ``metrics.configure(enabled=True)``, and the file ends with a
+    snapshot written at interpreter exit.
     """
-    global ENABLED, _stream, _stream_owned, _path
+    global ENABLED, _stream, _stream_owned
     if path is not None and stream is not None:
         raise ValueError("configure() takes a path or a stream, not both")
+    if enabled is False and ENABLED:
+        metrics.write_snapshot()
     with _emit_lock:
         if path is not None:
             _close_owned()
-            _path = path
             _stream = open(path, mode, encoding="utf-8")
             _stream_owned = True
             ENABLED = True
         elif stream is not None:
             _close_owned()
-            _path = None
             _stream = stream
             _stream_owned = False
             ENABLED = True
@@ -280,7 +294,6 @@ def configure(
             if enabled and _stream is None:
                 env_path = os.environ.get(TRACE_ENV_VAR)
                 if env_path:
-                    _path = env_path
                     _stream = open(env_path, mode, encoding="utf-8")
                     _stream_owned = True
                 else:
@@ -291,8 +304,11 @@ def configure(
             ENABLED = bool(enabled)
             if not ENABLED:
                 _close_owned()
-                _stream = None
-                _path = None
+    # Progress is tracked exactly while the sink is set (imported here:
+    # the progress module imports this one).
+    from repro.obs import progress
+
+    progress._track(ENABLED)
 
 
 def _close_owned() -> None:
@@ -501,7 +517,10 @@ def iter_events(
         )
 
 
-# Zero-code activation: REPRO_TRACE=trace.jsonl enables tracing at import.
+# Zero-code activation: REPRO_TRACE=trace.jsonl sets the sink and turns
+# metrics recording on at import; the file ends with a final snapshot.
 _env_path = os.environ.get(TRACE_ENV_VAR)
 if _env_path:
     configure(path=_env_path, mode="a")
+    metrics.configure(enabled=True)
+    atexit.register(metrics.write_snapshot)

@@ -272,7 +272,7 @@ def render(events: Sequence[dict[str, Any]], limit: int | None = None) -> str:
         f"{sum(len(c.events) for c in curves.values())} progress event(s) "
         f"across {len(curves)} site(s)"
         if curves
-        else "no progress events (enable with REPRO_PROGRESS=1)"
+        else "no progress events"
     )
     lines = [f"explain: {len(spans)} span(s), {progress_note}"]
     bodies = (

@@ -2,11 +2,13 @@
 
 A PL/AFA solve that runs for minutes is a black box between its span's
 start and end; this module turns the guard's existing checkpoint sites
-into a live telemetry source.  When enabled, every
+into a live telemetry source.  While the :mod:`repro.obs` sink is set
+(``obs.configure(...)`` or ``REPRO_TRACE``), every
 :func:`repro.guard.checkpoint` call feeds a per-site tracker, and the
-tracker periodically (default every :data:`DEFAULT_INTERVAL_S` seconds,
-per site) emits one ``progress`` event into the :mod:`repro.obs` trace
-stream and refreshes ``progress.*`` gauges in :mod:`repro.metrics`::
+tracker emits one ``progress`` event into that stream every
+:data:`DEFAULT_INTERVAL_S` seconds per site, and refreshes
+``progress.*`` gauges in :mod:`repro.metrics` when metrics are
+recording::
 
     {"event": "progress", "site": "afa.search_witness", "steps": 123456,
      "frontier": 1873, "peak_frontier": 2048, "visited": 130021,
@@ -21,12 +23,11 @@ iteration bound) where one exists.  ``headroom`` is the fraction of each
 configured budget limit still unspent, read from the innermost ambient
 :class:`repro.guard.Guard`.
 
-Cost discipline matches :mod:`repro.metrics`: with progress disabled
-(the default) the guard checkpoint pays **one global read** of
+Cost discipline matches :mod:`repro.metrics`: with no sink (the
+default) the guard checkpoint pays **one global read** of
 ``_governor._PROGRESS is None`` and nothing else; no event dicts, no
-clock reads.  Enable with ``configure(enabled=True)`` or the
-``REPRO_PROGRESS`` environment variable (``1``/``true`` for the default
-interval, a float for a custom one in seconds).
+clock reads.  The interval is a module constant; tests that want a
+faster cadence patch :data:`DEFAULT_INTERVAL_S`.
 
 When a guard trips, the tracker emits one final ``progress`` event built
 *from the* :class:`repro.guard.Trip` *itself* (same site, steps,
@@ -37,7 +38,6 @@ forced by :mod:`repro.guard.inject`.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any
@@ -45,8 +45,6 @@ from typing import Any
 from repro import metrics
 from repro.guard import _governor
 from repro.obs import _tracer
-
-PROGRESS_ENV_VAR = "REPRO_PROGRESS"
 
 #: Progress event format version.
 PROGRESS_SCHEMA_VERSION = 1
@@ -56,12 +54,8 @@ DEFAULT_INTERVAL_S = 0.25
 
 __all__ = [
     "DEFAULT_INTERVAL_S",
-    "PROGRESS_ENV_VAR",
     "PROGRESS_SCHEMA_VERSION",
     "ProgressTracker",
-    "configure",
-    "is_enabled",
-    "reset",
 ]
 
 
@@ -110,14 +104,13 @@ def _headroom(guard: "_governor.Guard | None") -> dict[str, float] | None:
 
 
 class ProgressTracker:
-    """The object installed as ``_governor._PROGRESS`` while enabled.
+    """The object installed as ``_governor._PROGRESS`` while the sink is set.
 
     Checkpoint updates touch thread-local site states, so the hot path
     takes no lock.
     """
 
-    def __init__(self, interval_s: float = DEFAULT_INTERVAL_S) -> None:
-        self.interval_s = interval_s
+    def __init__(self) -> None:
         self._local = threading.local()
 
     # -- the checkpoint feed (hot while enabled) -------------------------------
@@ -146,7 +139,7 @@ class ProgressTracker:
             state.visited = visited
         if depth is not None:
             state.depth = depth
-        if now - state.last_emit_t >= self.interval_s:
+        if now - state.last_emit_t >= DEFAULT_INTERVAL_S:
             self._emit(state, now)
 
     def note_trip(self, trip: Any) -> None:
@@ -172,27 +165,26 @@ class ProgressTracker:
         rate = (state.steps - state.last_emit_steps) / dt if dt > 0 else 0.0
         state.last_emit_t = now
         state.last_emit_steps = state.steps
-        if _tracer.ENABLED:
-            event: dict[str, Any] = {
-                "event": "progress",
-                "v": PROGRESS_SCHEMA_VERSION,
-                "site": state.site,
-                "steps": state.steps,
-                "elapsed_s": round(elapsed, 6),
-                "steps_per_s": round(rate, 3),
-                "t_wall": round(time.time(), 6),
-            }
-            if state.frontier is not None:
-                event["frontier"] = state.frontier
-                event["peak_frontier"] = state.peak_frontier
-            if state.visited is not None:
-                event["visited"] = state.visited
-            if state.depth is not None:
-                event["depth"] = state.depth
-            headroom = _headroom(_governor.current_guard())
-            if headroom is not None:
-                event["headroom"] = headroom
-            _tracer.emit_event(event)
+        event: dict[str, Any] = {
+            "event": "progress",
+            "v": PROGRESS_SCHEMA_VERSION,
+            "site": state.site,
+            "steps": state.steps,
+            "elapsed_s": round(elapsed, 6),
+            "steps_per_s": round(rate, 3),
+            "t_wall": round(time.time(), 6),
+        }
+        if state.frontier is not None:
+            event["frontier"] = state.frontier
+            event["peak_frontier"] = state.peak_frontier
+        if state.visited is not None:
+            event["visited"] = state.visited
+        if state.depth is not None:
+            event["depth"] = state.depth
+        headroom = _headroom(_governor.current_guard())
+        if headroom is not None:
+            event["headroom"] = headroom
+        _tracer.emit_event(event)
         if metrics.is_enabled():
             metrics.gauge("progress.steps", site=state.site).set(state.steps)
             if state.frontier is not None:
@@ -208,55 +200,13 @@ class ProgressTracker:
             metrics.maybe_write_snapshot()
 
 
-#: The active tracker (``None`` while disabled); mirror of
-#: ``_governor._PROGRESS`` — mutate only through :func:`configure`.
-_TRACKER: ProgressTracker | None = None
+def _track(enabled: bool) -> None:
+    """Install a fresh tracker as the guard's progress hook, or remove it.
 
-
-def is_enabled() -> bool:
-    """Whether checkpoint progress telemetry is being collected."""
-    return _TRACKER is not None
-
-
-def configure(
-    enabled: bool | None = None, interval_s: float | None = None
-) -> None:
-    """Enable/disable progress telemetry, optionally setting the interval.
-
-    Enabling installs a fresh :class:`ProgressTracker` as the guard
-    module's ``_PROGRESS`` hook; disabling uninstalls it, restoring the
-    checkpoint's one-global-read disabled path.
+    Called by :func:`repro.obs.configure` on every sink change, so
+    progress is tracked exactly while a sink is set, and a new sink (a
+    pool worker's spool, after the fork) starts from fresh site state:
+    the parent owns the numbers the inherited tracker holds.  Removing
+    it restores the checkpoint's one-global-read disabled path.
     """
-    global _TRACKER
-    if interval_s is not None and interval_s <= 0:
-        raise ValueError("interval_s must be positive")
-    if enabled is None and interval_s is not None and _TRACKER is not None:
-        _TRACKER.interval_s = interval_s
-        return
-    if enabled:
-        _TRACKER = ProgressTracker(
-            interval_s if interval_s is not None else DEFAULT_INTERVAL_S
-        )
-        _governor._PROGRESS = _TRACKER
-    elif enabled is not None:
-        _TRACKER = None
-        _governor._PROGRESS = None
-
-
-def reset() -> None:
-    """Drop accumulated state (keeps enablement and interval).
-
-    Called after a pool fork: the child inherits the parent's tracker,
-    but the parent owns those numbers.
-    """
-    if _TRACKER is not None:
-        configure(enabled=True, interval_s=_TRACKER.interval_s)
-
-
-# Zero-code activation: REPRO_PROGRESS=1 (or an interval in seconds).
-_env = os.environ.get(PROGRESS_ENV_VAR, "").strip().lower()
-if _env and _env not in ("0", "false", "no", "off"):
-    try:
-        configure(enabled=True, interval_s=float(_env))
-    except ValueError:
-        configure(enabled=True)
+    _governor._PROGRESS = ProgressTracker() if enabled else None

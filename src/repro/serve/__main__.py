@@ -3,9 +3,11 @@
 Subcommands:
 
 * ``run JOBS.jsonl [--workers N] [--out RESULTS.jsonl] [--cache-dir D]
-  [--repeat K] [--retries K] [--strict]`` —
+  [--repeat K] [--trace TRACE.jsonl] [--retries K] [--strict]`` —
   execute a JSONL job file and write one result record per job (in job
-  order).  ``--retries``/``--budget-multiplier`` turn on
+  order).  ``--trace`` writes the run's spans, progress events and
+  metrics snapshots to one file, as ``REPRO_TRACE`` does for a whole
+  process.  ``--retries``/``--budget-multiplier`` turn on
   budget-escalation retry for tripped jobs;
   ``--max-queue-depth``/``--admit-rate`` turn on admission
   control.  The run always prints a per-outcome summary line; the exit
@@ -20,10 +22,10 @@ Subcommands:
 * ``store stats|vacuum`` — inspect and maintain the SQLite answer
   store behind a cache directory (``stats`` prints a JSON summary;
   ``vacuum`` compacts the file).
-* ``top [METRICS.jsonl]`` — live dashboard over the snapshot file a
-  metrics-enabled batch exports (``run --metrics`` or
-  ``REPRO_METRICS``): throughput, queue depth, worker utilization,
-  cache hit rate, per-procedure latency percentiles.
+* ``top [TRACE.jsonl]`` — live dashboard over the metrics snapshots in
+  a trace (``run --trace`` or ``REPRO_TRACE``): throughput, queue depth,
+  worker utilization, cache hit rate, per-procedure latency
+  percentiles.
 
 Job file format — one JSON object per line::
 
@@ -65,7 +67,7 @@ import sys
 import time
 from typing import Any
 
-from repro import metrics
+from repro import metrics, obs
 from repro.guard import Budget
 from repro.serve import top as _top
 from repro.serve.cache import STORE_FILE, AnswerCache
@@ -230,10 +232,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not raw_jobs:
         print(f"{args.jobs}: no jobs", file=sys.stderr)
         return 1
-    if args.metrics:
-        # Truncate: one batch, one snapshot stream (watch it live with
-        # ``python -m repro.serve top <path>``).
-        metrics.configure(path=args.metrics, mode="w")
+    if args.trace:
+        # Truncate: one run, one stream (watch it live with
+        # ``python -m repro.serve top <path>``, read it afterwards with
+        # ``python -m repro.obs explain <path>``).
+        obs.configure(path=args.trace, mode="w")
+        metrics.configure(enabled=True)
     cache = AnswerCache(directory=args.cache_dir) if args.cache_dir else None
     retry_policy, admission = _build_resilience(args)
     service = SolverService(
@@ -305,8 +309,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         service.close()
         if cache is not None:
             cache.close()
-        if args.metrics:
-            metrics.write_snapshot()  # final frame for serve top
+        if args.trace:
+            obs.configure(enabled=False)  # writes the final snapshot
+            metrics.configure(enabled=False)
     elapsed = time.perf_counter() - started
     summary = {"_summary": service.stats(), "elapsed_s": round(elapsed, 6)}
     if sessions:
@@ -543,9 +548,10 @@ def main(argv: list[str] | None = None) -> int:
         "an edited instance per round)",
     )
     run.add_argument(
-        "--metrics",
+        "--trace",
         default=None,
-        help="export metrics snapshots to this JSONL path (watch with `top`)",
+        help="write spans, progress events and metrics snapshots to this "
+        "JSONL path (watch with `top`, read with `python -m repro.obs explain`)",
     )
     run.add_argument(
         "--retries",

@@ -17,15 +17,17 @@ run it under the guard, observe ``serve.job.latency_s``); a worker
 wraps it with budget decoding, chaos, busy gauges and a per-job
 metrics snapshot (:func:`_run_job`).
 
-Telemetry across the boundary: when the parent has :mod:`repro.obs` or
-:mod:`repro.metrics` enabled, each worker appends to its own JSONL
-spool (``worker-<pid>.jsonl``) in one temporary directory — its span
-and progress events, and after every job one *cumulative* ``metrics``
-snapshot (the worker's registry is zeroed after the fork; the parent
-owns the pre-fork counts).  :meth:`WorkerPool.merge_traces` folds the
-spools in: events are re-emitted into the parent's sink via
-:func:`repro.obs.reemit` with a ``worker_pid`` attribute, and each
-spool's newest snapshot merges into the parent registry delta-wise.
+Telemetry across the boundary: when the parent has a :mod:`repro.obs`
+sink or records :mod:`repro.metrics` as the pool is made, each worker's
+sink is its own JSONL spool (``worker-<pid>.jsonl``) in one temporary
+directory — its span and progress events, and after every job one
+*cumulative* ``metrics`` snapshot if the parent was recording (the
+worker's registry is zeroed after the fork; the parent owns the
+pre-fork counts).  :meth:`WorkerPool.merge_traces` folds the spools in:
+events are re-emitted into the parent's sink via
+:func:`repro.obs.reemit` with a ``worker_pid`` attribute (dropped when
+the parent has none), and each spool's newest snapshot merges into the
+parent registry delta-wise.
 Merging tracks per-file byte offsets and reads whole lines only, so it
 is incremental and idempotent and never consumes a line a worker is
 still writing.
@@ -62,7 +64,6 @@ from typing import Any, Callable, Mapping
 from repro import metrics, obs
 from repro.guard import Budget, CancelToken, Guard
 from repro.guard import inject as _inject
-from repro.obs import progress as _obs_progress
 from repro.serve.registry import get_procedure
 
 __all__ = ["BrokenProcessPool", "InlineRunner", "WorkerPool"]
@@ -82,29 +83,27 @@ def _exit_with_parent() -> None:
     os._exit(1)
 
 
-def _worker_init(spool_dir: str | None, trace: bool, record: bool) -> None:
+def _worker_init(spool_dir: str | None, record: bool) -> None:
     """Per-worker initializer: exit with the parent, and point the
-    worker's telemetry at its spool."""
+    worker's telemetry at its spool.
+
+    The fork inherits the parent's sink, which two processes must not
+    append to (their half-lines would interleave), and its metrics
+    registry, whose counts the parent owns.  Metrics go off first, so
+    detaching the sink writes no final snapshot into the parent's file;
+    the registry is zeroed; then the spool becomes the worker's sink and
+    recording mirrors the parent's.
+    """
     threading.Thread(target=_exit_with_parent, daemon=True).start()
-    spool = None
-    if spool_dir is not None:
-        # "a": a recycled pid must not truncate lines the parent has
-        # not merged yet.
-        path = os.path.join(spool_dir, f"worker-{os.getpid()}.jsonl")
-        spool = open(path, "a", encoding="utf-8")
-    if trace:
-        obs.configure(stream=spool)
-    elif obs.is_enabled():
-        # A forked worker inherits the parent's open sink; writing to it
-        # from two processes would interleave half-lines.  Detach.
+    metrics.configure(enabled=False)
+    metrics.REGISTRY.reset()
+    if spool_dir is None:
         obs.configure(enabled=False)
-    # The fork also inherits the parent's metrics registry and sink:
-    # zero the registry (the parent owns those counts) and append
-    # cumulative snapshots to the spool for the parent to merge.
-    metrics.reset_after_fork(spool if record else None)
-    # Progress telemetry: the inherited tracker state belongs to the
-    # parent; re-arm a fresh one (keeps enablement + interval).
-    _obs_progress.reset()
+        return
+    # "a": a recycled pid must not truncate lines the parent has not
+    # merged yet.
+    obs.configure(path=os.path.join(spool_dir, f"worker-{os.getpid()}.jsonl"))
+    metrics.configure(enabled=record)
 
 
 def _solve(
@@ -217,11 +216,10 @@ class WorkerPool:
         if workers < 1:
             raise ValueError("worker pool needs at least one worker")
         self.workers = workers
-        self._trace = obs.is_enabled()
         self._record = metrics.is_enabled()
         self._spool_dir: str | None = None
         self._merge_offsets: dict[str, int] = {}
-        if self._trace or self._record:
+        if obs.is_enabled() or self._record:
             self._spool_dir = tempfile.mkdtemp(prefix="repro-serve-spool-")
         metrics.gauge("serve.pool.workers").set(workers)
         self.respawns = 0
@@ -236,7 +234,7 @@ class WorkerPool:
             max_workers=self.workers,
             mp_context=context,
             initializer=_worker_init,
-            initargs=(self._spool_dir, self._trace, self._record),
+            initargs=(self._spool_dir, self._record),
         )
 
     def respawn(self) -> None:

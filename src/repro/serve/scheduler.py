@@ -670,6 +670,8 @@ class SolverService:
             for entry in to_dispatch:
                 result = self._await(entry)
                 inflight.dec()
+                # A long batch appends snapshots as it goes (throttled).
+                metrics.maybe_write_snapshot()
                 if result is _WORKER_LOST:
                     entry.attempts -= 1  # it never ran to completion
                     lost.append(entry)

@@ -1,8 +1,8 @@
 """``python -m repro.serve top`` — live terminal view of a running batch.
 
-Reads the JSONL snapshot file a metrics-enabled process exports
-(``REPRO_METRICS=metrics.jsonl``, or ``--metrics`` on ``serve run``) and
-refreshes a one-screen dashboard: throughput and completion totals,
+Reads the metrics snapshots in a trace (``REPRO_TRACE=trace.jsonl``, or
+``--trace`` on ``serve run``; the same file ``python -m repro.obs
+explain`` reads) and refreshes a one-screen dashboard: throughput and completion totals,
 queue depth / in-flight / worker utilization, cache hit rate, guard
 trips, and a per-procedure latency table (count, p50, p90, p99, max) —
 the percentiles, not averages, that heavy-tailed solve times demand.
@@ -22,6 +22,7 @@ import time
 from typing import Any, Mapping, Sequence
 
 from repro import metrics
+from repro.obs import TRACE_ENV_VAR
 from repro.obs.explain import format_seconds
 
 
@@ -227,13 +228,13 @@ def run_top(
 def add_parser(subparsers, common=None) -> None:
     """Register the ``top`` subcommand on the serve CLI."""
     top = subparsers.add_parser(
-        "top", help="live dashboard over a metrics snapshot file"
+        "top", help="live dashboard over the metrics snapshots in a trace"
     )
     top.add_argument(
-        "metrics",
+        "trace",
         nargs="?",
-        default=os.environ.get(metrics.METRICS_ENV_VAR),
-        help="metrics JSONL path (default: $REPRO_METRICS)",
+        default=os.environ.get(TRACE_ENV_VAR),
+        help=f"trace JSONL path (default: ${TRACE_ENV_VAR})",
     )
     top.add_argument(
         "--interval", type=float, default=1.0, help="refresh seconds"
@@ -248,14 +249,14 @@ def add_parser(subparsers, common=None) -> None:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    if not args.metrics:
+    if not args.trace:
         print(
-            "no metrics file: pass a path or set REPRO_METRICS",
+            f"no trace file: pass a path or set {TRACE_ENV_VAR}",
             file=sys.stderr,
         )
         return 2
     return run_top(
-        args.metrics,
+        args.trace,
         interval_s=args.interval,
         once=args.once,
         clear=not args.no_clear,

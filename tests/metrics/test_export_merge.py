@@ -1,11 +1,28 @@
 """Snapshot export, spool files, and cross-process merge semantics."""
 
 import json
+import os
 
 import pytest
 
 from repro import metrics, obs
 from repro.metrics import Registry
+from repro.serve import pool
+
+
+@pytest.fixture
+def sink_off():
+    """Detach the telemetry sink after the test."""
+    yield
+    obs.configure(enabled=False)
+
+
+@pytest.fixture
+def worker_init(monkeypatch, sink_off):
+    """``pool._worker_init`` run in this process, minus the watch on a
+    parent process it does not have."""
+    monkeypatch.setattr(pool, "_exit_with_parent", lambda: None)
+    return pool._worker_init
 
 
 def _snapshots(path):
@@ -45,9 +62,10 @@ class TestSnapshot:
 
 
 class TestExportFiles:
-    def test_write_snapshot_appends_jsonl(self, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        metrics.configure(path=str(path), mode="w", interval_s=3600)
+    def test_write_snapshot_appends_jsonl(self, tmp_path, sink_off):
+        path = tmp_path / "trace.jsonl"
+        obs.configure(path=str(path), mode="w")
+        metrics.configure(enabled=True)
         metrics.counter("c").inc()
         metrics.write_snapshot()
         metrics.counter("c").inc()
@@ -57,14 +75,21 @@ class TestExportFiles:
         assert snaps[0]["counters"]["c"] == 1
         assert snaps[1]["counters"]["c"] == 2
         assert metrics.last_snapshot(str(path))["counters"]["c"] == 2
+        # Detaching the sink while recording writes one last snapshot;
+        # with no sink, a snapshot is only returned.
+        metrics.counter("c").inc()
+        obs.configure(enabled=False)
+        assert metrics.write_snapshot()["counters"]["c"] == 3
+        assert [s["counters"]["c"] for s in _snapshots(path)] == [1, 2, 3]
 
-    def test_spool_mode_appends_snapshots(self, tmp_path):
-        spool = tmp_path / "worker-123.jsonl"
-        metrics.reset_after_fork(open(spool, "a", encoding="utf-8"))
+    def test_spool_mode_appends_snapshots(self, tmp_path, worker_init):
+        metrics.configure(enabled=True)
+        worker_init(str(tmp_path), True)
         metrics.counter("c").inc()
         metrics.write_snapshot()
         metrics.counter("c").inc()
         metrics.write_snapshot()
+        spool = tmp_path / f"worker-{os.getpid()}.jsonl"
         snaps = _snapshots(spool)
         assert [snap["counters"]["c"] for snap in snaps] == [1, 2]  # cumulative
 
@@ -157,19 +182,32 @@ class TestHistogramReadoutFromDump:
 
 
 class TestResetAfterFork:
-    def test_spool_rearm(self, tmp_path):
+    """What ``pool._worker_init`` does to the telemetry a fork inherits."""
+
+    def test_spool_rearm(self, tmp_path, worker_init):
+        parent = tmp_path / "parent.jsonl"
+        obs.configure(path=str(parent), mode="w")
         metrics.configure(enabled=True)
         metrics.counter("inherited").inc(9)
-        spool = tmp_path / "worker-child.jsonl"
-        metrics.reset_after_fork(open(spool, "a", encoding="utf-8"))
+        spool_dir = tmp_path / "spool"
+        spool_dir.mkdir()
+        worker_init(str(spool_dir), True)
         assert metrics.is_enabled()
         assert metrics.REGISTRY.instruments() == {}  # parent owns old counts
         metrics.counter("child").inc()
         metrics.write_snapshot()
+        spool = spool_dir / f"worker-{os.getpid()}.jsonl"
         snap = json.loads(spool.read_text())
         assert snap["counters"] == {"child": 1}
+        assert parent.read_text() == ""  # no final snapshot leaked back
 
-    def test_disable_when_no_spool(self):
+    def test_disable_when_no_spool(self, tmp_path, worker_init):
+        parent = tmp_path / "parent.jsonl"
+        obs.configure(path=str(parent), mode="w")
         metrics.configure(enabled=True)
-        metrics.reset_after_fork(None)
+        metrics.counter("inherited").inc(9)
+        worker_init(None, True)
         assert not metrics.is_enabled()
+        assert not obs.is_enabled()
+        assert metrics.REGISTRY.instruments() == {}
+        assert parent.read_text() == ""

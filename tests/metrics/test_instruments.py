@@ -199,17 +199,3 @@ class TestDerivedStats:
 
     def test_cache_hit_rate_none_without_traffic(self):
         assert metrics.cache_hit_rate({}) is None
-
-    def test_bench_context_none_when_disabled(self):
-        assert metrics.bench_context() is None
-
-    def test_bench_context_shape(self):
-        metrics.configure(enabled=True)
-        metrics.counter("serve.cache.hits", tier="memory").inc(3)
-        metrics.counter("serve.cache.misses").inc()
-        metrics.observe("serve.job.latency_s", 0.01, procedure="pl")
-        context = metrics.bench_context()
-        assert context["cache_hit_rate"] == 0.75
-        hist = context["histograms"]["serve.job.latency_s{procedure=pl}"]
-        assert hist["count"] == 1
-        assert hist["p99_s"] == pytest.approx(0.01)

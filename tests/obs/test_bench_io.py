@@ -68,6 +68,22 @@ class TestMergeSection:
         assert "before" not in meta and "after" not in meta
         assert data["old_section"] == {"kept": True}
 
+    def test_relative_name_resolves_against_the_repo_root(
+        self, tmp_path, monkeypatch
+    ):
+        """A bare BENCH name lands at the repository root, not in the
+        working directory of whoever ran the emitter."""
+        assert bench_io._REPO_ROOT == os.path.abspath(_REPO_ROOT)
+        root = tmp_path / "root"
+        elsewhere = tmp_path / "elsewhere"
+        root.mkdir()
+        elsewhere.mkdir()
+        monkeypatch.setattr(bench_io, "_REPO_ROOT", str(root))
+        monkeypatch.chdir(elsewhere)
+        bench_io.merge_section("BENCH_something.json", "s", {"n": 1})
+        assert os.listdir(root) == ["BENCH_something.json"]
+        assert os.listdir(elsewhere) == []
+
     def test_regenerate_optional(self, tmp_path):
         path = str(tmp_path / "bench.json")
         bench_io.merge_section(path, "s", {"n": 1})

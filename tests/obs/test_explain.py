@@ -154,14 +154,13 @@ class TestLenientParsing:
         assert "dominant phase" in text
         assert len(skipped) == 1
 
-    def test_real_trace_end_to_end(self, tmp_path):
+    def test_real_trace_end_to_end(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(progress, "DEFAULT_INTERVAL_S", 1e-9)
         trace = tmp_path / "solve.jsonl"
         obs.configure(path=str(trace), mode="w")
-        progress.configure(enabled=True, interval_s=1e-9)
         try:
             nonempty_pl(pl_counter_sws(8), guard=Budget(deadline_s=30))
         finally:
-            progress.configure(enabled=False)
             obs.configure(enabled=False)
         text = explain([str(trace)])
         assert "dominant phase" in text
@@ -198,5 +197,4 @@ def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env.pop("REPRO_TRACE", None)
-    env.pop("REPRO_PROGRESS", None)
     return env

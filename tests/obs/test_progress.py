@@ -1,4 +1,9 @@
-"""Search-progress telemetry: disabled path, events, trips, site state."""
+"""Search-progress telemetry: disabled path, events, trips, site state.
+
+Progress is tracked exactly while the ``repro.obs`` sink is set; tests
+that want a faster cadence than the default interval patch
+``progress.DEFAULT_INTERVAL_S`` (the ``fast`` fixture).
+"""
 
 import io
 import json
@@ -16,11 +21,17 @@ from repro.workloads.scaling import pl_counter_sws, random_3cnf
 
 @pytest.fixture(autouse=True)
 def _progress_off():
-    """Never leak an enabled tracker (or injected fault) into other tests."""
-    progress.configure(enabled=False)
+    """Never leak a sink, its tracker or an injected fault into other tests."""
+    obs.configure(enabled=False)
     yield
-    progress.configure(enabled=False)
+    obs.configure(enabled=False)
     inject.remove()
+
+
+@pytest.fixture
+def fast(monkeypatch):
+    """Emit on every checkpoint past the first one of a site."""
+    monkeypatch.setattr(progress, "DEFAULT_INTERVAL_S", 1e-9)
 
 
 def _events(buf: io.StringIO) -> list[dict]:
@@ -33,33 +44,40 @@ def _progress_events(buf: io.StringIO) -> list[dict]:
 
 class TestDisabledPath:
     def test_disabled_by_default(self):
-        assert not progress.is_enabled()
+        assert not obs.is_enabled()
         assert _governor._PROGRESS is None
 
     def test_checkpoint_callable_stays_shared_noop(self):
         assert checkpoint_callable("x") is _governor._noop_checkpoint
 
     def test_enabling_switches_to_live_closure(self):
-        progress.configure(enabled=True)
+        obs.configure(stream=io.StringIO())
         assert checkpoint_callable("x") is not _governor._noop_checkpoint
+        obs.configure(enabled=False)
+        assert checkpoint_callable("x") is _governor._noop_checkpoint
 
-    def test_no_events_while_disabled(self):
+    def test_no_events_while_disabled(self, fast):
+        """Checkpoints with no sink are not tracked: the steps taken then
+        never reach a later sink's events."""
+        assert nonempty_pl(pl_counter_sws(8)).is_yes
+        checkpoint("unit.off", n=5, frontier=3)
+        assert _governor._PROGRESS is None
         buf = io.StringIO()
         obs.configure(stream=buf)
         try:
-            assert nonempty_pl(pl_counter_sws(8)).is_yes
-            checkpoint("unit.off", n=5, frontier=3)
+            checkpoint("unit.off", n=1)
+            time.sleep(0.001)
+            checkpoint("unit.off", n=1)
         finally:
             obs.configure(enabled=False)
-        assert _events(buf), "tracing is on: the solve emits spans"
-        assert _progress_events(buf) == []
+        assert [e["steps"] for e in _progress_events(buf)] == [2]
 
 
 class TestEvents:
-    def test_periodic_events_with_monotone_steps(self):
+    def test_periodic_events_with_monotone_steps(self, monkeypatch):
+        monkeypatch.setattr(progress, "DEFAULT_INTERVAL_S", 0.0001)
         buf = io.StringIO()
         obs.configure(stream=buf)
-        progress.configure(enabled=True, interval_s=0.0001)
         try:
             ckpt = checkpoint_callable("unit.search")
             queue = list(range(7))
@@ -81,10 +99,9 @@ class TestEvents:
         assert last["depth"] == 3
         assert last["steps_per_s"] >= 0
 
-    def test_visited_counts_monotone_on_real_solve(self):
+    def test_visited_counts_monotone_on_real_solve(self, fast):
         buf = io.StringIO()
         obs.configure(stream=buf)
-        progress.configure(enabled=True, interval_s=1e-9)
         try:
             answer = nonempty_pl(pl_counter_sws(8))
         finally:
@@ -98,10 +115,9 @@ class TestEvents:
         assert len(visited) >= 1
         assert all(a <= b for a, b in zip(visited, visited[1:]))
 
-    def test_headroom_fractions_from_ambient_guard(self):
+    def test_headroom_fractions_from_ambient_guard(self, fast):
         buf = io.StringIO()
         obs.configure(stream=buf)
-        progress.configure(enabled=True, interval_s=1e-9)
         try:
             guard = _governor.Guard(budget=Budget(step_budget=10_000))
             with guard.activate():
@@ -115,9 +131,9 @@ class TestEvents:
         assert fractions == sorted(fractions, reverse=True)
         assert all(0.0 <= f <= 1.0 for f in fractions)
 
-    def test_gauges_refresh(self):
+    def test_gauges_refresh(self, fast):
         metrics.configure(enabled=True)
-        progress.configure(enabled=True, interval_s=1e-9)
+        obs.configure(stream=io.StringIO())
         try:
             ckpt = checkpoint_callable("unit.gauges")
             # ckpt takes the *cumulative* count.  The first note creates
@@ -131,14 +147,14 @@ class TestEvents:
             assert snap["gauges"]["progress.frontier{site=unit.gauges}"] == 5
         finally:
             metrics.configure(enabled=False)
+            metrics.REGISTRY.reset()
 
 
 class TestTrips:
-    def test_injected_trip_event_matches_answer_trip(self):
+    def test_injected_trip_event_matches_answer_trip(self, fast):
         """The final progress event of a tripped solve mirrors its Trip."""
         buf = io.StringIO()
         obs.configure(stream=buf)
-        progress.configure(enabled=True, interval_s=1e-9)
         try:
             with inject.injected("afa.search_witness", at=1, limit="steps") as plan:
                 answer = nonempty_pl(pl_counter_sws(6))
@@ -156,10 +172,9 @@ class TestTrips:
         assert last["tripped"] == trip.limit
         assert last["injected"] is True
 
-    def test_real_budget_trip_is_consistent_too(self):
+    def test_real_budget_trip_is_consistent_too(self, fast):
         buf = io.StringIO()
         obs.configure(stream=buf)
-        progress.configure(enabled=True, interval_s=1e-9)
         try:
             answer = nonempty_pl(pl_counter_sws(12), guard=Budget(step_budget=600))
         finally:
@@ -174,10 +189,9 @@ class TestTrips:
 
 
 class TestSiteState:
-    def test_events_fold_steps_per_site(self):
+    def test_events_fold_steps_per_site(self, fast):
         buf = io.StringIO()
         obs.configure(stream=buf)
-        progress.configure(enabled=True, interval_s=1e-9)
         try:
             # A site's first checkpoint starts its clock; a later one emits.
             checkpoint("unit.a", n=5, frontier=3, visited=10, depth=2)
@@ -196,28 +210,29 @@ class TestSiteState:
         assert last["unit.a"]["depth"] == 2
         assert last["unit.b"]["steps"] == 7
 
-    def test_reset_drops_state_keeps_interval(self):
+    def test_reset_drops_state_keeps_interval(self, fast):
+        """Setting the sink again (as a pool worker does after the fork)
+        starts a fresh tracker; the patched interval still holds."""
         buf = io.StringIO()
         obs.configure(stream=buf)
-        progress.configure(enabled=True, interval_s=1e-9)
         try:
             checkpoint("unit.a", n=5)
-            progress.reset()
+            first = _governor._PROGRESS
+            obs.configure(stream=buf)
+            assert _governor._PROGRESS is not None
+            assert _governor._PROGRESS is not first
             checkpoint("unit.a", n=3)
             time.sleep(0.001)
             checkpoint("unit.a", n=4)
         finally:
             obs.configure(enabled=False)
-        assert progress.is_enabled()
-        assert progress._TRACKER.interval_s == 1e-9
         # The 5 steps noted before the reset are gone: 3 + 4, not 12.
         assert [e["steps"] for e in _progress_events(buf)] == [7]
 
-    def test_depth_iteration_sites_report_depth(self):
+    def test_depth_iteration_sites_report_depth(self, fast):
         """Analysis loops with a session-length bound stamp it as depth."""
         buf = io.StringIO()
         obs.configure(stream=buf)
-        progress.configure(enabled=True, interval_s=1e-9)
         try:
             sws = cnf_to_sws(clauses_from_tuples(random_3cnf(0, 5, 10)))
             nonempty_pl_nr_sat(sws)

@@ -124,14 +124,31 @@ def test_repeat_solves_round_zero_on_the_workers(tmp_path):
         ],
     )
     out = tmp_path / "results.jsonl"
-    metrics_path = tmp_path / "metrics.jsonl"
+    trace = tmp_path / "trace.jsonl"
     argv = ["run", str(path), "--workers", "2", "--repeat", "2", "--out", str(out)]
-    assert main(argv + ["--metrics", str(metrics_path)]) == 0
-    counters = metrics.last_snapshot(str(metrics_path))["counters"]
+    assert main(argv + ["--trace", str(trace)]) == 0
+    counters = metrics.last_snapshot(str(trace))["counters"]
     assert metrics.counter_total(counters, "serve.jobs.executed") == 2
     *results, summary = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["delta_mode"] for r in results] == ["solve", "solve", "cached", "cached"]
     assert summary["delta"]["rechecks"] == 2
+
+
+def test_one_trace_serves_top_and_explain(tmp_path, jobs_file, capsys):
+    """``run --trace`` writes one file that both readers take."""
+    from repro.obs.explain import SECTIONS
+    from repro.obs.report import main as obs_main
+
+    trace = tmp_path / "trace.jsonl"
+    argv = ["run", str(jobs_file), "--workers", "2", "--out", str(tmp_path / "r")]
+    assert main(argv + ["--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert main(["top", str(trace), "--once"]) == 0
+    assert "repro.serve top" in capsys.readouterr().out
+    assert obs_main(["explain", str(trace)]) == 0
+    report = capsys.readouterr().out
+    for header in SECTIONS:
+        assert f"== {header} ==" in report
 
 
 def test_run_with_cache_dir_hits_on_second_run(tmp_path, jobs_file):

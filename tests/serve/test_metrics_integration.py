@@ -8,9 +8,16 @@ again at shutdown) must not double-count anything.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 from repro import metrics
 from repro.serve import JobSpec, SolverService
 from repro.workloads.scaling import pl_counter_sws
+
+_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 def _batch():
@@ -101,3 +108,34 @@ def test_disabled_metrics_record_nothing_through_the_service():
     service = SolverService(workers=0)
     service.run_batch(_batch()[:2])
     assert metrics.REGISTRY.instruments() == {}
+
+
+def test_repro_trace_alone_streams_spans_and_merged_metrics(tmp_path):
+    """``REPRO_TRACE=f`` is the whole switch: a pooled batch leaves spans
+    and metrics snapshots in ``f``, and the snapshot written at exit
+    carries every job's worker-side latency sample."""
+    trace = tmp_path / "trace.jsonl"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = _SRC
+    env["REPRO_TRACE"] = str(trace)
+    script = (
+        "from repro.serve import JobSpec, SolverService\n"
+        "from repro.workloads.scaling import pl_counter_sws\n"
+        "with SolverService(workers=2) as service:\n"
+        "    answers = service.run_batch(\n"
+        "        [JobSpec('nonempty_pl', (pl_counter_sws(n),)) for n in (5, 6, 7)]\n"
+        "    )\n"
+        "assert all(a.is_yes for a in answers)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert {"span", "metrics"} <= {event["event"] for event in events}
+    assert any((e.get("attrs") or {}).get("worker_pid") for e in events)
+    assert events[-1]["event"] == "metrics"  # the exit snapshot
+    latency = metrics.last_snapshot(str(trace))["histograms"][
+        "serve.job.latency_s{procedure=nonempty_pl}"
+    ]
+    assert latency["count"] == 3

@@ -97,6 +97,27 @@ def test_close_removes_the_spool_directory(tmp_path):
     assert not os.path.exists(spool)
 
 
+def test_workers_forked_after_the_sink_was_set_never_write_to_it(tmp_path):
+    """Regression: a pool made with telemetry off has no spool.  Its
+    workers fork after the parent set a sink and turned metrics on, so
+    they inherit both, and must detach without writing a line."""
+    pool = WorkerPool(2)
+    trace = tmp_path / "trace.jsonl"
+    try:
+        obs.configure(path=str(trace), mode="w")
+        metrics.configure(enabled=True)
+        futures = [
+            pool.submit("nonempty_pl", (pl_counter_sws(n),), {}, None)
+            for n in (5, 6)
+        ]
+        assert all(future.result().is_yes for future in futures)
+    finally:
+        pool.shutdown()
+        obs.configure(enabled=False)
+    for event in obs.iter_events(str(trace)):
+        assert (event["event"], event["pid"]) == ("metrics", os.getpid()), event
+
+
 def test_merge_waits_for_a_half_written_line():
     """Regression: a merge that finds a line still being written leaves
     it for the next merge instead of skipping past it."""

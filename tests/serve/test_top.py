@@ -104,10 +104,10 @@ class TestRunTop:
         assert "repro.serve top" in capsys.readouterr().out
 
     def test_cli_requires_a_path(self, capsys, monkeypatch):
-        from repro.metrics import METRICS_ENV_VAR
+        from repro.obs import TRACE_ENV_VAR
         from repro.serve.__main__ import main
 
-        monkeypatch.delenv(METRICS_ENV_VAR, raising=False)
+        monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
         assert main(["top"]) == 2
 
 class TestProgressAndHeartbeat:
