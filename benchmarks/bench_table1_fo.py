@@ -8,8 +8,8 @@ procedures and the reduction substrate:
 * the bounded-model FO satisfiability search (MACE-style grounding to SAT)
   whose cost explodes with the domain bound — the practical face of the
   undecidability;
-* the run-enumeration non-emptiness search, with explicit budgets and
-  UNKNOWN verdicts;
+* the run-enumeration non-emptiness search, with explicit run bounds
+  (``max_runs``) and UNKNOWN verdicts;
 * certificate checking (hints), which stays cheap — verifying is decidable
   even though finding is not.
 """
@@ -53,18 +53,18 @@ def test_t1_1_bounded_model_search(benchmark, n, one_shot):
     benchmark.extra_info["model_size"] = n
 
 
-@pytest.mark.parametrize("budget", [200, 2000])
-def test_t1_1_bounded_nonemptiness_unknown(benchmark, budget, one_shot):
-    """The blind bounded search on τ1: honest UNKNOWN within budget."""
+@pytest.mark.parametrize("max_runs", [200, 2000])
+def test_t1_1_bounded_nonemptiness_unknown(benchmark, max_runs, one_shot):
+    """The blind bounded search on τ1: honest UNKNOWN within the run bound."""
     service = travel.travel_service()
 
     answer = one_shot(
         lambda: nonempty_fo_bounded(
-            service, budget=budget, max_session_length=1
+            service, max_runs=max_runs, max_session_length=1
         )
     )
     assert answer.is_unknown
-    benchmark.extra_info["budget"] = budget
+    benchmark.extra_info["max_runs"] = max_runs
 
 
 def test_t1_1_certificate_checking(benchmark):
@@ -73,7 +73,7 @@ def test_t1_1_certificate_checking(benchmark):
     hint = (travel.sample_database(), travel.booking_request())
 
     answer = benchmark(
-        lambda: nonempty_fo_bounded(service, hints=[hint], budget=1)
+        lambda: nonempty_fo_bounded(service, hints=[hint], max_runs=1)
     )
     assert answer.is_yes
 

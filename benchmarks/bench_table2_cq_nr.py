@@ -64,9 +64,11 @@ def test_t2_6_view_count_sweep(benchmark, k, one_shot):
     }
 
     result = one_shot(lambda: compose_cq_nr(goal, components))
-    assert result.exists
+    assert result.is_yes
+    mediator = result.witness  # its root synthesis is the rewriting
+    root_synthesis = mediator.synthesis[mediator.start].query
     benchmark.extra_info["views"] = k
-    benchmark.extra_info["rewriting_disjuncts"] = len(result.rewriting.disjuncts)
+    benchmark.extra_info["rewriting_disjuncts"] = len(root_synthesis.disjuncts)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -78,7 +80,7 @@ def test_t2_6_negative_case(benchmark, k, one_shot):
     components = {"V0": _emit_service(schema, _join("R0"), "V0")}
 
     result = one_shot(lambda: compose_cq_nr(goal, components))
-    assert not result.exists
+    assert result.is_no
     benchmark.extra_info["views"] = 1
 
 
@@ -97,6 +99,6 @@ def test_t2_6_redundant_views_pruned(benchmark):
         iterations=1,
         warmup_rounds=0,
     )
-    assert result.exists
+    assert result.is_yes
     # Only the matching view survives minimization.
-    assert set(result.mediator.components) == {"V0"}
+    assert set(result.witness.components) == {"V0"}

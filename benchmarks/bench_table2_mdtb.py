@@ -9,6 +9,7 @@ it) and compares nonrecursive against recursive goals.
 
 import pytest
 
+from repro.analysis.stats import stats_delta
 from repro.mediator.bounded import compose_mdtb_pl
 from repro.workloads.pl_services import HASH, union_word_service, word_service
 from repro.workloads.scaling import pl_counter_sws
@@ -23,6 +24,13 @@ def _components():
     }
 
 
+def _counted(*args, **kwargs):
+    """One synthesis and the ``mediator_candidates`` it tried."""
+    with stats_delta() as work:
+        answer = compose_mdtb_pl(*args, **kwargs)
+    return answer, work["mediator_candidates"]
+
+
 @pytest.mark.parametrize("bound", [1, 2, 3])
 def test_t2_13_invocation_bound_sweep(benchmark, bound, one_shot):
     """Candidate space grows exponentially with the invocation bound."""
@@ -32,12 +40,12 @@ def test_t2_13_invocation_bound_sweep(benchmark, bound, one_shot):
         [[s for pair in sessions for s in pair]], ALPHA, "fixed"
     )
 
-    result = one_shot(
-        lambda: compose_mdtb_pl(goal, components, invocation_bound=bound)
+    result, candidates = one_shot(
+        lambda: _counted(goal, components, invocation_bound=bound)
     )
     benchmark.extra_info["invocation_bound"] = bound
-    benchmark.extra_info["candidates"] = result.candidates_tried
-    assert result.exists  # a#b# is reachable at every tested bound
+    benchmark.extra_info["candidates"] = candidates
+    assert result.is_yes  # a#b# is reachable at every tested bound
 
 
 @pytest.mark.parametrize("sessions", [2, 3])
@@ -49,12 +57,12 @@ def test_t2_14_nonrecursive_components(benchmark, sessions, one_shot):
         chain.extend([ALPHA[i % 2], HASH])
     goal = union_word_service([chain], ALPHA, "chain")
 
-    result = one_shot(
-        lambda: compose_mdtb_pl(goal, components, invocation_bound=sessions)
+    result, candidates = one_shot(
+        lambda: _counted(goal, components, invocation_bound=sessions)
     )
-    assert result.exists
+    assert result.is_yes
     benchmark.extra_info["sessions"] = sessions
-    benchmark.extra_info["candidates"] = result.candidates_tried
+    benchmark.extra_info["candidates"] = candidates
 
 
 def test_t2_13_recursive_goal(benchmark):
@@ -67,7 +75,7 @@ def test_t2_13_recursive_goal(benchmark):
         iterations=1,
         warmup_rounds=0,
     )
-    assert not result.exists
+    assert result.is_no
 
 
 def test_t2_13_negative_exhausts_candidates(benchmark):
@@ -75,11 +83,11 @@ def test_t2_13_negative_exhausts_candidates(benchmark):
     components = _components()
     goal = union_word_service([["a", "b", HASH]], ALPHA, "fused")
 
-    result = benchmark.pedantic(
-        lambda: compose_mdtb_pl(goal, components, invocation_bound=2),
+    result, candidates = benchmark.pedantic(
+        lambda: _counted(goal, components, invocation_bound=2),
         rounds=2,
         iterations=1,
         warmup_rounds=0,
     )
-    assert not result.exists
-    benchmark.extra_info["candidates"] = result.candidates_tried
+    assert result.is_no
+    benchmark.extra_info["candidates"] = candidates

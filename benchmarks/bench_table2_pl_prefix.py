@@ -42,7 +42,7 @@ def test_t2_7_prefix_horizon_sweep(benchmark, sessions, one_shot):
     result = one_shot(
         lambda: compose_pl_prefix(goal, components, max_chain_length=sessions)
     )
-    assert result.exists
+    assert result.is_yes
     benchmark.extra_info["sessions"] = sessions
     benchmark.extra_info["k"] = kprefix_bound(goal, components)
 
@@ -59,7 +59,7 @@ def test_t2_7_branching_goals(benchmark, branches, one_shot):
             goal, components, max_chain_length=1, max_branches=branches
         )
     )
-    assert result.exists
+    assert result.is_yes
     benchmark.extra_info["branches"] = branches
 
 
@@ -79,4 +79,4 @@ def test_t2_8_non_prefix_goal_rejected(benchmark):
         iterations=1,
         warmup_rounds=0,
     )
-    assert not result.exists
+    assert result.is_no

@@ -38,9 +38,9 @@ def test_t2_10_components_sweep(benchmark, k, one_shot):
     goal = union_word_service(goal_words, LETTERS[:k], "menu")
 
     result = one_shot(lambda: compose_pl_regular(goal, components))
-    assert result.exists
+    assert result.is_yes
     benchmark.extra_info["components"] = k
-    benchmark.extra_info["mediator_states"] = len(result.mediator.states)
+    benchmark.extra_info["mediator_states"] = len(result.witness.states)
 
 
 @pytest.mark.parametrize("sessions", [1, 2, 3])
@@ -53,7 +53,7 @@ def test_t2_12_dfa_goal_chain(benchmark, sessions, one_shot):
     goal = union_word_service([chain], LETTERS[:2], "chain")
 
     result = one_shot(lambda: compose_pl_regular(goal, components))
-    assert result.exists
+    assert result.is_yes
     benchmark.extra_info["sessions"] = sessions
 
 
@@ -68,7 +68,7 @@ def test_t2_11_nfa_goal_menu(benchmark, branches, one_shot):
 
     result = one_shot(lambda: compose_pl_regular(goal, components))
     benchmark.extra_info["branches"] = branches
-    benchmark.extra_info["exists"] = result.exists
+    benchmark.extra_info["verdict"] = result.verdict.value
 
 
 def test_t2_10_negative_case(benchmark):
@@ -77,8 +77,8 @@ def test_t2_10_negative_case(benchmark):
     goal = union_word_service([["a", "b", HASH]], LETTERS[:2], "fused")
 
     result = benchmark(lambda: compose_pl_regular(goal, components))
-    assert not result.exists
-    assert result.witness is not None
+    assert result.is_no
+    assert result.witness  # the uncovered goal word
 
 
 def test_t2_10_recursive_component(benchmark, one_shot):
@@ -107,5 +107,5 @@ def test_t2_10_recursive_component(benchmark, one_shot):
         "B": word_service(["b", HASH], alpha, "B"),
     }
     result = one_shot(lambda: compose_pl_regular(goal, components))
-    assert result.exists
+    assert result.is_yes
     benchmark.extra_info["component_recursive"] = True

@@ -36,7 +36,7 @@ def test_t2_1_bounded_fo_equivalence(benchmark, max_rows, one_shot):
             max_domain=1,
             max_rows=max_rows,
             max_session_length=1,
-            budget=3000,
+            max_runs=3000,
         )
     )
     # Reflexive comparison: never NO; bounded search reports UNKNOWN.
@@ -56,7 +56,7 @@ def test_t2_1_fo_difference_detected(benchmark):
             max_domain=1,
             max_rows=1,
             max_session_length=1,
-            budget=200000,
+            max_runs=200_000,
         ),
         rounds=1,
         iterations=1,

@@ -61,8 +61,8 @@ def regular_composition() -> None:
         [["a", HASH, "b", HASH], ["a", HASH, "c", HASH]], alpha, "package"
     )
     result = compose_pl_regular(goal, components)
-    print(f"  mediator exists: {result.exists} ({result.detail})")
-    mediator = result.mediator
+    print(f"  mediator exists: {result.verdict.value} ({result.detail})")
+    mediator = result.witness
     print(f"  mediator has {len(mediator.states)} states over "
           f"{len(mediator.components)} components")
     for word in (["a", HASH, "b", HASH], ["a", HASH, "c", HASH], ["b", HASH, "a", HASH]):
@@ -71,7 +71,8 @@ def regular_composition() -> None:
 
     impossible = union_word_service([["a", "b", HASH]], alpha, "impossible")
     failure = compose_pl_regular(impossible, components)
-    print(f"  impossible goal rejected: exists={failure.exists}")
+    print(f"  impossible goal rejected: {failure.verdict.value}; no "
+          f"substitution covers its {len(failure.witness)}-message word")
 
 
 def _emit_service(emit: UnionQuery, name: str) -> SWS:
@@ -106,15 +107,16 @@ def cq_composition() -> None:
         "ViaS": _emit_service(join_s, "ViaS"),
     }
     result = compose_cq_nr(goal, components)
-    print(f"  mediator exists: {result.exists} ({result.detail})")
-    print(f"  rewriting: {result.rewriting}")
+    print(f"  mediator exists: {result.verdict.value} ({result.detail})")
+    mediator = result.witness
+    print(f"  rewriting (root synthesis): {mediator.synthesis[mediator.start].query}")
     generator = InstanceGenerator(seed=8, domain_size=3)
     agreements = 0
     for _ in range(5):
         database = generator.database(goal.db_schema, 4)
         inputs = generator.input_sequence(goal.input_schema, 2, 2)
         via_goal = run_relational(goal, database, inputs).output.rows
-        via_mediator = run_mediator(result.mediator, database, inputs).output.rows
+        via_mediator = run_mediator(mediator, database, inputs).output.rows
         agreements += via_goal == via_mediator
     print(f"  goal == mediator on {agreements}/5 random instances")
 

@@ -74,7 +74,7 @@ def cq_analyses() -> None:
 def fo_analyses() -> None:
     print("\n=== SWS_nr(FO, FO): undecidable — bounded, three-valued ===")
     service = travel.travel_service()
-    blind = nonempty_fo_bounded(service, budget=2000, max_session_length=1)
+    blind = nonempty_fo_bounded(service, max_runs=2000, max_session_length=1)
     print(f"  travel τ1 non-empty, blind search: {blind.verdict.value} "
           f"({blind.detail})")
     hinted = nonempty_fo_bounded(

@@ -68,10 +68,12 @@ for header in "where the time went" "how much work was done" \
     grep -q "== ${header} ==" <<< "${EXPLAIN_OUT}"
 done
 
-echo "== guard smoke (fault injection + guard map CLI) =="
+echo "== guard smoke (fault injection on Table 1 and Table 2 + guard map CLI) =="
 python - <<'PY'
 from repro.analysis import nonempty_pl
 from repro.guard.inject import injected
+from repro.mediator import compose_mdtb_pl
+from repro.workloads.pl_services import HASH, union_word_service, word_service
 from repro.workloads.scaling import pl_counter_sws
 
 sws = pl_counter_sws(4)
@@ -79,6 +81,18 @@ assert nonempty_pl(sws).is_yes
 with injected("afa.search_witness", limit="deadline") as plan:
     answer = nonempty_pl(sws)
 assert plan.fired, "injection never reached the search checkpoint"
+assert answer.is_unknown, answer
+assert answer.trip.limit == "deadline"
+
+components = {
+    "X": word_service(["a", HASH], ["a", "b"], "X"),
+    "Y": word_service(["b", HASH], ["a", "b"], "Y"),
+}
+goal = union_word_service([["a", HASH, "b", HASH]], ["a", "b"])
+assert compose_mdtb_pl(goal, components, invocation_bound=1).is_yes
+with injected("compose_mdtb_pl", limit="deadline") as plan:
+    answer = compose_mdtb_pl(goal, components, invocation_bound=1)
+assert plan.fired, "injection never reached the composition checkpoint"
 assert answer.is_unknown, answer
 assert answer.trip.limit == "deadline"
 PY

@@ -101,7 +101,7 @@ def contained(tau1: SWS, tau2: SWS, **kwargs) -> Answer:
     """Class-dispatching containment analysis.
 
     ``guard=`` (a :class:`repro.guard.Guard`, :class:`~repro.guard.Budget`
-    or legacy ``int`` step budget) is forwarded to every branch.
+    or ``int`` step budget) is forwarded to every branch.
     """
     guard = kwargs.pop("guard", None)
     if tau1.kind is not tau2.kind:

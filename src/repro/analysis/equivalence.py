@@ -22,18 +22,14 @@ With a cost model, equivalence lets a cheaper service replace a dearer one.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any
-
 from repro.analysis.verdict import Answer
 from repro.core.classes import SWSClass, classify, require_class
-from repro.guard import checkpoint, ensure_guard, guarded, register_span
+from repro.guard import checkpoint, guarded, register_span
 from repro.obs import traced
 from repro.core.pl_semantics import joint_variables, to_afa
 from repro.core.run import run_relational
 from repro.core.sws import SWS, SWSKind
 from repro.core.unfold import expand, saturation_length
-from repro.data.input_sequence import InputSequence
 from repro.errors import AnalysisError
 
 
@@ -128,51 +124,44 @@ def equivalent_fo_bounded(
     max_domain: int = 2,
     max_rows: int = 1,
     max_session_length: int = 2,
-    budget=20000,
+    max_runs: int = 20000,
 ) -> Answer:
     """Bounded equivalence for FO services: NO with witness, or UNKNOWN.
 
-    Runs both services over every instance within the bounds and compares
-    outputs; a disagreement is a definitive NO (with the witness instance).
-    ``budget`` caps the search: a legacy ``int`` counts runs, a
-    :class:`repro.guard.Budget`/:class:`~repro.guard.Guard` adds deadline
-    and memory ceilings.
+    Runs both services over the instances within the size bounds, at
+    most ``max_runs`` of them, and compares outputs; a disagreement is a
+    definitive NO (with the witness instance).  Resource limits come
+    through ``guard=``.
     """
-    from repro.analysis.nonemptiness import _small_databases
+    from repro.analysis.nonemptiness import bounded_instances, bounded_search
 
     _check_comparable(tau1, tau2)
     if tau1.kind is not SWSKind.RELATIONAL:
         raise AnalysisError("equivalent_fo_bounded expects relational services")
-    assert tau1.input_schema is not None
     domain = list(range(max_domain)) + sorted(
         tau1.query_constants() | tau2.query_constants(), key=repr
     )
-    arity = tau1.input_schema.arity
-    message_pool = list(itertools.product(domain, repeat=arity))
-    runs = 0
-    with ensure_guard(budget).activate():
-        for database in _small_databases(tau1, domain, max_rows):
-            for n in range(0, max_session_length + 1):
-                for combo in itertools.product(
-                    [()] + [(m,) for m in message_pool], repeat=n
-                ):
-                    inputs = InputSequence(
-                        tau1.input_schema, [list(c) for c in combo]
-                    )
-                    runs += 1
-                    checkpoint("equivalent_fo_bounded", depth=n)
-                    out1 = run_relational(tau1, database, inputs).output.rows
-                    out2 = run_relational(tau2, database, inputs).output.rows
-                    if out1 != out2:
-                        return Answer.no(witness=(database, inputs))
-    return Answer.unknown(detail=f"no disagreement within bounds ({runs} runs)")
+    answer = bounded_search(
+        "equivalent_fo_bounded",
+        bounded_instances(tau1, domain, max_rows, max_session_length),
+        max_runs,
+        lambda database, inputs: (
+            run_relational(tau1, database, inputs).output.rows
+            != run_relational(tau2, database, inputs).output.rows
+        ),
+    )
+    if answer.is_yes:
+        return Answer.no(
+            witness=answer.witness, detail=f"outputs differ, {answer.detail}"
+        )
+    return answer
 
 
 def equivalent(tau1: SWS, tau2: SWS, **kwargs) -> Answer:
     """Class-dispatching equivalence analysis.
 
     ``guard=`` (a :class:`repro.guard.Guard`, :class:`~repro.guard.Budget`
-    or legacy ``int`` step budget) is forwarded to every branch.
+    or ``int`` step budget) is forwarded to every branch.
     """
     guard = kwargs.pop("guard", None)
     _check_comparable(tau1, tau2)

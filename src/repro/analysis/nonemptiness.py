@@ -18,18 +18,20 @@ Procedures per class, matching Theorem 4.1:
   session lengths (sound and complete in the limit; EXPTIME-complete with
   the exponential length bound, so the budget is explicit).
 * ``SWS(FO, FO)`` — :func:`nonempty_fo_bounded`: undecidable; bounded
-  instance search, sound YES / UNKNOWN.
+  instance search, sound YES / UNKNOWN.  Its loop, :func:`bounded_search`
+  over :func:`bounded_instances`, also runs the bounded FO equivalence
+  and validation searches.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.analysis.verdict import Answer, Verdict
+from repro.analysis.verdict import Answer
 from repro.automata.afa import AFA
 from repro.core.classes import SWSClass, classify, is_in_class, require_class
-from repro.guard import checkpoint, ensure_guard, guarded, register_span
+from repro.guard import checkpoint, guarded, register_span
 from repro.obs import traced
 from repro.core.pl_semantics import to_afa
 from repro.core.run import run, run_pl, run_relational
@@ -277,6 +279,52 @@ def _small_databases(sws: SWS, domain: Sequence[Any], max_rows: int):
         yield Database(schema, dict(zip(names, [list(c) for c in combo])))
 
 
+def bounded_instances(
+    sws: SWS, domain: Sequence[Any], max_rows: int, max_session_length: int
+) -> Iterator[tuple[Database, InputSequence]]:
+    """The (D, I) pairs the bounded FO searches run, in a fixed order.
+
+    For every small database (:func:`_small_databases`), every input
+    sequence of length 0..``max_session_length`` whose messages are empty
+    or hold one tuple over ``domain``.
+    """
+    assert sws.input_schema is not None
+    messages = itertools.product(domain, repeat=sws.input_schema.arity)
+    choices = [()] + [(m,) for m in messages]
+    for database in _small_databases(sws, domain, max_rows):
+        for n in range(0, max_session_length + 1):
+            for combo in itertools.product(choices, repeat=n):
+                yield database, InputSequence(
+                    sws.input_schema, [list(c) for c in combo]
+                )
+
+
+def bounded_search(
+    site: str,
+    instances: Iterable[tuple[Database, InputSequence]],
+    max_runs: int,
+    hit: Callable[[Database, InputSequence], bool],
+) -> Answer:
+    """The bounded FO searches' one loop: the first instance ``hit`` accepts.
+
+    Each run is one checkpoint step at ``site``, so a guard's step budget
+    bounds the runs too.  Returns YES with the instance as witness, or
+    UNKNOWN without a trip when the instances run out or ``max_runs``
+    runs (a bound of the question, like the size bounds) are made.
+    """
+    runs = 0
+    for database, inputs in instances:
+        if runs == max_runs:
+            return Answer.unknown(detail=f"run bound reached after {runs} runs")
+        runs += 1
+        checkpoint(site, depth=len(inputs))
+        if hit(database, inputs):
+            return Answer.yes(
+                witness=(database, inputs), detail=f"found after {runs} runs"
+            )
+    return Answer.unknown(detail=f"exhausted bounds after {runs} runs")
+
+
 @traced("nonempty_fo_bounded", kind="analysis")
 @guarded()
 def nonempty_fo_bounded(
@@ -284,48 +332,31 @@ def nonempty_fo_bounded(
     max_domain: int = 2,
     max_rows: int = 1,
     max_session_length: int = 2,
-    budget=20000,
+    max_runs: int = 20000,
     hints: Sequence[tuple[Database, InputSequence]] = (),
 ) -> Answer:
     """Bounded non-emptiness search for SWS(FO, FO) — sound YES / UNKNOWN.
 
-    Exhaustively runs the service over all databases and input sequences
-    within the given size bounds (undecidability rules out completeness;
-    Theorem 4.1(1)).  ``budget`` caps the search — a legacy ``int`` counts
-    runs (one guard step each), and a :class:`repro.guard.Budget` or
-    :class:`~repro.guard.Guard` adds deadline/memory ceilings.  ``hints``
-    are candidate instances tried first: verifying a supplied certificate
-    is decidable even though finding one is not, so a caller who knows a
-    plausible witness gets an exact YES cheaply.
+    Runs the service over the databases and input sequences within the
+    size bounds (:func:`bounded_instances`), at most ``max_runs`` of
+    them; undecidability rules out completeness (Theorem 4.1(1)).
+    Resource limits come through ``guard=``.  ``hints`` are candidate
+    instances tried first: verifying a supplied certificate is decidable
+    even though finding one is not, so a caller who knows a plausible
+    witness gets an exact YES cheaply.
     """
     if sws.kind is not SWSKind.RELATIONAL:
         raise AnalysisError("nonempty_fo_bounded expects a relational SWS")
-    assert sws.input_schema is not None
     for database, inputs in hints:
         if run_relational(sws, database, inputs).output:
             return Answer.yes(witness=(database, inputs), detail="hint verified")
     domain = list(range(max_domain)) + sorted(sws.query_constants(), key=repr)
-    arity = sws.input_schema.arity
-    message_pool = list(itertools.product(domain, repeat=arity))
-    runs = 0
-    with ensure_guard(budget).activate():
-        for database in _small_databases(sws, domain, max_rows):
-            for n in range(0, max_session_length + 1):
-                for combo in itertools.product(
-                    [()] + [(m,) for m in message_pool], repeat=n
-                ):
-                    inputs = InputSequence(
-                        sws.input_schema, [list(c) for c in combo]
-                    )
-                    runs += 1
-                    checkpoint("nonempty_fo_bounded", depth=n)
-                    result = run_relational(sws, database, inputs)
-                    if result.output:
-                        return Answer.yes(
-                            witness=(database, inputs),
-                            detail=f"found after {runs} runs",
-                        )
-    return Answer.unknown(detail=f"exhausted bounds after {runs} runs")
+    return bounded_search(
+        "nonempty_fo_bounded",
+        bounded_instances(sws, domain, max_rows, max_session_length),
+        max_runs,
+        lambda database, inputs: bool(run_relational(sws, database, inputs).output),
+    )
 
 
 # -- dispatch -------------------------------------------------------------------
@@ -335,7 +366,7 @@ def nonempty(sws: SWS, **kwargs) -> Answer:
     """Class-dispatching non-emptiness analysis.
 
     ``guard=`` (a :class:`repro.guard.Guard`, :class:`~repro.guard.Budget`
-    or legacy ``int`` step budget) is forwarded to every branch.
+    or ``int`` step budget) is forwarded to every branch.
     """
     guard = kwargs.pop("guard", None)
     cls = classify(sws)

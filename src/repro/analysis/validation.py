@@ -26,10 +26,10 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, Sequence
 
-from repro.analysis.verdict import Answer, Verdict
+from repro.analysis.verdict import Answer
 from repro.automata.afa import AFA
 from repro.core.classes import SWSClass, classify, require_class
-from repro.guard import checkpoint, ensure_guard, guarded, register_span
+from repro.guard import checkpoint, guarded, register_span
 from repro.obs import traced
 from repro.core.pl_semantics import to_afa
 from repro.core.run import run_relational
@@ -286,7 +286,7 @@ def validate(sws: SWS, output, **kwargs) -> Answer:
 
     ``output`` is a boolean for PL services and an iterable of output rows
     for relational ones.  ``guard=`` (a :class:`repro.guard.Guard`,
-    :class:`~repro.guard.Budget` or legacy ``int`` step budget) is
+    :class:`~repro.guard.Budget` or ``int`` step budget) is
     forwarded to every branch.
     """
     guard = kwargs.pop("guard", None)
@@ -308,19 +308,18 @@ def _validate_bounded(
     max_session_length: int = 3,
     max_domain: int = 2,
     max_rows: int = 1,
-    budget=20000,
+    max_runs: int = 20000,
 ) -> Answer:
     """Bounded validation for undecidable classes: sound YES / UNKNOWN.
 
-    ``budget`` caps the search: a legacy ``int`` counts runs, a
-    :class:`repro.guard.Budget`/:class:`~repro.guard.Guard` adds deadline
-    and memory ceilings.
+    Runs the service over the instances within the size bounds, at most
+    ``max_runs`` of them, looking for one whose output is exactly
+    ``output_rows``.  Resource limits come through ``guard=``.
     """
-    from repro.analysis.nonemptiness import _small_databases
+    from repro.analysis.nonemptiness import bounded_instances, bounded_search
 
     if sws.kind is not SWSKind.RELATIONAL:
         raise AnalysisError("_validate_bounded expects a relational SWS")
-    assert sws.input_schema is not None
     target = frozenset(tuple(r) for r in output_rows)
     domain_values: list[Any] = list(range(max_domain))
     domain_values.extend(
@@ -329,23 +328,14 @@ def _validate_bounded(
             key=repr,
         )
     )
-    arity = sws.input_schema.arity
-    message_pool = list(itertools.product(domain_values, repeat=arity))
-    runs = 0
-    with ensure_guard(budget).activate():
-        for database in _small_databases(sws, domain_values, max_rows):
-            for n in range(0, max_session_length + 1):
-                for combo in itertools.product(
-                    [()] + [(m,) for m in message_pool], repeat=n
-                ):
-                    inputs = InputSequence(
-                        sws.input_schema, [list(c) for c in combo]
-                    )
-                    runs += 1
-                    checkpoint("validate_fo_bounded", depth=n)
-                    if run_relational(sws, database, inputs).output.rows == target:
-                        return Answer.yes(witness=(database, inputs))
-    return Answer.unknown(detail=f"exhausted bounds after {runs} runs")
+    return bounded_search(
+        "validate_fo_bounded",
+        bounded_instances(sws, domain_values, max_rows, max_session_length),
+        max_runs,
+        lambda database, inputs: (
+            run_relational(sws, database, inputs).output.rows == target
+        ),
+    )
 
 
 register_span(

@@ -7,8 +7,7 @@ external cancellation — and degrade to a sound ``Verdict.UNKNOWN``
 instead of hanging or crashing.  This module provides the machinery:
 
 * :class:`Budget` — one declarative limit configuration shared by every
-  procedure (replacing the old scattered per-procedure ``budget=``
-  integers, which remain accepted as aliases).
+  procedure; ``guard=`` is the only way a resource limit reaches one.
 * :class:`Guard` — a running governor enforcing a :class:`Budget` plus a
   :class:`CancelToken` through a cooperative :meth:`Guard.checkpoint`.
   Wall-clock and RSS checks are counter-sampled (every
@@ -23,8 +22,9 @@ instead of hanging or crashing.  This module provides the machinery:
   guard covers an entire call tree without threading a parameter
   through every helper.
 * :func:`guarded` — the procedure-boundary decorator: converts a
-  :class:`GuardTrip` escaping the procedure into the procedure's
-  UNKNOWN-shaped result, carrying the partial-progress :class:`Trip`.
+  :class:`GuardTrip` escaping the procedure into an UNKNOWN
+  :class:`~repro.analysis.verdict.Answer` carrying the partial-progress
+  :class:`Trip`.
 
 This module is import-light on purpose (stdlib + :mod:`repro.errors`),
 so the lowest layers (``automata``, ``logic.sat``) can checkpoint
@@ -367,8 +367,8 @@ class Guard:
 def ensure_guard(spec: "Guard | Budget | int | None") -> Guard:
     """Coerce a limit spec into a :class:`Guard`.
 
-    Accepts a ready guard, a :class:`Budget`, a bare ``int`` (the legacy
-    per-procedure step-budget kwarg), or ``None`` (unlimited).
+    Accepts a ready guard, a :class:`Budget`, a bare ``int`` (a step
+    budget), or ``None`` (unlimited).
     """
     if isinstance(spec, Guard):
         return spec
@@ -492,30 +492,20 @@ def checkpoint_callable(site: str) -> Callable[..., None]:
 # -- the procedure boundary -------------------------------------------------------
 
 
-def _unknown_answer(error: GuardTrip) -> Any:
-    from repro.analysis.verdict import Answer
-
-    return Answer.unknown(detail=error.trip.describe(), trip=error.trip)
-
-
-def guarded(
-    on_trip: Callable[[GuardTrip], Any] | None = None,
-) -> Callable[[Callable], Callable]:
+def guarded() -> Callable[[Callable], Callable]:
     """Decorator marking a procedure as a guard *boundary*.
 
     The wrapped procedure gains a keyword-only ``guard=`` parameter
-    (a :class:`Guard`, a :class:`Budget`, or a legacy ``int`` step
-    budget) activated for the call's extent; a :class:`GuardTrip`
-    escaping the body — from an explicit guard, an ambient one, a
-    procedure-local legacy budget, or fault injection — is converted by
-    ``on_trip`` into the procedure's UNKNOWN-shaped result instead of
-    propagating.  Default conversion builds
-    ``Answer(Verdict.UNKNOWN)`` carrying the trip's partial progress.
+    (a :class:`Guard`, a :class:`Budget`, or an ``int`` step budget)
+    activated for the call's extent; a :class:`GuardTrip` escaping the
+    body — from an explicit guard, an ambient one, or fault injection —
+    becomes ``Answer.unknown`` carrying the trip's partial progress, so
+    every guarded procedure returns an
+    :class:`~repro.analysis.verdict.Answer`.
 
     Stack *under* :func:`repro.obs.traced` so the span records the
     converted ``verdict=unknown`` result.
     """
-    handler = on_trip if on_trip is not None else _unknown_answer
 
     def decorate(fn: Callable) -> Callable:
         @wraps(fn)
@@ -526,7 +516,11 @@ def guarded(
                 with ensure_guard(guard).activate():
                     return fn(*args, **kwargs)
             except GuardTrip as error:
-                return handler(error)
+                from repro.analysis.verdict import Answer
+
+                return Answer.unknown(
+                    detail=error.trip.describe(), trip=error.trip
+                )
 
         return wrapper
 

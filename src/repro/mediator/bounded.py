@@ -22,11 +22,10 @@ equality with the goal, via :func:`repro.mediator.synthesis.boolean_language_com
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro._stats import STATS
-from repro.analysis.verdict import Verdict
+from repro.analysis.verdict import Answer
 from repro.automata.nfa import NFA
 from repro.core.classes import SWSClass, require_class
 from repro.core.pl_semantics import joint_variables
@@ -39,32 +38,6 @@ from repro.mediator.synthesis import (
     boolean_language_combination,
     sws_language_nfa,
 )
-
-
-@dataclass
-class MDTbResult:
-    """Outcome of a bounded-mediator synthesis.
-
-    ``verdict`` is three-valued: YES/NO mirror ``exists`` for completed
-    runs; UNKNOWN marks a synthesis cut short by a resource guard, in
-    which case ``exists`` is False but non-existence was *not* decided.
-    """
-
-    exists: bool
-    mediator: Mediator | None = None
-    candidates_tried: int = 0
-    detail: str = ""
-    verdict: Verdict | None = None
-
-    def __post_init__(self) -> None:
-        if self.verdict is None:
-            self.verdict = Verdict.YES if self.exists else Verdict.NO
-
-
-def _mdtb_trip(error) -> MDTbResult:
-    return MDTbResult(
-        exists=False, verdict=Verdict.UNKNOWN, detail=error.trip.describe()
-    )
 
 
 def _synthesis_pool(k: int, max_size: int) -> list[pl.Formula]:
@@ -152,21 +125,23 @@ def _build_mediator(
 
 
 @traced("compose_mdtb_pl", kind="mediator")
-@guarded(on_trip=_mdtb_trip)
+@guarded()
 def compose_mdtb_pl(
     goal: SWS,
     components: Mapping[str, SWS],
     invocation_bound: int = 2,
     max_synthesis_size: int = 2,
     max_branches: int = 2,
-) -> MDTbResult:
+) -> Answer:
     """Composition synthesis for MDT_b(PL) mediators (Theorem 5.3(3)).
 
     Decides, over the bounded candidate space, whether a mediator
     equivalent to the goal exists; equivalence is regular-language
     equality of session languages (see the module docstring — exact for
     session-shaped components, and applicable to recursive goals and
-    components alike, matching the theorem's EXPSPACE case).
+    components alike, matching the theorem's EXPSPACE case).  A YES
+    carries the mediator as its witness; each candidate tried counts one
+    ``STATS.mediator_candidates``.
     """
     require_class(goal, SWSClass.PL_PL, "compose_mdtb_pl")
     for component in components.values():
@@ -190,30 +165,21 @@ def compose_mdtb_pl(
             chain_language[chain] = nfa.concat(sigma_star)
         return chain_language[chain]
 
-    tried = 0
     names = sorted(components)
     for chains in _candidates(names, invocation_bound, max_branches):
         branch_nfas = [language_of(chain) for chain in chains]
         for root_formula in _synthesis_pool(len(chains), max_synthesis_size):
-            tried += 1
             checkpoint("compose_mdtb_pl")
             STATS.mediator_candidates += 1
             combined = boolean_language_combination(
                 branch_nfas, root_formula, alphabet
             )
             if combined.equivalent_to(goal_dfa):
-                mediator = _build_mediator(chains, root_formula, components)
-                return MDTbResult(
-                    exists=True,
-                    mediator=mediator,
-                    candidates_tried=tried,
+                return Answer.yes(
+                    witness=_build_mediator(chains, root_formula, components),
                     detail=f"chains {chains}, ψ_root = {root_formula}",
                 )
-    return MDTbResult(
-        exists=False,
-        candidates_tried=tried,
-        detail="no bounded mediator matches the goal",
-    )
+    return Answer.no(detail="no bounded mediator matches the goal")
 
 
 def _sigma_star(alphabet: Iterable) -> NFA:

@@ -25,10 +25,9 @@ is exactly such a depth-one mediator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from repro.analysis.verdict import Verdict
+from repro.analysis.verdict import Answer
 from repro.core.classes import SWSClass, require_class
 from repro.core.sws import MSG, SWS, SynthesisRule
 from repro.core.unfold import expand, saturation_length
@@ -52,31 +51,6 @@ def component_view(name: str, component: SWS, session_length: int) -> View:
     expansion = expand(component, session_length)
     return View(
         UnionQuery(expansion.disjuncts, arity=expansion.arity, name=name)
-    )
-
-
-@dataclass
-class CQCompositionResult:
-    """Outcome of a CQ/UCQ composition synthesis.
-
-    ``verdict`` is three-valued: YES/NO mirror ``exists`` for completed
-    runs; UNKNOWN marks a synthesis cut short by a resource guard.
-    """
-
-    exists: bool
-    mediator: Mediator | None = None
-    rewriting: UnionQuery | None = None
-    detail: str = ""
-    verdict: Verdict | None = None
-
-    def __post_init__(self) -> None:
-        if self.verdict is None:
-            self.verdict = Verdict.YES if self.exists else Verdict.NO
-
-
-def _cq_trip(error) -> CQCompositionResult:
-    return CQCompositionResult(
-        exists=False, verdict=Verdict.UNKNOWN, detail=error.trip.describe()
     )
 
 
@@ -172,15 +146,14 @@ def verify_cq_mediator(
 
 
 @traced("compose_cq_nr", kind="mediator")
-@guarded(on_trip=_cq_trip)
-def compose_cq_nr(
-    goal: SWS, components: Mapping[str, SWS]
-) -> CQCompositionResult:
+@guarded()
+def compose_cq_nr(goal: SWS, components: Mapping[str, SWS]) -> Answer:
     """Composition synthesis for all-nonrecursive CQ/UCQ services.
 
     Implements the Theorem 5.1(3) reduction (see module docstring).  A
-    returned mediator is verified at the query level for every session
-    length; ``exists=False`` means no *depth-one* mediator exists over the
+    YES carries the synthesized mediator as its witness (its root
+    synthesis is the rewriting), verified at the query level for every
+    session length; a NO means no *depth-one* mediator exists over the
     canonical candidate space — complete for comparison-free services
     (classical rewriting completeness), candidate-based under ≠.
     """
@@ -200,20 +173,13 @@ def compose_cq_nr(
         views.append(component_view(name, component, horizon))
     rewriting = equivalent_rewriting(goal_q, views)
     if rewriting is None:
-        return CQCompositionResult(
-            exists=False, detail="no equivalent rewriting over the views"
-        )
+        return Answer.no(detail="no equivalent rewriting over the views")
     if not verify_cq_mediator(goal, rewriting, components, horizon):
-        return CQCompositionResult(
-            exists=False,
-            rewriting=rewriting,
-            detail="rewriting found but fails session-length verification",
+        return Answer.no(
+            detail="rewriting found but fails session-length verification"
         )
-    mediator = mediator_from_ucq_rewriting(rewriting, components)
-    return CQCompositionResult(
-        exists=True,
-        mediator=mediator,
-        rewriting=rewriting,
+    return Answer.yes(
+        witness=mediator_from_ucq_rewriting(rewriting, components),
         detail=f"verified up to session length {horizon}",
     )
 

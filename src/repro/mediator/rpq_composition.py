@@ -28,12 +28,11 @@ over the same views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.analysis.verdict import Verdict
+from repro.analysis.verdict import Answer
 from repro.automata.nfa import NFA
-from repro.automata.regular_rewriting import RewritingResult, rewrite
+from repro.automata.regular_rewriting import rewrite
 from repro.automata.rpq import GraphDatabase, Label, RPQ, inverse, is_inverse
 from repro.errors import AnalysisError
 from repro.guard import guarded
@@ -60,43 +59,17 @@ def chain_view(name: str, word: Sequence[Label]) -> ConjunctiveQuery:
     return ConjunctiveQuery((variables[0], variables[-1]), atoms, (), name)
 
 
-@dataclass
-class RPQCompositionResult:
-    """Outcome of a UC2RPQ composition synthesis.
-
-    ``verdict`` is three-valued: YES/NO mirror ``exists`` for completed
-    runs; UNKNOWN marks a synthesis cut short by a resource guard.
-    """
-
-    exists: bool
-    mediator_rpq: RPQ | None = None
-    rewriting: RewritingResult | None = None
-    detail: str = ""
-    verdict: Verdict | None = None
-
-    def __post_init__(self) -> None:
-        if self.verdict is None:
-            self.verdict = Verdict.YES if self.exists else Verdict.NO
-
-
-def _rpq_trip(error) -> RPQCompositionResult:
-    return RPQCompositionResult(
-        exists=False, verdict=Verdict.UNKNOWN, detail=error.trip.describe()
-    )
-
-
 @traced("compose_uc2rpq", kind="mediator")
-@guarded(on_trip=_rpq_trip)
-def compose_uc2rpq(
-    goal: RPQ, views: Mapping[str, Sequence[Label]]
-) -> RPQCompositionResult:
+@guarded()
+def compose_uc2rpq(goal: RPQ, views: Mapping[str, Sequence[Label]]) -> Answer:
     """Equivalent rewriting of a goal RPQ over chain views (Corollary 5.2).
 
     ``views`` maps view names to label words.  The goal's path language is
     rewritten over the single-word view languages; an exact rewriting is
-    returned as an RPQ over the view names — the mediator's query, whose
-    evaluation over the views' extensions answers exactly the goal
-    (soundness verified by :func:`evaluate_over_views` in the tests).
+    the YES witness, an RPQ over the view names — the mediator's query,
+    whose evaluation over the views' extensions answers exactly the goal
+    (soundness verified by :func:`evaluate_over_views` in the tests).  A
+    NO carries a goal path the views cannot cover.
     """
     alphabet = set(goal.labels())
     for word in views.values():
@@ -107,15 +80,12 @@ def compose_uc2rpq(
     }
     result = rewrite(goal_nfa, component_nfas, run_to_completion=False)
     if not result.exact:
-        return RPQCompositionResult(
-            exists=False,
-            rewriting=result,
+        return Answer.no(
+            witness=list(result.witness),
             detail="goal path language not expressible over the views",
         )
     mediator = RPQ(_nfa_to_regex(result.maximal), name=f"{goal.name}_over_views")
-    return RPQCompositionResult(
-        exists=True, mediator_rpq=mediator, rewriting=result, detail="exact"
-    )
+    return Answer.yes(witness=mediator, detail="exact")
 
 
 def view_graph(

@@ -24,12 +24,12 @@ MDT(∨) mediator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from repro.analysis.verdict import Verdict
+from repro._stats import STATS
+from repro.analysis.verdict import Answer
 from repro.automata.nfa import NFA
-from repro.automata.regular_rewriting import RewritingResult, rewrite
+from repro.automata.regular_rewriting import rewrite
 from repro.core.classes import SWSClass, require_class
 from repro.core.pl_semantics import joint_variables, to_afa
 from repro.core.sws import MSG, SWS, SynthesisRule
@@ -190,45 +190,15 @@ def mediator_language_equivalent(
     return goal_core.equivalent_to(mediator_core.prefix_free_restriction())
 
 
-@dataclass
-class PLCompositionResult:
-    """Outcome of a PL composition synthesis.
-
-    ``mediator`` is the synthesized mediator when one exists;
-    ``rewriting`` carries the language-level evidence (for the regular
-    route); ``witness`` is a distinguishing word when synthesis failed.
-    ``verdict`` is three-valued: YES/NO mirror ``exists`` for completed
-    runs; UNKNOWN marks a synthesis cut short by a resource guard.
-    """
-
-    exists: bool
-    mediator: Mediator | None = None
-    rewriting: RewritingResult | None = None
-    witness: list | None = None
-    detail: str = ""
-    verdict: Verdict | None = None
-
-    def __post_init__(self) -> None:
-        if self.verdict is None:
-            self.verdict = Verdict.YES if self.exists else Verdict.NO
-
-
-def _pl_trip(error) -> PLCompositionResult:
-    return PLCompositionResult(
-        exists=False, verdict=Verdict.UNKNOWN, detail=error.trip.describe()
-    )
-
-
 @traced("compose_pl_regular", kind="mediator")
-@guarded(on_trip=_pl_trip)
-def compose_pl_regular(
-    goal: SWS, components: Mapping[str, SWS]
-) -> PLCompositionResult:
+@guarded()
+def compose_pl_regular(goal: SWS, components: Mapping[str, SWS]) -> Answer:
     """MDT(∨) composition via regular-language rewriting (Theorem 5.3(1,2)).
 
     Decides whether the goal's language is an exact substitution of the
-    components' prefix-free cores; on success builds the MDT(∨) mediator
-    whose transition graph is the maximal rewriting automaton.  The
+    components' prefix-free cores; a YES carries the MDT(∨) mediator
+    whose transition graph is the maximal rewriting automaton, a NO the
+    shortest goal word no substitution covers.  The
     language-level test is exact; the mediator's run-level equivalence
     additionally relies on the goal being prefix-determined (e.g. services
     with in-band session delimiters, as the Section 3 translations
@@ -247,15 +217,13 @@ def compose_pl_regular(
     }
     result = rewrite(goal_nfa, component_nfas, run_to_completion=True)
     if not result.exact:
-        return PLCompositionResult(
-            exists=False,
-            rewriting=result,
-            witness=list(result.witness or ()),
+        return Answer.no(
+            witness=list(result.witness),
             detail="goal word not covered by any substitution",
         )
-    mediator = mediator_from_rewriting_nfa(result.maximal, components)
-    return PLCompositionResult(
-        exists=True, mediator=mediator, rewriting=result, detail="exact rewriting"
+    return Answer.yes(
+        witness=mediator_from_rewriting_nfa(result.maximal, components),
+        detail="exact rewriting",
     )
 
 
@@ -438,22 +406,22 @@ def _enumerate_union_mediators(
 
 
 @traced("compose_pl_prefix", kind="mediator")
-@guarded(on_trip=_pl_trip)
+@guarded()
 def compose_pl_prefix(
     goal: SWS,
     components: Mapping[str, SWS],
     max_chain_length: int = 2,
     max_branches: int = 2,
-) -> PLCompositionResult:
+) -> Answer:
     """Composition for k-prefix recognizable goals (Theorem 5.1(4,5)).
 
     Enumerates mediators of bounded shape (unions of invocation chains, the
-    normal form the k-prefix argument licenses) and checks exact
-    equivalence on all words up to the k-prefix bound.  Requires
+    normal form the k-prefix argument licenses), counting each in
+    ``STATS.mediator_candidates``, and checks exact equivalence on all
+    words up to the k-prefix bound; a YES carries the mediator.  Requires
     nonrecursive components; the goal may be recursive provided its
     language is k-prefix recognizable — if it is not, no mediator can match
-    it and the procedure correctly reports non-existence (with a witness
-    only when the discrepancy shows up within the tested horizon).
+    it and the procedure correctly reports non-existence.
     """
     require_class(goal, SWSClass.PL_PL, "compose_pl_prefix")
     variables = sorted(joint_variables(goal, *components.values()))
@@ -461,16 +429,15 @@ def compose_pl_prefix(
         components, max_branches, max_chain_length
     ):
         checkpoint("compose_pl_prefix")
+        STATS.mediator_candidates += 1
         if mediator_language_equivalent(mediator, goal, variables):
-            return PLCompositionResult(
-                exists=True,
-                mediator=mediator,
+            return Answer.yes(
+                witness=mediator,
                 detail=f"chains ≤ {max_chain_length}, branches ≤ {max_branches}",
             )
-    return PLCompositionResult(
-        exists=False,
+    return Answer.no(
         detail=f"no mediator within shape bounds (chains ≤ {max_chain_length}, "
-        f"branches ≤ {max_branches})",
+        f"branches ≤ {max_branches})"
     )
 
 

@@ -361,25 +361,12 @@ def _subject_attrs(args: tuple) -> dict[str, Any]:
 
 def _note_result(sp: Span, result: Any) -> None:
     """Record a compact result summary as span attributes."""
-    noted = False
     verdict = getattr(result, "verdict", None)
-    if verdict is not None and hasattr(verdict, "value"):
+    if hasattr(verdict, "value"):
         sp.set(verdict=verdict.value)
-        noted = True
-    trip = getattr(result, "trip", None)
-    if getattr(trip, "limit", None) is not None:
-        sp.set(tripped=trip.limit)
-        noted = True
-    exists = getattr(result, "exists", None)
-    if isinstance(exists, bool):
-        sp.set(exists=exists)
-        tried = getattr(result, "candidates_tried", None)
-        if isinstance(tried, int):
-            sp.set(candidates_tried=tried)
-        noted = True
-    if noted:
-        return
-    if result is None or isinstance(result, (bool, int, float, str)):
+        if getattr(result, "trip", None) is not None:
+            sp.set(tripped=result.trip.limit)
+    elif result is None or isinstance(result, (bool, int, float, str)):
         sp.set(result=result)
 
 

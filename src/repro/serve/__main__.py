@@ -174,8 +174,6 @@ def _result_record(job: JobSpec, handle: Any, result: Any) -> dict[str, Any]:
     }
     if hasattr(result, "as_dict"):
         record.update(result.as_dict())
-    elif hasattr(result, "verdict"):
-        record["verdict"] = getattr(result.verdict, "value", str(result.verdict))
     else:
         record["result"] = repr(result)
     return record

@@ -1,10 +1,8 @@
 """Content-addressed answer cache for the serving layer.
 
 Keys are job fingerprints (:mod:`repro.serve.fingerprint`); values are
-the results the registered procedures return — usually
-:class:`~repro.analysis.verdict.Answer`, but the composition results
-(``PLCompositionResult``, ``MDTbResult``) cache the same way since they
-carry a ``verdict`` too.
+the :class:`~repro.analysis.verdict.Answer` objects the registered
+procedures return.
 
 Semantics:
 

@@ -7,9 +7,13 @@ JSONL job files survive refactors of import paths), and enumerable (so
 the CLI can list what the service answers).
 
 Every registered procedure is one of the library's ``@guarded()``
-entry points and therefore accepts a ``guard=`` keyword — the scheduler
-uses it to attach the per-job :class:`~repro.guard.Budget` and
-cancellation token.
+entry points: it returns an :class:`~repro.analysis.verdict.Answer`
+(a tripped run's UNKNOWN carries its :class:`~repro.guard.Trip`, which
+retry and the dead-letter queue read) and accepts a ``guard=`` keyword —
+the scheduler uses it to attach the per-job
+:class:`~repro.guard.Budget` and cancellation token.  Search bounds that
+belong to the question (``max_session_length``, ``max_runs``, ...) are
+ordinary keyword arguments, so they enter the job fingerprint.
 
 ``register_procedure`` lets tests and downstream users extend the
 registry (e.g. with slow stubs for scheduler tests); names registered

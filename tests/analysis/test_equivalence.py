@@ -128,7 +128,7 @@ class TestFO:
     def test_travel_vs_itself_no_disagreement(self):
         t1 = travel_service()
         answer = equivalent_fo_bounded(
-            t1, t1, max_domain=1, max_rows=1, max_session_length=1, budget=500
+            t1, t1, max_domain=1, max_rows=1, max_session_length=1, max_runs=500
         )
         assert not answer.is_no
 
@@ -141,10 +141,10 @@ class TestFO:
             max_domain=1,
             max_rows=1,
             max_session_length=1,
-            budget=100000,
+            max_runs=100_000,
         )
         # The bounded search may or may not find the disagreement within
-        # budget, but it must never claim YES.
+        # its run bound, but it must never claim YES.
         assert not answer.is_yes
 
 

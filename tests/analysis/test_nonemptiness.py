@@ -15,6 +15,7 @@ from repro.analysis.nonemptiness import (
 from repro.core.run import run_pl, run_relational
 from repro.core.sws import SWS, SWSKind, SynthesisRule, TransitionRule
 from repro.errors import AnalysisError
+from repro.guard import Budget
 from repro.logic import pl
 from repro.workloads.random_sws import random_cq_sws, random_pl_sws
 from repro.workloads.scaling import cq_chain_sws, cq_diamond_sws, pl_counter_sws
@@ -124,7 +125,7 @@ class TestFO:
     def test_hint_verification(self):
         t1 = travel_service()
         answer = nonempty_fo_bounded(
-            t1, hints=[(sample_database(), booking_request())], budget=10
+            t1, hints=[(sample_database(), booking_request())], max_runs=10
         )
         assert answer.is_yes
         assert answer.detail == "hint verified"
@@ -143,10 +144,17 @@ class TestFO:
         assert answer.is_yes
 
     def test_budget_respected(self):
+        # The run bound belongs to the question: UNKNOWN without a trip.
         t1 = travel_service()
-        answer = nonempty_fo_bounded(t1, budget=5, max_session_length=1)
-        assert answer.is_unknown
-        assert "budget" in answer.detail
+        answer = nonempty_fo_bounded(t1, max_runs=5, max_session_length=1)
+        assert answer.is_unknown and answer.trip is None
+        assert "run bound reached after 5 runs" in answer.detail
+        # A guard's step budget counts one step per run and trips.
+        tripped = nonempty_fo_bounded(
+            t1, max_session_length=1, guard=Budget(step_budget=5)
+        )
+        assert tripped.is_unknown and tripped.trip.limit == "steps"
+        assert "budget" in tripped.detail
 
 
 class TestDispatch:

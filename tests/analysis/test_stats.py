@@ -47,7 +47,7 @@ class TestStatsCounters:
     def test_bounded_fo_runs_are_counted(self):
         # The bounded procedures call the relational engine directly.
         with stats_delta() as work:
-            nonempty_fo_bounded(travel_service(), budget=50)
+            nonempty_fo_bounded(travel_service(), max_runs=50)
         assert work["runs_executed"] > 0
 
     def test_intern_and_compile_cache_lookups_are_counted(self):

@@ -2,9 +2,10 @@
 
 The acceptance criterion of the robustness work: for every registered
 checkpoint site, forcing a step/deadline/memory/cancellation trip at its
-first checkpoint makes the enclosing procedure return an UNKNOWN-shaped
-result — no crash, no hang.  Raising-only sites instead raise a
-:class:`~repro.errors.BudgetExceededError` with ``budget`` populated.
+first checkpoint makes the enclosing procedure return an UNKNOWN answer
+carrying that trip — no crash, no hang.  Raising-only sites instead
+raise a :class:`~repro.errors.BudgetExceededError` with ``budget``
+populated.
 
 The EXERCISERS table is asserted complete against the registry, so a new
 checkpoint site cannot land without matrix coverage.
@@ -156,7 +157,7 @@ EXERCISERS = {
         max_domain=1,
         max_rows=1,
         max_session_length=1,
-        budget=500,
+        max_runs=500,
     ),
     "nonempty_pl_nr_sat": lambda: nonempty_pl_nr_sat(
         word_service(["a", HASH], ALPHA, "X")
@@ -164,7 +165,7 @@ EXERCISERS = {
     "nonempty_cq_nr": lambda: nonempty_cq_nr(cq_diamond_sws(1)),
     "nonempty_cq": lambda: nonempty_cq(cq_chain_sws(0), max_session_length=2),
     "nonempty_fo_bounded": lambda: nonempty_fo_bounded(
-        travel_service(), budget=500, max_session_length=1
+        travel_service(), max_runs=500, max_session_length=1
     ),
     "validate_pl_nr_sat": lambda: validate_pl_nr_sat(
         word_service(["a", HASH], ALPHA, "X"), True
@@ -173,7 +174,7 @@ EXERCISERS = {
         cq_diamond_sws(1), [("0", "0")], merge_budget=4
     ),
     "validate_fo_bounded": lambda: validate(
-        travel_service(), [], budget=200, max_session_length=1
+        travel_service(), [], max_runs=200, max_session_length=1
     ),
 }
 
@@ -238,7 +239,10 @@ def test_injected_exhaustion_yields_unknown(span, limit):
         result = EXERCISERS[span]()
     assert plan.fired, f"exerciser never reached a {span} checkpoint"
     assert result.verdict is Verdict.UNKNOWN
-    assert span in getattr(result, "detail", "")
+    assert span in result.detail
+    assert result.trip is not None
+    assert result.trip.limit == limit
+    assert result.trip.injected
 
 
 @pytest.mark.parametrize("span", sorted(EXERCISERS))

@@ -133,7 +133,7 @@ class TestValidationDispatch:
 
         chain = cq_chain_sws(0)
         answer = validate(
-            chain, [], max_session_length=1, max_domain=1, max_rows=0, budget=50
+            chain, [], max_session_length=1, max_domain=1, max_rows=0, max_runs=50
         )
         # The empty output is produced by the empty instance.
         assert answer.is_yes
@@ -149,7 +149,7 @@ class TestValidationDispatch:
             max_session_length=1,
             max_domain=1,
             max_rows=0,
-            budget=5,
+            max_runs=5,
         )
         assert not answer.is_yes
 

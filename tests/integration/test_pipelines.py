@@ -105,12 +105,12 @@ class TestPLCompositionPipeline:
             [["a", HASH, "b", HASH], ["a", HASH, "c", HASH]], alpha, "goal"
         )
         result = compose_pl_regular(goal, components)
-        assert result.exists
+        assert result.is_yes
         variables = sorted(joint_variables(goal, *components.values()))
         # Exhaustive run-level verification over short words: mediator runs
         # involve real component executions, not language abstractions.
         ok, witness = mediator_equivalent_to_sws_pl(
-            result.mediator, goal, 4, variables
+            result.witness, goal, 4, variables
         )
         assert ok, witness
 
@@ -158,12 +158,12 @@ class TestCQCompositionPipeline:
             "VS": emit_service(join_s, "VS"),
         }
         result = compose_cq_nr(goal, components)
-        assert result.exists
+        assert result.is_yes
         gen = InstanceGenerator(seed=2, domain_size=3)
         for _ in range(4):
             db = gen.database(goal.db_schema, 4)
             inputs = gen.input_sequence(goal.input_schema, 2, 2)
             assert (
-                run_mediator(result.mediator, db, inputs).output.rows
+                run_mediator(result.witness, db, inputs).output.rows
                 == run_relational(goal, db, inputs).output.rows
             )

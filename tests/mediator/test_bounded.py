@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis.stats import stats_delta
 from repro.mediator.bounded import compose_mdtb_pl
+from repro.mediator.mediator import Mediator
 from repro.workloads.pl_services import HASH, union_word_service, word_service
 
 ALPHA = ["a", "b"]
@@ -20,13 +22,13 @@ class TestSynthesis:
     def test_chain_goal(self, components):
         goal = union_word_service([["a", HASH, "b", HASH]], ALPHA)
         result = compose_mdtb_pl(goal, components, invocation_bound=1)
-        assert result.exists
-        assert result.mediator is not None
+        assert result.is_yes
+        assert isinstance(result.witness, Mediator)
 
     def test_disjunctive_goal(self, components):
         goal = union_word_service([["a", HASH], ["b", HASH]], ALPHA)
         result = compose_mdtb_pl(goal, components, invocation_bound=1)
-        assert result.exists
+        assert result.is_yes
 
     def test_conjunction_needs_synthesis_pool(self, components):
         # L(X·sessions) AND-combined is not a word language; the or-goal
@@ -35,13 +37,14 @@ class TestSynthesis:
             [["a", HASH, "a", HASH], ["b", HASH]], ALPHA
         )
         result = compose_mdtb_pl(goal, components, invocation_bound=2)
-        assert result.exists
+        assert result.is_yes
 
     def test_absence_reported(self, components):
         goal = union_word_service([["a", "b", HASH]], ALPHA)
-        result = compose_mdtb_pl(goal, components, invocation_bound=2)
-        assert not result.exists
-        assert result.candidates_tried > 0
+        with stats_delta() as work:
+            result = compose_mdtb_pl(goal, components, invocation_bound=2)
+        assert result.is_no
+        assert work["mediator_candidates"] > 0
 
     def test_invocation_bound_limits_search(self, components):
         goal = union_word_service(
@@ -49,8 +52,8 @@ class TestSynthesis:
         )
         tight = compose_mdtb_pl(goal, components, invocation_bound=1)
         loose = compose_mdtb_pl(goal, components, invocation_bound=3)
-        assert not tight.exists  # needs X three times
-        assert loose.exists
+        assert tight.is_no  # needs X three times
+        assert loose.is_yes
 
     def test_recursive_goal_supported(self, components):
         # The language-level check handles recursive goals (EXPSPACE case):
@@ -59,4 +62,4 @@ class TestSynthesis:
 
         goal = pl_counter_sws(1)
         result = compose_mdtb_pl(goal, components, invocation_bound=1)
-        assert not result.exists
+        assert result.is_no

@@ -64,25 +64,25 @@ class TestCompose:
     def test_union_goal(self, components):
         goal = _emit_service(_join_emit("R").union(_join_emit("S")), "goal")
         result = compose_cq_nr(goal, components)
-        assert result.exists
+        assert result.is_yes
         gen = InstanceGenerator(seed=3, domain_size=3)
         for _ in range(5):
             db = gen.database(goal.db_schema, 4)
             inputs = gen.input_sequence(goal.input_schema, 2, 2)
             a = run_relational(goal, db, inputs).output.rows
-            b = run_mediator(result.mediator, db, inputs).output.rows
+            b = run_mediator(result.witness, db, inputs).output.rows
             assert a == b
 
     def test_single_component_identity(self, components):
         goal = _emit_service(_join_emit("R"), "goal")
         result = compose_cq_nr(goal, {"VR": components["VR"]})
-        assert result.exists
-        assert len(result.mediator.components) == 1
+        assert result.is_yes
+        assert len(result.witness.components) == 1
 
     def test_missing_capability(self, components):
         goal = _emit_service(_join_emit("R"), "goal")
         result = compose_cq_nr(goal, {"VS": components["VS"]})
-        assert not result.exists
+        assert result.is_no
 
     def test_schema_mismatch_rejected(self, components):
         from repro.data.schema import DatabaseSchema, RelationSchema

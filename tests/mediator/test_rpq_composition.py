@@ -51,43 +51,44 @@ class TestCompose:
         goal = RPQ(parse_regex("(a b)* a"), "goal")
         views = {"P": ["a", "b"], "Q": ["a"]}
         result = compose_uc2rpq(goal, views)
-        assert result.exists
+        assert result.is_yes
         for seed in range(4):
             graph = _random_graph(seed)
             assert goal.evaluate(graph) == evaluate_over_views(
-                result.mediator_rpq, graph, views
+                result.witness, graph, views
             )
 
     def test_union_goal(self):
         goal = RPQ(parse_regex("a a | b"), "goal")
         views = {"AA": ["a", "a"], "B": ["b"]}
         result = compose_uc2rpq(goal, views)
-        assert result.exists
+        assert result.is_yes
         graph = _random_graph(7)
         assert goal.evaluate(graph) == evaluate_over_views(
-            result.mediator_rpq, graph, views
+            result.witness, graph, views
         )
 
     def test_inverse_labels(self):
         goal = RPQ(parse_regex("a b^"), "goal")
         views = {"V": ["a", "b^"]}
         result = compose_uc2rpq(goal, views)
-        assert result.exists
+        assert result.is_yes
         graph = GraphDatabase({"a": {(1, 2), (5, 2)}, "b": {(3, 2), (4, 2)}})
         assert goal.evaluate(graph) == evaluate_over_views(
-            result.mediator_rpq, graph, views
+            result.witness, graph, views
         )
 
     def test_impossible(self):
         goal = RPQ(parse_regex("a"), "goal")
         result = compose_uc2rpq(goal, {"P": ["a", "b"]})
-        assert not result.exists
+        assert result.is_no
+        assert result.witness == ["a"]  # the goal path no view covers
 
     def test_partial_cover_insufficient(self):
         # a+ cannot be built from pairs only (odd lengths missing).
         goal = RPQ(parse_regex("a+"), "goal")
         result = compose_uc2rpq(goal, {"AA": ["a", "a"]})
-        assert not result.exists
+        assert result.is_no
         # Adding the single step fixes it.
         result2 = compose_uc2rpq(goal, {"AA": ["a", "a"], "A": ["a"]})
-        assert result2.exists
+        assert result2.is_yes

@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.analysis.stats import stats_delta
+from repro.automata.regular_rewriting import rewrite
 from repro.core.pl_semantics import joint_variables
 from repro.mediator.mediator import mediator_equivalent_to_sws_pl, run_mediator_pl
 from repro.mediator.synthesis import (
     compose_pl_prefix,
     compose_pl_regular,
     kprefix_bound,
+    mediator_from_rewriting_nfa,
+    sws_language_nfa,
 )
 from repro.workloads.pl_services import HASH, encode_letters, union_word_service, word_service
 
@@ -41,10 +45,10 @@ class TestRegularComposition:
     def test_sequential_goal(self, components):
         goal = union_word_service([["a", HASH, "b", HASH]], ALPHA, "seq")
         result = compose_pl_regular(goal, components)
-        assert result.exists
+        assert result.is_yes
         variables = sorted(joint_variables(goal, *components.values()))
         ok, witness = mediator_equivalent_to_sws_pl(
-            result.mediator, goal, 4, variables
+            result.witness, goal, 4, variables
         )
         assert ok, witness
 
@@ -53,8 +57,8 @@ class TestRegularComposition:
             [["a", HASH, "b", HASH], ["b", HASH, "a", HASH]], ALPHA, "choice"
         )
         result = compose_pl_regular(goal, components)
-        assert result.exists
-        mediator = result.mediator
+        assert result.is_yes
+        mediator = result.witness
         assert run_mediator_pl(
             mediator, encode_letters(["a", HASH, "b", HASH])
         ).output
@@ -70,31 +74,40 @@ class TestRegularComposition:
         # stitched from single-letter sessions.
         goal = union_word_service([["a", "b", HASH]], ALPHA, "nope")
         result = compose_pl_regular(goal, components)
-        assert not result.exists
-        assert result.witness is not None  # the uncoverable goal word
+        assert result.is_no
+        assert result.witness  # the uncoverable goal word
 
     def test_repeated_component(self, components):
         goal = union_word_service([["a", HASH, "a", HASH]], ALPHA, "twice")
         result = compose_pl_regular(goal, components)
-        assert result.exists
+        assert result.is_yes
         assert run_mediator_pl(
-            result.mediator, encode_letters(["a", HASH, "a", HASH])
+            result.witness, encode_letters(["a", HASH, "a", HASH])
         ).output
 
     def test_rewriting_evidence_attached(self, components):
+        # The rewriting an answer rests on is the public rewrite(...) of
+        # the session cores; a YES's mediator is built from it.
         goal = union_word_service([["a", HASH]], ALPHA)
         result = compose_pl_regular(goal, components)
-        assert result.rewriting is not None
-        assert result.rewriting.exact == result.exists
+        variables = joint_variables(goal, *components.values())
+        rewriting = rewrite(
+            sws_language_nfa(goal, variables).prefix_free_restriction(),
+            {n: sws_language_nfa(c, variables) for n, c in components.items()},
+            run_to_completion=True,
+        )
+        assert rewriting.exact == result.is_yes
+        mediator = mediator_from_rewriting_nfa(rewriting.maximal, components)
+        assert mediator.states == result.witness.states
 
 
 class TestPrefixComposition:
     def test_finds_chain(self, components):
         goal = union_word_service([["a", HASH, "b", HASH]], ALPHA)
         result = compose_pl_prefix(goal, components, max_chain_length=2)
-        assert result.exists
+        assert result.is_yes
         variables = sorted(joint_variables(goal, *components.values()))
-        ok, _ = mediator_equivalent_to_sws_pl(result.mediator, goal, 4, variables)
+        ok, _ = mediator_equivalent_to_sws_pl(result.witness, goal, 4, variables)
         assert ok
 
     def test_finds_union(self, components):
@@ -102,12 +115,21 @@ class TestPrefixComposition:
         result = compose_pl_prefix(
             goal, components, max_chain_length=1, max_branches=2
         )
-        assert result.exists
+        assert result.is_yes
+
+    def test_counts_mediator_candidates(self, components):
+        goal = union_word_service([["a", HASH], ["b", HASH]], ALPHA)
+        with stats_delta() as work:
+            result = compose_pl_prefix(
+                goal, components, max_chain_length=1, max_branches=2
+            )
+        assert result.is_yes
+        assert work["mediator_candidates"] > 0
 
     def test_reports_absence(self, components):
         goal = union_word_service([["a", "a", HASH]], ALPHA)
         result = compose_pl_prefix(goal, components, max_chain_length=2)
-        assert not result.exists
+        assert result.is_no
 
 
 class TestRecursiveComponents:
@@ -161,13 +183,13 @@ class TestRecursiveComponents:
             "B": word_service(["b", HASH], ALPHA, "B"),
         }
         result = compose_pl_regular(goal, components)
-        assert result.exists
+        assert result.is_yes
         # The mediator chains the recursive component and then B.
-        assert set(result.mediator.components) == {"Astar", "B"}
+        assert set(result.witness.components) == {"Astar", "B"}
 
     def test_recursive_component_insufficient_alone(self):
         goal = self._plus_then_b_goal()
         from repro.workloads.pl_services import star_word_service
 
         result = compose_pl_regular(goal, {"Astar": star_word_service("a", ALPHA)})
-        assert not result.exists
+        assert result.is_no

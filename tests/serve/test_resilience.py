@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import threading
 import time
@@ -11,6 +12,7 @@ import pytest
 from repro.analysis.verdict import Answer
 from repro.guard import Budget, checkpoint, guarded
 from repro.guard._governor import Trip
+from repro.mediator.mediator import Mediator
 from repro.serve import (
     CANCELLED_DETAIL,
     REJECTED_DETAIL,
@@ -22,7 +24,10 @@ from repro.serve import (
     SolverService,
     register_procedure,
 )
+from repro.serve.__main__ import main
 from repro.serve.store import Store
+from repro.workloads.pl_services import HASH, union_word_service, word_service
+from repro.workloads.travel import travel_service
 
 
 @guarded()
@@ -200,6 +205,105 @@ def test_cancellation_during_retry_backoff_resolves_promptly():
     elapsed = time.perf_counter() - t0
     assert answer.is_unknown and answer.detail == CANCELLED_DETAIL
     assert elapsed < 1.5, f"cancellation waited out the backoff ({elapsed:.2f}s)"
+
+
+# -- composition and bounded FO jobs ------------------------------------------
+
+
+def _mdtb_job():
+    """The chain goal of tests/mediator/test_bounded.py: YES in ~230 steps."""
+    alpha = ["a", "b"]
+    components = {
+        "X": word_service(["a", HASH], alpha, "X"),
+        "Y": word_service(["b", HASH], alpha, "Y"),
+    }
+    goal = union_word_service([["a", HASH, "b", HASH]], alpha)
+    return goal, components
+
+
+def test_tripped_composition_job_is_retried():
+    service = SolverService(retry_policy=_fast_policy(budget_multiplier=1000.0))
+    handle = service.submit(
+        "compose_mdtb_pl",
+        *_mdtb_job(),
+        invocation_bound=1,
+        budget=Budget(step_budget=1),
+    )
+    answer = handle.result()
+    assert handle.attempts >= 2
+    assert service.jobs_retried >= 1
+    assert not handle.dead_lettered
+    assert answer.is_yes and isinstance(answer.witness, Mediator)
+
+
+def test_composition_job_that_keeps_tripping_is_dead_lettered():
+    policy = _fast_policy(max_attempts=2, step_ceiling=1)
+    service = SolverService(retry_policy=policy)
+    handle = service.submit(
+        "compose_mdtb_pl",
+        *_mdtb_job(),
+        invocation_bound=1,
+        budget=Budget(step_budget=1),
+    )
+    answer = handle.result()
+    assert handle.dead_lettered and service.jobs_dead_lettered == 1
+    (record,) = service.dlq.records()
+    assert record.procedure == "compose_mdtb_pl"
+    assert [t["limit"] for t in record.trips] == ["steps", "steps"]
+    assert answer.is_unknown and answer.trip.limit == "steps"
+
+
+def test_bounded_fo_run_bound_is_a_kwarg_beside_the_job_budget():
+    service = SolverService(retry_policy=_fast_policy())
+    handle = service.submit(
+        "nonempty_fo_bounded",
+        travel_service(),
+        max_runs=50,
+        budget=Budget(step_budget=10**7),
+    )
+    answer = handle.result()
+    # The run bound belongs to the question: no trip, so no retry.
+    assert answer.is_unknown and answer.trip is None
+    assert "run bound reached after 50 runs" in answer.detail
+    assert handle.attempts == 1 and service.jobs_retried == 0
+
+
+def test_bounded_fo_job_budget_escalates_up_to_the_run_bound():
+    # One guard step per run: 10 and 40 steps trip, 160 reach the bound.
+    service = SolverService(retry_policy=_fast_policy())
+    handle = service.submit(
+        "nonempty_fo_bounded",
+        travel_service(),
+        max_runs=50,
+        budget=Budget(step_budget=10),
+    )
+    answer = handle.result()
+    assert answer.is_unknown and answer.trip is None
+    assert handle.attempts == 3 and service.jobs_retried == 2
+    assert not handle.dead_lettered
+
+
+def test_serve_run_passes_max_runs_through_job_kwargs(tmp_path):
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text(
+        json.dumps(
+            {
+                "procedure": "nonempty_fo_bounded",
+                "instances": [
+                    {"factory": "repro.workloads.travel:travel_service"}
+                ],
+                "kwargs": {"max_runs": 50},
+                "budget": {"step_budget": 10**7},
+                "label": "travel-50",
+            }
+        )
+        + "\n"
+    )
+    out = tmp_path / "results.jsonl"
+    assert main(["run", str(jobs), "--out", str(out)]) == 0
+    record, _summary = [json.loads(line) for line in out.read_text().splitlines()]
+    assert record["verdict"] == "unknown"
+    assert "run bound reached after 50 runs" in record["detail"]
 
 
 # -- AdmissionControl ---------------------------------------------------------

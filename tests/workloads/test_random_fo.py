@@ -50,11 +50,11 @@ class TestGenerator:
 class TestAnalysisDispatch:
     def test_nonempty_routes_to_bounded(self):
         sws = random_fo_sws(0, n_states=3, recursive=False)
-        answer = nonempty(sws, max_domain=2, max_rows=1, max_session_length=1, budget=300)
+        answer = nonempty(sws, max_domain=2, max_rows=1, max_session_length=1, max_runs=300)
         # Sound either way; just must not crash and must be three-valued.
         assert answer.verdict is not None
 
     def test_equivalent_routes_to_bounded(self):
         sws = random_fo_sws(1, n_states=3, recursive=False)
-        answer = equivalent(sws, sws, budget=200)
+        answer = equivalent(sws, sws, max_runs=200)
         assert not answer.is_no
