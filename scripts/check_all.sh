@@ -292,6 +292,37 @@ python -m repro.delta replay \
 # is derived from the previous version's (none is diffed in full).
 python -m repro.delta replay --trace repro.workloads.editing:menu_editing_trace --arg 8 --arg 4 --arg '"abcd"' --arg 1500 --require-warm 1400 > "${WORK}/delta/long.out"
 tail -n 1 "${WORK}/delta/long.out" | grep -q "; edits: 1500 derived, 0 diffed$"
+# An edited version holds the rules patched since its root, not a copy
+# of every rule: 1,000 held versions of a 513-state menu retain at most
+# 3 KB each (a copied transition map alone is ~13 KB).
+python - <<'PY'
+import gc
+import random
+import tracemalloc
+
+from repro.core.sws import MSG, TransitionRule
+from repro.logic import pl
+from repro.workloads.editing import menu_words
+from repro.workloads.pl_services import exactly, union_word_service
+
+menu = union_word_service(menu_words(128), "abcd")
+assert len(menu.states) == 513
+editable = [s for s in menu.states if s != menu.start and not menu.transitions[s].is_final]
+guards = [(pl.Var(MSG) & exactly(letter, "abcd")).simplify() for letter in "abcd"]
+rng = random.Random(0)
+gc.collect()
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+versions = [menu]
+for _ in range(1000):
+    state = rng.choice(editable)
+    target, _guard = versions[-1].transitions[state].targets[0]
+    versions.append(versions[-1].replace(state, rule=TransitionRule([(target, rng.choice(guards))])))
+gc.collect()
+per_version = (tracemalloc.get_traced_memory()[0] - before) / 1000
+tracemalloc.stop()
+assert per_version <= 3 * 1024, f"{per_version:.0f} B retained per edited version"
+PY
 python -m repro.delta diff \
     --trace repro.workloads.editing:growing_trace --json \
     | grep -q '"alphabet_changed": true'

@@ -26,13 +26,16 @@ automaton is built, validated and compiled per class.
 (:class:`_CompiledAFA`): states map to bit positions, valuation vectors are
 int bitsets, and one representative per class of symbols with identical
 rows is explored — the class map, with any representatives whose rows
-still coincide merged.  Code is generated only when it is about to run:
-the witness search and the sweep BFS (each with every class row inlined)
-on their first call, and a class's stand-alone row closure
-(:func:`repro.logic.pl.compile_row`) on its first single-step use.
-Generated code lives on its engine and dies with its automaton.  An
-automaton patched against a root automaton (:class:`_PatchedRows`) gets
-the root's engine with its dirty rows patched in.  Public
+still coincide merged.  Each class row is analysed once, on first use,
+into a :class:`repro.logic.pl.RowPlan`.  Code is generated only when it
+is about to run: the witness search and the sweep BFS (each with every
+class's plan inlined) on their first call.  Single-step users
+(``pre_step``, witness replay, the delta re-check) read a class's
+:func:`repro.logic.pl.row_function`, which evaluates the plan's literal
+moves directly and compiles only its compound entries.  Generated code
+lives on its engine and dies with its automaton.  An automaton patched
+against a root automaton (:class:`_PatchedRows`) gets the root's engine
+with its dirty rows patched in.  Public
 results (vectors, witnesses) are unchanged; the :func:`ast_fallback`
 context restores the interpreted AST path for cross-validation and
 before/after benchmarks.
@@ -132,16 +135,15 @@ def _reconstruct(parents: Mapping, node, symbols: Sequence[Symbol]) -> tuple:
     return tuple(word)
 
 
-def _class_exprs(gen: "pl._MaskCodegen", keys: Sequence[tuple]) -> list[str]:
+def _class_exprs(gen: "pl._MaskCodegen", plans: Sequence["pl.RowPlan"]) -> list[str]:
     """One fused mask→mask expression per transition-row class.
 
-    ``keys`` are row tuples (one formula per state bit); the expressions
-    share hoisted temps through the common ``gen``, so subformulas shared
-    across classes evaluate once per BFS iteration.
+    The expressions share hoisted temps through the common ``gen``, so
+    subformulas shared across classes evaluate once per BFS iteration.
     """
-    for key in keys:
-        gen.count_row(enumerate(key))
-    return [gen.row(enumerate(key)) for key in keys]
+    for plan in plans:
+        gen.count_row(plan.compound)
+    return [gen.row(plan) for plan in plans]
 
 
 def _exec_source(name: str, lines: list[str]) -> Callable:
@@ -192,7 +194,7 @@ def _compile_searchers(engine: "_CompiledAFA", name: str) -> Callable:
     only, so it dies with its automaton.
     """
     gen = pl._MaskCodegen(engine.index)
-    exprs = _class_exprs(gen, [engine.row_keys[rep] for rep in engine.reps])
+    exprs = _class_exprs(gen, [engine.plans[rep] for rep in engine.reps])
     witness = name == "_search"
     lines = _bfs_head(_SEARCHER_SIGNATURES[name], "v")
     lines += ["    " + line for line in gen.lines]
@@ -262,20 +264,20 @@ def _compile_diff_search(
     """
     seen: set[tuple] = set()
     reps: list[Symbol] = []
-    keys_mine: list[tuple] = []
-    keys_theirs: list[tuple] = []
+    plans_mine: list[pl.RowPlan] = []
+    plans_theirs: list[pl.RowPlan] = []
     for symbol in sorted(mine.alphabet, key=symbol_sort_key):
         key = (mine.rep_of[symbol], theirs.rep_of[symbol])
         if key in seen:
             continue
         seen.add(key)
         reps.append(symbol)
-        keys_mine.append(mine.row_keys[key[0]])
-        keys_theirs.append(theirs.row_keys[key[1]])
+        plans_mine.append(mine.plans[key[0]])
+        plans_theirs.append(theirs.plans[key[1]])
     gen_a = pl._MaskCodegen(mine.index, arg="v", prefix="a")
     gen_b = pl._MaskCodegen(theirs.index, arg="w", prefix="b")
-    exprs_a = _class_exprs(gen_a, keys_mine)
-    exprs_b = _class_exprs(gen_b, keys_theirs)
+    exprs_a = _class_exprs(gen_a, plans_mine)
+    exprs_b = _class_exprs(gen_b, plans_theirs)
     lines = _bfs_head("_dsearch(start, ia, ib, ckpt)", "pair") + [
         "        v, w = pair",
         "        if ia(v) != ib(w):",
@@ -295,11 +297,12 @@ def _compile_diff_search(
 
 
 class _LazyRows(dict):
-    """Per-class row closures (or row keys), each built on its first lookup.
+    """Per-class row keys, plans or functions, each built on its first lookup.
 
-    The generated searchers inline every row, so only single-step users
-    (``pre_step``, :func:`patch_engine`, the delta re-check) read these —
-    and a witness replay reads just the classes its word visits.
+    The generated searchers inline every class's plan, so only
+    single-step users (``pre_step``, :func:`patch_engine`, the delta
+    re-check) read the row functions — and a witness replay reads just
+    the classes its word visits.
     """
 
     __slots__ = ("_make",)
@@ -313,12 +316,12 @@ class _LazyRows(dict):
         return row
 
 
-def _compile_key_row(key: tuple, index: Mapping[State, int]) -> Callable[[int], int]:
-    """The ``mask -> mask`` closure of one row key (one formula per bit)."""
-    return pl.compile_row(
-        ((1 << i, formula) for i, formula in enumerate(key) if formula is not pl.FALSE),
-        index,
-    )
+def _row_plans(row_keys: Mapping[Symbol, tuple], index: Mapping[State, int]) -> _LazyRows:
+    """Each class's :class:`repro.logic.pl.RowPlan`, analysed from its row key on first use.
+
+    Closes over the dicts, not an engine: no engine reference cycle.
+    """
+    return _LazyRows(lambda rep: pl.RowPlan(enumerate(row_keys[rep]), index))
 
 
 class _CompiledAFA:
@@ -326,8 +329,10 @@ class _CompiledAFA:
 
     Built once per automaton and cached on it; holds the state→bit
     mapping, the symbol quotient (``rep_of``: the automaton's class map,
-    with representatives whose rows coincide merged), and the per-class
-    transition rows, compiled lazily.  A root automaton's engine is
+    with representatives whose rows coincide merged), and per class the
+    transition row's key, its plan and its single-step function, the
+    last two built on first use.  The generated searchers and the
+    single-step rows read the same plans.  A root automaton's engine is
     compiled from scratch; a patched automaton's is its root's engine
     with the dirty rows patched in (:func:`patch_engine`).
     """
@@ -339,6 +344,7 @@ class _CompiledAFA:
         "initial_fn",
         "alphabet",
         "row_keys",
+        "plans",
         "rep_of",
         "reps",
         "rows",
@@ -358,8 +364,9 @@ class _CompiledAFA:
             rows[rep][self.index[state]] = formula
         self._quotient(afa, rows)
         # Closes over the dicts, not ``self``: no engine reference cycle.
-        row_keys, index = self.row_keys, self.index
-        self.rows = _LazyRows(lambda rep: _compile_key_row(row_keys[rep], index))
+        index = self.index
+        plans = self.plans = _row_plans(self.row_keys, index)
+        self.rows = _LazyRows(lambda rep: pl.row_function(plans[rep], index))
         STATS.afa_compilations += 1
 
     def _layout(self, afa: "AFA", order: tuple[State, ...], index: dict[State, int]) -> None:
@@ -494,11 +501,14 @@ def patch_engine(root: _CompiledAFA, afa: "AFA") -> _CompiledAFA:
 
     Each transition-row bit depends only on its own state's formula, so a
     patched row is ``(root_row(v) & clean) | patch(v)``, where ``patch``
-    compiles the formulas of the states dirtied since the root: one level
-    however many edits came before, and no engine but the root's and the
-    newest stays alive.  Both parts compile lazily, so a replay compiles
-    only the classes its witness visits, and the root's rows are compiled
-    once for all its patches.
+    is the :func:`repro.logic.pl.row_function` of the plan of the
+    formulas of the states dirtied since the root: one level however
+    many edits came before, and no engine but the root's and the newest
+    stays alive.  Both parts are built lazily, so a replay builds only
+    the classes its witness visits, and the root's rows (and the plans a
+    searcher of the root was generated from) are built once for all its
+    patches.  The patched engine's own plans, which only a searcher
+    generated for it reads, come from its full patched row keys.
 
     The engine shares the root engine's state order and class quotient.
     That is sound because a patched automaton keeps its root's states and
@@ -528,10 +538,7 @@ def patch_engine(root: _CompiledAFA, afa: "AFA") -> _CompiledAFA:
         return tuple(key)
 
     def make_row(rep: Symbol) -> Callable[[int], int]:
-        patch_row = pl.compile_row(
-            ((1 << i, formula) for i, formula in patch(rep) if formula is not pl.FALSE),
-            index,
-        )
+        patch_row = pl.row_function(pl.RowPlan(patch(rep), index), index)
         root_row = root_rows[rep]
         return lambda v: (root_row(v) & clean) | patch_row(v)
 
@@ -539,6 +546,7 @@ def patch_engine(root: _CompiledAFA, afa: "AFA") -> _CompiledAFA:
     engine._layout(afa, root.order, index)
     engine.reps, engine.rep_of = root.reps, root.rep_of
     engine.row_keys = _LazyRows(make_key)
+    engine.plans = _row_plans(engine.row_keys, index)
     engine.rows = _LazyRows(make_row)
     # Counted as `_quotient` counts, so per-job class counts stay exact.
     STATS.alphabet_symbols += len(engine.alphabet)

@@ -39,7 +39,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from repro.data.schema import DatabaseSchema, RelationSchema
 from repro.errors import SWSDefinitionError
@@ -99,13 +99,68 @@ class SynthesisRule:
     query: Query
 
 
+class _PatchedRules(Mapping):
+    """The transition rules of an edited version: a root dict plus the rules replaced since it.
+
+    ``root`` is a plain dict, the transitions of the last version built by
+    ``SWS(...)`` or re-rooted; ``rules`` holds the rules :meth:`SWS.replace`
+    swapped in since, which win over the root's.  Every replaced state is
+    a root state, so the mapping iterates in the root's order, as the
+    plain dict of a build would.  ``work`` sums the sizes of the patches
+    copied since the root; once that exceeds one copy of the root, the
+    next edit copies into a plain dict, the next root — the rule of
+    :class:`repro.automata.afa._PatchedRows`.  The mapping refers to rules
+    only, never to a service, and is read-only.
+    """
+
+    __slots__ = ("root", "rules", "work")
+
+    def __init__(self, root: dict, rules: dict, work: int) -> None:
+        self.root = root
+        self.rules = rules
+        self.work = work
+
+    def __getitem__(self, state: str) -> TransitionRule:
+        rules = self.rules
+        return rules[state] if state in rules else self.root[state]
+
+    def __contains__(self, state: object) -> bool:
+        return state in self.root
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.root)
+
+    def __len__(self) -> int:
+        return len(self.root)
+
+    def flat(self) -> dict:
+        """The rules as the plain dict a build would make, in the root's order."""
+        return {**self.root, **self.rules}
+
+
+def _patched(
+    transitions: Mapping[str, TransitionRule], state: str, rule: TransitionRule
+) -> Mapping[str, TransitionRule]:
+    """``transitions`` with ``state``'s rule replaced, copying the patch but not the root."""
+    if isinstance(transitions, _PatchedRules):
+        root, work = transitions.root, transitions.work
+        rules = {**transitions.rules, state: rule}
+    else:
+        root, work, rules = transitions, 0, {state: rule}
+    work += len(rules)
+    if work > len(root):
+        return {**root, **rules}
+    return _PatchedRules(root, rules, work)
+
+
 class SWS:
     """A synthesized Web service (Definition 2.1).
 
     An SWS is immutable: no code assigns into or mutates its
     ``transitions`` or ``synthesis`` map after construction.  Edited
     copies rely on this: :meth:`replace` shares every rule map it leaves
-    alone, and the ``states`` tuple and schemas, with its base.
+    alone, and the ``states`` tuple and schemas, with its base, and
+    patches the transition map it edits (:class:`_PatchedRules`).
     """
 
     def __init__(
@@ -151,7 +206,11 @@ class SWS:
         with the same messages) as a service built with ``SWS(...)``: the
         rules of the other states are the base's, already validated.  The
         copy shares ``states``, the schemas and each rule map it leaves
-        alone with ``self``.  It records a weak reference to ``self`` and
+        alone with ``self``.  A replaced transition rule goes into a
+        read-only patch over the base's transition map
+        (:class:`_PatchedRules`), so an edit copies the rules replaced
+        since the patch's root, not every rule; a replaced synthesis rule
+        gets a copied map.  It records a weak reference to ``self`` and
         the replaced state (:meth:`replaced_states`), which pickles drop.
         """
         edited = None if rule is None and synthesis is None else state
@@ -159,11 +218,11 @@ class SWS:
             raise SWSDefinitionError(f"rules for unknown states: {[edited]}")
         transitions, synthesis_map = self.transitions, self.synthesis
         if rule is not None:
-            transitions = {**transitions, state: rule}
+            transitions = _patched(transitions, state, rule)
         if synthesis is not None:
             synthesis_map = {**synthesis_map, state: synthesis}
         new = object.__new__(SWS)
-        new.__dict__.update(self.__getstate__())
+        new.__dict__.update(self._fields())
         new.transitions = transitions
         new.synthesis = synthesis_map
         if name is not None:
@@ -464,7 +523,8 @@ class SWS:
         self._var_counts = counts
         self._input_variables = frozenset(counts) - {MSG} if names is None else names
 
-    def __getstate__(self) -> dict:
+    def _fields(self) -> dict:
+        """The instance dict less the memos and the edit record."""
         # The memos are rebuilt on demand; leaving them out keeps a
         # service's pickle (a pool job's payload) the same whether or not
         # they were read.  The edit record is a weak reference, meaningful
@@ -472,6 +532,14 @@ class SWS:
         state = self.__dict__.copy()
         for key in ("_input_variables", "_var_counts", "_edited_from"):
             state.pop(key, None)
+        return state
+
+    def __getstate__(self) -> dict:
+        # A patched transition map pickles as the plain dict a build
+        # makes, so an edited copy's pickle is a built service's.
+        state = self._fields()
+        if isinstance(self.transitions, _PatchedRules):
+            state["transitions"] = self.transitions.flat()
         return state
 
     # -- running (delegates to repro.core.run) ------------------------------------------------

@@ -441,17 +441,19 @@ def iff(left: Formula, right: Formula) -> Formula:
 #
 # The AFA hot path evaluates the same transition formulas over millions of
 # valuation vectors.  compile_mask() turns a formula into a closure over an
-# *int bitset* (bit i = variable index[i] is true), and compile_row() fuses
-# a whole transition row — one formula per target bit — into a single
-# mask → mask function.  Shared subformulas are hoisted into locals, so
-# shared nodes (ubiquitous under hash-consing) evaluate exactly once per
-# call, and the generated code runs on int masks and shifts instead of AST
-# recursion over frozensets.
+# *int bitset* (bit i = variable index[i] is true).  A whole transition
+# row — one formula per target bit — is analysed once into a RowPlan: the
+# generated AFA searchers render plans into their loop bodies, and
+# row_function() turns one into a single-step mask → mask function.  In
+# generated code shared subformulas are hoisted into locals, so shared
+# nodes (ubiquitous under hash-consing) evaluate exactly once per call,
+# and the code runs on int masks and shifts instead of AST recursion over
+# frozensets.
 
 #: Compiled evaluators keyed by the interned formula(s) plus the bit
 #: positions of their own variables — the generated code reads nothing
 #: else of the index, so engines with different state sets share entries.
-#: Row keys hold whole rows, so the cache is cleared at its limit.
+#: A key can hold large row formulas, so the cache is cleared at its limit.
 _COMPILE_CACHE: dict[tuple, Callable] = {}
 _COMPILE_CACHE_LIMIT = 256
 
@@ -479,6 +481,51 @@ def _is_literal(node: Formula) -> bool:
     return isinstance(node, Var) or (
         isinstance(node, Not) and isinstance(node.operand, Var)
     )
+
+
+class RowPlan:
+    """One transition row, analysed once for every evaluator of it.
+
+    A row pairs distinct output positions with the formulas that set
+    them; ``index`` maps each variable to its input bit.  The plan keeps
+    three parts:
+
+    * ``constant`` — the bits of the constant-true entries;
+    * ``moves`` — the literal entries, grouped into ``(negated, shift,
+      mask)`` triples: every position ``i`` in ``mask`` copies input bit
+      ``i + shift`` (complemented when ``negated``), so a whole group costs
+      one shift and one mask;
+    * ``compound`` — every other ``(position, formula)`` entry, in row
+      order.
+
+    Constant-false entries set nothing and are dropped.  The groups keep
+    the order of their first entries, the order the searchers render them
+    in.
+    """
+
+    __slots__ = ("constant", "moves", "compound")
+
+    def __init__(
+        self, entries: Iterable[tuple[int, Formula]], index: Mapping[str, int]
+    ) -> None:
+        moves: dict[tuple[bool, int], int] = {}
+        compound: list[tuple[int, Formula]] = []
+        constant = 0
+        for i, formula in entries:
+            if formula is FALSE:
+                continue
+            if formula is TRUE:
+                constant |= 1 << i
+            elif _is_literal(formula):
+                negated = isinstance(formula, Not)
+                var = formula.operand if negated else formula
+                move = (negated, index[var.name] - i)
+                moves[move] = moves.get(move, 0) | 1 << i
+            else:
+                compound.append((i, formula))
+        self.constant = constant
+        self.moves = tuple((negated, shift, mask) for (negated, shift), mask in moves.items())
+        self.compound = tuple(compound)
 
 
 class _MaskCodegen:
@@ -569,43 +616,34 @@ class _MaskCodegen:
         self._names[node] = e
         return e
 
-    def count_row(self, bits: Iterable[tuple[int, Formula]]) -> None:
-        """First pass over a row of ``(output position, formula)`` pairs."""
-        for _, formula in bits:
-            if formula is not FALSE and not _is_literal(formula):
-                self.count_refs(formula)
+    def count_row(self, compound: Iterable[tuple[int, Formula]]) -> None:
+        """First pass over a row's compound ``(output position, formula)`` entries."""
+        for _, formula in compound:
+            self.count_refs(formula)
 
-    def row(self, bits: Iterable[tuple[int, Formula]]) -> str:
-        """One expression setting each output position its formula holds at.
+    def compound_terms(self, compound: Iterable[tuple[int, Formula]]) -> list[str]:
+        """One term per compound entry: its formula's 0/1 value at its position."""
+        terms = []
+        for i, formula in compound:
+            e = self.expr(formula)
+            terms.append(f"({e} << {i})" if i else e)
+        return terms
 
-        A position whose formula is a literal copies (or complements) one
-        input bit; such copies with the same shift distance merge into one
-        ``(v >> d) & M`` term, so a run of bit moves costs a single shift.
-        Constant-true positions fold into one literal mask.
+    def row(self, plan: RowPlan) -> str:
+        """One expression setting each output position its plan entry holds at.
+
+        Compound entries come first, then one ``(v >> d) & M`` term per
+        literal move (a run of bit moves costs a single shift), then the
+        constant-true bits as one literal mask.
         """
-        moves: dict[tuple[bool, int], int] = {}
-        terms: list[str] = []
-        constant = 0
-        for i, formula in bits:
-            if formula is FALSE:
-                continue
-            if formula is TRUE:
-                constant |= 1 << i
-            elif _is_literal(formula):
-                negated = isinstance(formula, Not)
-                var = formula.operand if negated else formula
-                move = (negated, self._index[var.name] - i)
-                moves[move] = moves.get(move, 0) | 1 << i
-            else:
-                e = self.expr(formula)
-                terms.append(f"({e} << {i})" if i else e)
-        for (negated, shift), mask in moves.items():
+        terms = self.compound_terms(plan.compound)
+        for negated, shift, mask in plan.moves:
             source = f"~{self._arg}" if negated else self._arg
             if shift:
                 source = f"({source} >> {shift})" if shift > 0 else f"({source} << {-shift})"
             terms.append(f"({source} & {mask})")
-        if constant:
-            terms.append(str(constant))
+        if plan.constant:
+            terms.append(str(plan.constant))
         return " | ".join(terms) if terms else "0"
 
 
@@ -634,25 +672,51 @@ def compile_mask(
     return _compiled(("mask", formula, _positions(formula, index)), build)
 
 
-def compile_row(
-    entries: Iterable[tuple[int, Formula]], index: Mapping[str, int]
-) -> Callable[[int], int]:
-    """Compile transition-row ``entries`` into one ``fn(mask) -> mask``.
+def row_function(plan: RowPlan, index: Mapping[str, int]) -> Callable[[int], int]:
+    """The single-step ``fn(mask) -> mask`` of ``plan``: one AFA ``pre_step`` on one class.
 
-    ``entries`` pairs an output bit with the formula that sets it; the
-    generated function evaluates every formula on the input bitset and ORs
-    the bits whose formulas hold — a whole AFA ``pre_step`` on one symbol
-    in a single call.  Shared subformulas across the row evaluate once.
+    No code is generated for the row as a whole.  The literal moves and
+    the constant bits are evaluated directly, as ``(v >> d) & M``; only
+    the compound entries compile, into one function cached by those
+    entries alone (with their variables' bit positions), so every row
+    sharing them shares it.
     """
-    entries = tuple(entries)
+    compound = plan.compound
+    # Output positions are pairwise distinct, so every part sets its own
+    # bits: starting from the constant bits plus the masks of the negated
+    # moves, XOR-ing in each move's shifted input bits sets the positive
+    # moves' bits and complements the negated ones'.
+    fixed = plan.constant
+    right: list[tuple[int, int]] = []
+    left: list[tuple[int, int]] = []
+    for negated, shift, mask in plan.moves:
+        if negated:
+            fixed |= mask
+        if shift >= 0:
+            right.append((shift, mask))
+        else:
+            left.append((-shift, mask))
+    fn = None
+    if compound:
 
-    def build() -> Callable[[int], int]:
-        gen = _MaskCodegen(index)
-        bits = [(bit.bit_length() - 1, formula) for bit, formula in entries]
-        gen.count_row(bits)
-        return _assemble("_row", "", gen.lines, f"    return {gen.row(bits)}")
+        def build() -> Callable[[int], int]:
+            gen = _MaskCodegen(index)
+            gen.count_row(compound)
+            terms = gen.compound_terms(compound)
+            return _assemble("_row", "", gen.lines, "    return " + " | ".join(terms))
 
-    return _compiled(("row", entries, tuple(_positions(f, index) for _, f in entries)), build)
+        key = ("row", compound, tuple(_positions(f, index) for _, f in compound))
+        fn = _compiled(key, build)
+
+    def step(v: int) -> int:
+        out = fixed
+        for shift, mask in right:
+            out ^= v >> shift & mask
+        for shift, mask in left:
+            out ^= v << shift & mask
+        return out if fn is None else out | fn(v)
+
+    return step
 
 
 # -- parser -----------------------------------------------------------------

@@ -157,6 +157,33 @@ class Mediator:
                 counts[component] += 1
         return counts
 
+    def __eq__(self, other: object) -> bool:
+        """Structural equality: states, start, both rule maps and components.
+
+        Components compare by name and by their structural fingerprint,
+        so a mediator equals its own pickle round trip; ``name`` labels
+        are ignored, as fingerprints ignore them.
+        """
+        if not isinstance(other, Mediator):
+            return NotImplemented
+        if (
+            frozenset(self.states) != frozenset(other.states)
+            or self.start != other.start
+            or self.transitions != other.transitions
+            or self.synthesis != other.synthesis
+            or self.components.keys() != other.components.keys()
+        ):
+            return False
+        from repro.serve.fingerprint import fingerprint  # serve imports this module
+
+        return all(
+            fingerprint(component) == fingerprint(other.components[name])
+            for name, component in self.components.items()
+        )
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.states), self.start, tuple(sorted(self.components))))
+
     def __repr__(self) -> str:
         return (
             f"Mediator({self.name!r}, {len(self.states)} states, "

@@ -209,6 +209,28 @@ class InlineRunner:
         return _DeferredFuture(functools.partial(_solve, name, args, kwargs, guard))
 
 
+#: How a snapshot line reads in a spool: sinks write ``json.dumps`` with its
+#: default separators.
+_SNAPSHOT_TAG = b'"event": "metrics"'
+
+
+def _newest_snapshot(lines: list[bytes]) -> dict | None:
+    """The newest whole ``metrics`` event among spool ``lines``, parsing no other line.
+
+    Snapshots are cumulative, so the newest one is all a merge needs.
+    """
+    for line in reversed(lines):
+        if _SNAPSHOT_TAG not in line:
+            continue
+        try:
+            event = json.loads(line)
+        except ValueError:  # e.g. a line cut off by a killed worker
+            continue
+        if event.get("event") == "metrics":
+            return event
+    return None
+
+
 class WorkerPool:
     """A :class:`ProcessPoolExecutor` wired for solver jobs and telemetry."""
 
@@ -278,10 +300,12 @@ class WorkerPool:
 
         Span and progress events are re-emitted into the parent's trace
         sink; each spool's newest ``metrics`` snapshot merges into the
-        parent registry.  Only whole lines are read — a line a worker is
-        still writing waits for the next call.  Safe to call
-        repeatedly; each call reads only bytes appended since the last
-        one.  Returns the number of lines merged.
+        parent registry.  With no sink (:func:`repro.obs.reemit` would
+        drop every span and progress event) only that snapshot's line is
+        parsed.  Only whole lines are read — a line a worker is still
+        writing waits for the next call.  Safe to call repeatedly; each
+        call reads only bytes appended since the last one.  Returns the
+        number of lines merged.
         """
         if self._spool_dir is None:
             return 0
@@ -302,17 +326,22 @@ class WorkerPool:
             whole = payload.rfind(b"\n") + 1
             self._merge_offsets[path] = offset + whole
             pid = fname[len("worker-") : -len(".jsonl")]
+            lines = payload[:whole].splitlines()
             snapshot = None
-            for line in payload[:whole].splitlines():
-                try:
-                    event = json.loads(line)
-                except ValueError:  # e.g. a line cut off by a killed worker
-                    continue
-                merged += 1
-                if event.get("event") == "metrics":
-                    snapshot = event  # cumulative: the newest one suffices
-                else:
-                    obs.reemit(event, worker_pid=pid)
+            if obs.is_enabled():
+                for line in lines:
+                    try:
+                        event = json.loads(line)
+                    except ValueError:  # e.g. a line cut off by a killed worker
+                        continue
+                    merged += 1
+                    if event.get("event") == "metrics":
+                        snapshot = event  # cumulative: the newest one suffices
+                    else:
+                        obs.reemit(event, worker_pid=pid)
+            else:
+                snapshot = _newest_snapshot(lines)
+                merged += snapshot is not None
             if snapshot is not None and metrics.is_enabled():
                 metrics.REGISTRY.merge_snapshot(snapshot, source=pid)
         return merged

@@ -1,7 +1,7 @@
 """The compiled AFA engine compiles only the code a procedure runs.
 
 A non-emptiness check needs the generated witness search and nothing
-else: per-class row closures are compiled on first lookup (``pre_step``,
+else: per-class single-step rows are built on first lookup (``pre_step``,
 a patched automaton's engine, delta replay) and the sweep BFS on first
 sweep.  The work counters must not depend on any of this.
 """
@@ -9,6 +9,7 @@ sweep.  The work counters must not depend on any of this.
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 import weakref
 
@@ -18,12 +19,14 @@ from repro._stats import STATS
 from repro.analysis import nonempty_pl
 from repro.automata import afa as afa_mod
 from repro.automata.afa import symbol_sort_key
-from repro.core.pl_semantics import to_afa, to_afa_incremental
+from repro.core.pl_semantics import joint_variables, to_afa, to_afa_incremental
+from repro.core.sws import MSG, TransitionRule
 from repro.delta import Session, compute_delta
 from repro.logic import pl
 from repro.serve import JobSpec, SolverService
-from repro.workloads.editing import menu_editing_trace
-from repro.workloads.pl_services import HASH, union_word_service
+from repro.workloads.editing import menu_editing_trace, menu_words
+from repro.workloads.pl_services import HASH, exactly, union_word_service
+from repro.workloads.random_sws import random_pl_sws
 from repro.workloads.scaling import pl_counter_sws
 
 WORDS = ["abca", "bcdd", "cabd", "dadb", "acbd", "bbcd"]
@@ -35,21 +38,21 @@ def _menu():
 
 @pytest.fixture
 def compiled(monkeypatch):
-    """Records every searcher kind generated and every row compiled."""
+    """Records every searcher kind generated and every single-step row built."""
     calls = {"searchers": [], "rows": 0}
     compile_searchers = afa_mod._compile_searchers
-    compile_row = pl.compile_row
+    row_function = pl.row_function
 
     def record_searchers(engine, name):
         calls["searchers"].append(name)
         return compile_searchers(engine, name)
 
-    def record_row(entries, index):
+    def record_row(plan, index):
         calls["rows"] += 1
-        return compile_row(entries, index)
+        return row_function(plan, index)
 
     monkeypatch.setattr(afa_mod, "_compile_searchers", record_searchers)
-    monkeypatch.setattr(pl, "compile_row", record_row)
+    monkeypatch.setattr(pl, "row_function", record_row)
     return calls
 
 
@@ -116,6 +119,122 @@ class TestOnDemandCompilation:
             result = session.recheck()
             assert result.mode in ("replay", "warm")
             assert result.answer.verdict is nonempty_pl(version).verdict
+
+
+def _big_menu(seed=0):
+    """A 128-branch menu: 513 states, 1,026 state bits."""
+    return union_word_service(menu_words(128, seed=seed), "abcd")
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """Records the name and SHA-256 of every generated searcher's source."""
+    sources = []
+    exec_source = afa_mod._exec_source
+
+    def record(name, lines):
+        sources.append((name, hashlib.sha256("\n".join(lines).encode()).hexdigest()))
+        return exec_source(name, lines)
+
+    monkeypatch.setattr(afa_mod, "_exec_source", record)
+    return sources
+
+
+class TestRowPlans:
+    """One plan per class row: the generated searchers render it, and the
+    single-step rows evaluate it without generating code for the row."""
+
+    #: The searchers' digests from before row plans: rendering a plan must not
+    #: change a byte of the generated source, so no work counter can move.
+    PINNED = [
+        ("_search", "8b3c22deb223e1f91cc179794f79481215c0acdf727797a7e8190fb8c4ad22c1"),
+        ("_search", "3ad2b5ec486d5b971a4f333b5efc1197a1568390224443a50e34965c12d14049"),
+        ("_search", "c7470638f782ade38c70e4926d10fe408a3503e1f20bdf067cd11d1290db95d7"),
+        ("_sweep", "cc4fda7c8f14d9161d53fc4da318cb12b38ac7ac9a5adfe72fc33ee567b02bd7"),
+        ("_dsearch", "d22914d1f386ce928af7239bb139695c46d2fbadf983e6ca572c4911938fe697"),
+        ("_dsearch", "581687b0a49c4306ca04dd615ad3675e9ba7553adeddde1f3ac3ef817d2a5841"),
+    ]
+
+    def test_searcher_source_is_unchanged(self, generated):
+        to_afa(_big_menu()).accepting_witness()
+        to_afa(pl_counter_sws(10)).accepting_witness()
+        random_afa = to_afa(random_pl_sws(3, n_states=6, n_variables=3, recursive=True))
+        random_afa.accepting_witness()
+        random_afa.reachable_vectors()
+        a, b = (random_pl_sws(seed, n_states=6, n_variables=3, recursive=True) for seed in (3, 4))
+        variables = joint_variables(a, b)
+        to_afa(a, variables).difference_witness(to_afa(b, variables))
+        to_afa(_big_menu(0)).difference_witness(to_afa(_big_menu(1)))
+        assert generated == self.PINNED
+
+    def test_a_patched_engine_generates_a_scratch_engines_searcher(self, generated):
+        base, edited = menu_editing_trace(edits=1)
+        patched = to_afa_incremental(edited, base, to_afa(base), compute_delta(base, edited).changed_states)
+        assert patched.accepting_witness() == to_afa(edited).accepting_witness()
+        assert [name for name, _ in generated] == ["_search", "_search"]
+        assert generated[0] == generated[1]
+
+    def test_a_replay_after_a_full_recheck_reads_its_searchers_plans(self, monkeypatch):
+        words = ["aab", "bba"]
+        session = Session(union_word_service([list(w) + [HASH] for w in words], "ab"))
+        session.check()
+
+        def retarget(state, letter, alphabet):
+            target, _guard = session.current.transitions[state].targets[0]
+            guard = (pl.Var(MSG) & exactly(letter, alphabet)).simplify()
+            return session.current.replace(state, rule=TransitionRule([(target, guard)]))
+
+        session.edit(retarget("b1_w2", "z", "abz"))  # grows the alphabet
+        assert session.recheck().mode == "full"
+        root = session.afa._engine()
+        plans = dict(root.plans)
+        assert set(plans) == set(root.reps)  # the searcher analysed every class
+        sizes = []
+        row_plan = pl.RowPlan
+
+        def record(entries, index):
+            entries = list(entries)
+            sizes.append(len(entries))
+            return row_plan(entries, index)
+
+        monkeypatch.setattr(pl, "RowPlan", record)
+        # Edit the branch the witness does not spell, keeping the letter z.
+        first = session.answer.witness[0]
+        branch = 1 if exactly("a", "ab").evaluate(first) else 0
+        session.edit(retarget(f"b{branch}_w1", "ba"[branch], "ab"))
+        assert session.recheck().mode == "replay"
+        assert session.afa.transitions.root._engine() is root
+        assert all(root.plans[rep] is plan for rep, plan in plans.items())
+        assert sizes and max(sizes) == 2  # the edited state's two pairs only
+
+    def test_replays_on_a_warmed_session_generate_no_code(self, monkeypatch):
+        menu = _big_menu()
+        session = Session(menu)
+        first = session.check().witness[0]
+        words = menu_words(128)
+        # Edits inside branches the witness's first letter rules out keep it valid.
+        branches = [k for k, word in enumerate(words) if not exactly(word[0], "abcd").evaluate(first)]
+        guards = [(pl.Var(MSG) & exactly(letter, "abcd")).simplify() for letter in "abcd"]
+        rng = random.Random(0)
+
+        def replay():
+            state = f"b{rng.choice(branches)}_w{rng.randrange(1, 4)}"
+            target, guard = session.current.transitions[state].targets[0]
+            new_guard = rng.choice([g for g in guards if g is not guard])
+            session.edit(session.current.replace(state, rule=TransitionRule([(target, new_guard)])))
+            assert session.recheck().mode == "replay"
+
+        for _ in range(5):
+            replay()
+        generated = []
+        assemble, exec_source = pl._assemble, afa_mod._exec_source
+        monkeypatch.setattr(pl, "_assemble", lambda *args: generated.append(args[0]) or assemble(*args))
+        monkeypatch.setattr(
+            afa_mod, "_exec_source", lambda *args: generated.append(args[0]) or exec_source(*args)
+        )
+        for _ in range(50):
+            replay()
+        assert generated == []
 
 
 class TestNothingCompiledIsRetained:

@@ -1,13 +1,16 @@
 """Tests for the SWS data type (Definition 2.1 well-formedness)."""
 
 import pickle
+import random
 
 import pytest
 
-from repro.core.sws import SWS, SWSKind, SynthesisRule, TransitionRule
+from repro.core import sws as sws_mod
+from repro.core.sws import MSG, SWS, SWSKind, SynthesisRule, TransitionRule
 from repro.errors import SWSDefinitionError
 from repro.logic import pl
-from repro.workloads.editing import menu_editing_trace, replace_rule
+from repro.workloads.editing import menu_editing_trace, menu_words, replace_rule
+from repro.workloads.pl_services import exactly, union_word_service
 from repro.workloads.random_sws import random_cq_sws, random_pl_sws
 from repro.workloads.travel import recursive_airfare_service, travel_service
 
@@ -283,3 +286,76 @@ class TestReplace:
             copy._inherit_input_variables(base, {state})
             assert pickle.dumps(copy) == expected
         assert pickle.loads(expected).replaced_states(base) is None
+
+
+def _replace_chain(edits=1000, seed=0):
+    """A chain of ``edits`` guard edits on a 128-branch (513-state) menu.
+
+    Yields each version with the plain dict of its transition rules and
+    the state it replaced (the base comes first, with ``None``).
+    """
+    version = union_word_service(menu_words(128), "abcd")
+    assert len(version.states) == 513
+    editable = [s for s in version.states if s != version.start and not version.transitions[s].is_final]
+    guards = [(pl.Var(MSG) & exactly(letter, "abcd")).simplify() for letter in "abcd"]
+    rng = random.Random(seed)
+    rules = dict(version.transitions)
+    yield version, rules, None
+    for _ in range(edits):
+        state = rng.choice(editable)
+        rule = TransitionRule([(rules[state].targets[0][0], rng.choice(guards))])
+        version = version.replace(state, rule=rule)
+        rules = {**rules, state: rule}
+        yield version, rules, state
+
+
+class TestPatchedRules:
+    """An edited version patches its base's transition map instead of copying it."""
+
+    def test_a_version_reads_as_the_plain_dict_of_its_rules(self):
+        for version, rules, state in _replace_chain():
+            transitions = version.transitions
+            assert list(transitions.items()) == list(rules.items())
+            assert len(transitions) == len(rules) and dict(transitions) == rules
+            assert transitions == rules
+            if state is not None:
+                assert state in transitions and transitions[state] is rules[state]
+                assert transitions.get(state) is rules[state]
+            assert "nowhere" not in transitions and transitions.get("nowhere") is None
+            with pytest.raises(KeyError):
+                transitions["nowhere"]
+
+    def test_the_patch_re_roots_once_it_has_cost_a_copy(self, monkeypatch):
+        flattened = []
+        monkeypatch.setattr(sws_mod._PatchedRules, "flat", lambda self: flattened.append(self))
+        previous, roots = None, 0
+        for version, rules, state in _replace_chain():
+            transitions = version.transitions
+            if state is None:
+                assert type(transitions) is dict
+            else:
+                old = previous.transitions
+                patched = isinstance(old, sws_mod._PatchedRules)
+                root = old.root if patched else old
+                since = {**(old.rules if patched else {}), state: rules[state]}
+                work = (old.work if patched else 0) + len(since)
+                if work > len(root):
+                    assert type(transitions) is dict and transitions is not root
+                    roots += 1
+                else:
+                    assert isinstance(transitions, sws_mod._PatchedRules)
+                    assert transitions.root is root and transitions.rules == since
+                    assert transitions.work == work
+            previous = version
+        assert flattened == []  # replace never flattens a patch
+        assert 20 <= roots <= 60  # ~√(2·513) edits per root, far from one per edit
+
+    def test_an_edited_version_pickles_as_a_built_one(self):
+        for step, (version, rules, _state) in enumerate(_replace_chain()):
+            if step % 25:
+                continue
+            built = SWS(
+                version.states, version.start, rules, version.synthesis, kind=SWSKind.PL, name=version.name
+            )
+            assert pickle.dumps(version) == pickle.dumps(built)
+            assert type(pickle.loads(pickle.dumps(version)).transitions) is dict

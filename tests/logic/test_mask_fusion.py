@@ -13,6 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logic import pl
 
+
+def _row(entries, index):
+    """The single-step row of ``(output position, formula)`` entries."""
+    return pl.row_function(pl.RowPlan(entries, index), index)
+
+
 VARIABLES = ["a", "b", "c", "d", "e", "f"]
 #: Deliberately not the identity, so bit positions differ from list order.
 INDEX = {name: (3 * i + 1) % 7 for i, name in enumerate(VARIABLES)}
@@ -66,14 +72,14 @@ class TestFusedMasks:
     def test_compile_row_equals_evaluate_everywhere(self, parts):
         # Output bits in a scrambled order, so literal moves get several
         # different shift distances in one row.
-        entries = tuple((1 << ((2 * i + 1) % 9), f) for i, f in enumerate(parts))
-        row = pl.compile_row(entries, INDEX)
+        entries = tuple(((2 * i + 1) % 9, f) for i, f in enumerate(parts))
+        row = _row(entries, INDEX)
         for mask in ALL_MASKS:
             env = _env(mask)
             expected = 0
-            for bit, formula in entries:
+            for i, formula in entries:
                 if formula.evaluate(env):
-                    expected |= bit
+                    expected |= 1 << i
             assert row(mask) == expected
 
 
@@ -98,8 +104,8 @@ class TestComplementaryLiterals:
             assert pl.compile_mask(disj, INDEX)(mask) is True
 
     def test_complement_in_row(self):
-        row = pl.compile_row(
-            ((1, pl.And((self.X, pl.Not(self.X)))), (2, pl.Or((self.X, pl.Not(self.X))))),
+        row = _row(
+            ((0, pl.And((self.X, pl.Not(self.X)))), (1, pl.Or((self.X, pl.Not(self.X))))),
             INDEX,
         )
         assert {row(m) for m in ALL_MASKS} == {2}
@@ -112,9 +118,9 @@ class TestComplementaryLiterals:
 class TestRowBitMoves:
     def test_literal_rows_copy_and_complement_bits(self):
         index = {f"s{i}": i for i in range(8)}
-        entries = [(1 << i, pl.Var(f"s{i + 2}")) for i in range(6)]
-        entries += [(1 << 6, pl.Not(pl.Var("s0"))), (1 << 7, pl.TRUE)]
-        row = pl.compile_row(entries, index)
+        entries = [(i, pl.Var(f"s{i + 2}")) for i in range(6)]
+        entries += [(6, pl.Not(pl.Var("s0"))), (7, pl.TRUE)]
+        row = _row(entries, index)
         for mask in range(256):
             expected = (mask >> 2) & 0b111111
             expected |= (not mask & 1) << 6

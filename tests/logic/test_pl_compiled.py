@@ -7,6 +7,11 @@ from repro.analysis.stats import STATS
 from repro.logic import pl
 
 
+def _row(entries, index):
+    """The single-step row of ``(output position, formula)`` entries."""
+    return pl.row_function(pl.RowPlan(entries, index), index)
+
+
 class TestInterning:
     def test_constructors_return_identical_objects(self):
         assert pl.Var("p") is pl.Var("p")
@@ -123,23 +128,55 @@ class TestCompiledEvaluators:
         assert pl.compile_mask(pl.Var("v9"), index) is fn
 
     def test_compile_row_sets_bits(self):
-        row = pl.compile_row(
-            ((1, pl.Var("p")), (2, pl.Var("q")), (4, pl.parse("p & q"))),
-            self.INDEX,
-        )
+        row = _row(((0, pl.Var("p")), (1, pl.Var("q")), (2, pl.parse("p & q"))), self.INDEX)
         assert row(0b00) == 0
         assert row(0b01) == 1
         assert row(0b10) == 2
         assert row(0b11) == 7
 
     def test_compile_row_empty(self):
-        assert pl.compile_row((), self.INDEX)(0b111) == 0
+        assert _row((), self.INDEX)(0b111) == 0
 
     def test_compile_row_shares_subexpressions(self):
         shared = pl.parse("p & q & r")
-        row = pl.compile_row(
-            ((1, pl.And([shared, pl.Var("p")])), (2, pl.Not(shared))),
-            self.INDEX,
-        )
+        row = _row(((0, pl.And([shared, pl.Var("p")])), (1, pl.Not(shared))), self.INDEX)
         assert row(0b111) == 1
         assert row(0b011) == 2
+
+
+class TestRowPlan:
+    INDEX = {"p": 0, "q": 1, "r": 2, "s": 3}
+
+    def test_plan_parts(self):
+        p, q, r = pl.Var("p"), pl.Var("q"), pl.Var("r")
+        compound = pl.parse("p & q")
+        plan = pl.RowPlan(
+            [(0, q), (1, r), (2, pl.Not(p)), (3, pl.TRUE), (4, pl.FALSE), (5, compound), (6, p)],
+            self.INDEX,
+        )
+        assert plan.constant == 1 << 3
+        # q→0 and r→1 both shift right by one; !p→2 and p→6 shift left.
+        assert plan.moves == ((False, 1, 0b11), (True, -2, 1 << 2), (False, -6, 1 << 6))
+        assert plan.compound == ((5, compound),)
+
+    def test_literal_rows_generate_no_code(self, monkeypatch):
+        assembled = []
+        assemble = pl._assemble
+        monkeypatch.setattr(pl, "_assemble", lambda *a: assembled.append(a[0]) or assemble(*a))
+        row = _row([(i, pl.Not(pl.Var(name))) for i, name in enumerate("pqrs")], self.INDEX)
+        assert [row(m) for m in (0, 0b1010, 0b1111)] == [0b1111, 0b0101, 0]
+        assert assembled == []
+
+    def test_compound_part_is_cached_by_its_entries_alone(self, monkeypatch):
+        monkeypatch.setattr(pl, "_COMPILE_CACHE", {})
+        compound = pl.parse("(p | q) & (r | !s)")
+        one = _row([(0, pl.Var("p")), (3, compound)], self.INDEX)
+        misses = STATS.compile_cache_misses
+        other = _row([(0, pl.Not(pl.Var("q"))), (1, pl.TRUE), (3, compound)], self.INDEX)
+        assert STATS.compile_cache_misses == misses  # a hit: same compound entries
+        assert len(pl._COMPILE_CACHE) == 1
+        for mask in range(16):
+            env = {name for name, i in self.INDEX.items() if mask >> i & 1}
+            bit = compound.evaluate(env) << 3
+            assert one(mask) == (mask & 1) | bit
+            assert other(mask) == (not mask >> 1 & 1) | 2 | bit

@@ -1,5 +1,7 @@
 """Tests for mediator structure and run semantics (Definition 5.1)."""
 
+import pickle
+
 import pytest
 
 from repro.core.sws import SWS, SWSKind, SynthesisRule, TransitionRule
@@ -146,3 +148,54 @@ class TestRelationalRuns:
         empty = InputSequence(travel.INPUT_PAYLOAD, [])
         result = run_mediator(pi1, travel.sample_database(), empty)
         assert not result.output
+
+
+def _composition_yes_answers():
+    """A YES answer of each of the five ``compose_*`` procedures."""
+    from repro.automata.regex import parse_regex
+    from repro.automata.rpq import RPQ
+    from repro.mediator.bounded import compose_mdtb_pl
+    from repro.mediator.rewriting_based import compose_cq_nr
+    from repro.mediator.rpq_composition import compose_uc2rpq
+    from repro.mediator.synthesis import compose_pl_prefix, compose_pl_regular
+    from repro.workloads.pl_services import union_word_service
+    from tests.mediator.test_rewriting_based import _emit_service, _join_emit
+
+    alpha = ["a", "b"]
+    pl_components = {"X": word_service(["a", HASH], alpha, "X"), "Y": word_service(["b", HASH], alpha, "Y")}
+    goal = union_word_service([["a", HASH, "b", HASH]], alpha, "seq")
+    cq_components = {"VR": _emit_service(_join_emit("R"), "VR"), "VS": _emit_service(_join_emit("S"), "VS")}
+    cq_goal = _emit_service(_join_emit("R").union(_join_emit("S")), "goal")
+    return {
+        "pl_regular": lambda: compose_pl_regular(goal, pl_components),
+        "pl_prefix": lambda: compose_pl_prefix(goal, pl_components, max_chain_length=2),
+        "mdtb_pl": lambda: compose_mdtb_pl(goal, pl_components, invocation_bound=1),
+        "cq_nr": lambda: compose_cq_nr(cq_goal, cq_components),
+        "uc2rpq": lambda: compose_uc2rpq(RPQ(parse_regex("(a b)* a"), "goal"), {"P": ["a", "b"], "Q": ["a"]}),
+    }
+
+
+class TestStructuralEquality:
+    @pytest.mark.parametrize("procedure", ["pl_regular", "pl_prefix", "mdtb_pl", "cq_nr", "uc2rpq"])
+    def test_a_yes_answer_equals_its_pickle_round_trip(self, procedure):
+        answer = _composition_yes_answers()[procedure]()
+        assert answer.is_yes
+        copy = pickle.loads(pickle.dumps(answer))
+        assert copy == answer
+        assert hash(copy.witness) == hash(answer.witness)
+
+    def test_mediators_compare_by_structure_not_name(self, components):
+        mediator = _chain_mediator(components, ["X", "Y"])
+        renamed = Mediator(
+            mediator.states,
+            mediator.start,
+            mediator.transitions,
+            mediator.synthesis,
+            {name: word_service(["ab"[i], HASH], ["a", "b"], f"other{i}") for i, name in enumerate("XY")},
+            name="renamed",
+        )
+        assert renamed == mediator and hash(renamed) == hash(mediator)
+        assert _chain_mediator(components, ["Y", "X"]) != mediator
+        swapped = {"X": components["Y"], "Y": components["X"]}
+        assert _chain_mediator(swapped, ["X", "Y"]) != mediator  # same names, other services
+        assert mediator != "not a mediator"

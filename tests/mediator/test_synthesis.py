@@ -52,6 +52,14 @@ class TestRegularComposition:
         )
         assert ok, witness
 
+    def test_answers_compare_equal(self, components):
+        # The a#b# goal of test_sequential_goal: the two YES answers carry
+        # distinct but structurally equal mediators.
+        goal = union_word_service([["a", HASH, "b", HASH]], ALPHA, "seq")
+        first, second = compose_pl_regular(goal, components), compose_pl_regular(goal, components)
+        assert first.is_yes and first.witness is not second.witness
+        assert first == second
+
     def test_choice_goal(self, components):
         goal = union_word_service(
             [["a", HASH, "b", HASH], ["b", HASH, "a", HASH]], ALPHA, "choice"

@@ -1,9 +1,11 @@
 """Compiled bitmask evaluation vs. AST interpretation.
 
-The compiled engine (``pl.compile_mask``/``pl.compile_row`` and the AFA's
-``_CompiledAFA``) must be observationally identical to the interpreted
-path: same truth values, same accepted words, same (shortest) witnesses.
-These tests drive both paths on random formulas and random PL services.
+The compiled engine (``pl.compile_mask``, the row plans with their
+single-step ``pl.row_function`` and their rendering into the generated
+searchers, and the AFA's ``_CompiledAFA``) must be observationally
+identical to the interpreted path: same truth values, same accepted
+words, same (shortest) witnesses.  These tests drive both paths on
+random formulas and random PL services.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -43,6 +45,35 @@ def _mask_of(env):
     return sum(1 << INDEX[v] for v in env if v in INDEX)
 
 
+@st.composite
+def row_entries(draw):
+    """A row of literal, negated-literal, constant and compound entries.
+
+    Output positions are drawn from a range wider than the variables'
+    bit positions, in any order, so the literal moves shift both ways.
+    """
+    positions = draw(st.permutations(range(2 * len(VARIABLES) + 1)))
+    entries = []
+    for position in positions[: draw(st.integers(0, len(positions)))]:
+        kind = draw(st.sampled_from(["literal", "negated", "constant", "compound"]))
+        if kind == "compound":
+            formula = draw(formulas(depth=3))
+        elif kind == "constant":
+            formula = pl.TRUE if draw(st.booleans()) else pl.FALSE
+        else:
+            formula = pl.Var(draw(st.sampled_from(VARIABLES)))
+            formula = pl.Not(formula) if kind == "negated" else formula
+        entries.append((position, formula))
+    return entries
+
+
+def _rendered(plan):
+    """The plan rendered as the generated searchers inline it, as a function."""
+    gen = pl._MaskCodegen(INDEX)
+    gen.count_row(plan.compound)
+    return pl._assemble("_row", "", gen.lines, f"    return {gen.row(plan)}")
+
+
 class TestCompiledMask:
     @given(formulas(), _assignments())
     @settings(max_examples=150, deadline=None)
@@ -50,15 +81,13 @@ class TestCompiledMask:
         fn = pl.compile_mask(formula, INDEX)
         assert fn(_mask_of(env)) == formula.evaluate(env)
 
-    @given(st.lists(formulas(depth=3), min_size=1, max_size=5), _assignments())
-    @settings(max_examples=100, deadline=None)
-    def test_compile_row_agrees_with_per_state_evaluate(self, parts, env):
-        entries = tuple((1 << i, f) for i, f in enumerate(parts))
-        row = pl.compile_row(entries, INDEX)
-        expected = sum(
-            1 << i for i, f in enumerate(parts) if f.evaluate(env)
-        )
-        assert row(_mask_of(env)) == expected
+    @given(row_entries(), _assignments())
+    @settings(max_examples=150, deadline=None)
+    def test_compile_row_agrees_with_per_state_evaluate(self, entries, env):
+        plan = pl.RowPlan(entries, INDEX)
+        expected = sum(1 << i for i, f in entries if f.evaluate(env))
+        assert pl.row_function(plan, INDEX)(_mask_of(env)) == expected
+        assert _rendered(plan)(_mask_of(env)) == expected
 
     @given(formulas(), _assignments())
     @settings(max_examples=80, deadline=None)

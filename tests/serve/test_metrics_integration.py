@@ -13,8 +13,9 @@ import os
 import subprocess
 import sys
 
-from repro import metrics
+from repro import metrics, obs
 from repro.serve import JobSpec, SolverService
+from repro.serve import pool as pool_mod
 from repro.workloads.scaling import pl_counter_sws
 
 _SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -65,6 +66,35 @@ def test_four_worker_pool_merges_worker_samples_without_double_count():
         key for key in instruments if key.startswith("serve.worker.busy{worker=")
     ]
     assert busy_gauges, "worker gauges did not merge into the parent"
+
+
+def test_a_merge_with_no_sink_parses_only_the_newest_snapshot(monkeypatch):
+    """Metrics on and no trace sink: the workers still spool their spans,
+    but the parent parses only each spool's newest snapshot, merges the
+    counts a parse of every line would, and re-emits nothing."""
+    reemitted, merges = [], []
+    monkeypatch.setattr(obs, "reemit", lambda *args, **kwargs: reemitted.append(args))
+    newest = pool_mod._newest_snapshot
+
+    def record(lines):
+        snapshot = newest(lines)
+        events = [json.loads(line) for line in lines]
+        full = [event for event in events if event.get("event") == "metrics"]
+        merges.append((events, snapshot, full[-1] if full else None))
+        return snapshot
+
+    monkeypatch.setattr(pool_mod, "_newest_snapshot", record)
+    metrics.configure(enabled=True)
+    with SolverService(workers=2) as service:
+        assert all(answer.is_yes for answer in service.run_batch(_batch()))
+    assert reemitted == []
+    assert any(event["event"] != "metrics" for events, _, _ in merges for event in events)
+    assert all(snapshot == full for _, snapshot, full in merges)
+    latency = _histogram("serve.job.latency_s", procedure="nonempty_pl")
+    assert latency.count == 4 and latency.min > 0
+    instruments = metrics.REGISTRY.instruments()
+    assert instruments["serve.jobs.executed"].value == 4
+    assert instruments["serve.worker.jobs"].value == 4
 
 
 def test_inline_service_records_latency_and_cache_counters():
